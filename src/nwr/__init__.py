@@ -26,6 +26,7 @@ from .arena import (
     predecessor_map,
     random_arena,
     random_family,
+    reach,
     serialize_arena,
     serialize_family,
     successor_map,
@@ -43,13 +44,11 @@ from .solve import (
     vertex_values,
     zero_set,
 )
-from .relation import NwrRelation, candidate_universe, ptc
+from .relation import NwrRelation, candidate_universe
 from .analysis import (
-    decomposition_to_json,
     essential_order,
     essential_states,
     mec_decomposition,
-    order_to_json,
     seed_relation,
 )
 from .engine import (

@@ -9,7 +9,6 @@ under-approximation.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from .arena import TargetArena, successor_map
@@ -147,14 +146,6 @@ def essential_states(a: TargetArena, order: frozenset[tuple[str, str]] | None = 
         order = essential_order(a)
     dominated = {u for (u, v) in order if u != v}
     return frozenset(a.protagonist - dominated)
-
-
-def decomposition_to_json(classes: Iterable[Iterable[str]]) -> str:
-    return json.dumps([sorted(c) for c in classes], indent=2)
-
-
-def order_to_json(order: Iterable[tuple[str, str]]) -> str:
-    return json.dumps([list(p) for p in sorted(order)], indent=2)
 
 
 def seed_relation(a: TargetArena) -> NwrRelation:

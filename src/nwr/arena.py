@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 #: Reserved absorbing state added when an arena is instantiated as an MDP.
 SINK = "__sink__"
@@ -69,23 +69,44 @@ def make_arena(
 
 
 @lru_cache(maxsize=512)
+def _adjacency(
+    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
+) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """Successor and predecessor lists, both sorted.  Keyed without the
+    targets, so the retargeted copies of an arena share one entry."""
+    succ: dict[str, list[str]] = {v: [] for v in protagonist | nature}
+    pred: dict[str, list[str]] = {v: [] for v in succ}
+    for u, w in sorted(edges):
+        if u in succ and w in succ:
+            succ[u].append(w)
+            pred[w].append(u)
+    return {v: tuple(ws) for v, ws in succ.items()}, {v: tuple(us) for v, us in pred.items()}
+
+
 def successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
     """Successors of every vertex, in sorted order.  Treat as read-only."""
-    out: dict[str, list[str]] = {v: [] for v in a.vertices}
-    for u, w in sorted(a.edges):
-        if u in out and w in out:
-            out[u].append(w)
-    return {v: tuple(ws) for v, ws in out.items()}
+    return _adjacency(a.protagonist, a.nature, a.edges)[0]
 
 
-@lru_cache(maxsize=512)
 def predecessor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
     """Predecessors of every vertex, in sorted order.  Treat as read-only."""
-    inc: dict[str, list[str]] = {v: [] for v in a.vertices}
-    for u, w in sorted(a.edges):
-        if u in inc and w in inc:
-            inc[w].append(u)
-    return {v: tuple(us) for v, us in inc.items()}
+    return _adjacency(a.protagonist, a.nature, a.edges)[1]
+
+
+def reach(
+    adj: Mapping[str, Iterable[str]], seeds: Iterable[str], avoid: Container[str] = frozenset()
+) -> set[str]:
+    """The seeds plus every vertex reachable from them along ``adj``
+    without entering ``avoid``.  Pass a predecessor map to search
+    backward.  Seeds are kept even when ``avoid`` holds them."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen and u not in avoid:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -175,9 +196,6 @@ class Mdp:
     transition: Mapping[tuple[str, str], Mapping[str, Fraction]]
     targets: frozenset[str]
 
-    def available(self, state: str) -> tuple[str, ...]:
-        return tuple(sorted(a for (q, a) in self.transition if q == state))
-
 
 @dataclass(frozen=True)
 class MarkovChain:
@@ -243,8 +261,10 @@ def induce_chain(m: Mdp, sigma: Strategy) -> MarkovChain:
 # ---------------------------------------------------------------------------
 
 
-def parse_arena(text: str) -> TargetArena:
-    """Parse the arena JSON format; raise ``ArenaFormatError`` on problems."""
+def _load_graph_document(text: str) -> dict:
+    """Parse a ``{"vertices": [...], "edges": [...]}`` document; raise
+    ``ArenaFormatError`` unless it is an object with exactly those two
+    keys, both lists.  Shared by the arena and digraph formats."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -257,7 +277,28 @@ def parse_arena(text: str) -> TargetArena:
     for key in ("vertices", "edges"):
         if key not in doc or not isinstance(doc[key], list):
             raise ArenaFormatError(f"missing or non-list {key!r}")
+    return doc
 
+
+def _parse_edges(entries: list, declared: set[str]) -> set[tuple[str, str]]:
+    """Edges as pairs of declared vertex ids; raise ``ArenaFormatError``
+    on anything else."""
+    edges: set[tuple[str, str]] = set()
+    for i, entry in enumerate(entries):
+        where = f"edges[{i}]"
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ArenaFormatError(f"{where}: must be a pair")
+        u, v = entry
+        for x in (u, v):
+            if not isinstance(x, str) or x not in declared:
+                raise ArenaFormatError(f"{where}: unknown vertex {x!r}")
+        edges.add((u, v))
+    return edges
+
+
+def parse_arena(text: str) -> TargetArena:
+    """Parse the arena JSON format; raise ``ArenaFormatError`` on problems."""
+    doc = _load_graph_document(text)
     protagonist: set[str] = set()
     nature: set[str] = set()
     targets: set[str] = set()
@@ -290,16 +331,7 @@ def parse_arena(text: str) -> TargetArena:
             if target:
                 raise ArenaFormatError(f"{where}: Nature vertex {vid!r} cannot be a target")
 
-    edges: set[tuple[str, str]] = set()
-    for i, entry in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ArenaFormatError(f"{where}: must be a pair")
-        u, v = entry
-        for x in (u, v):
-            if not isinstance(x, str) or x not in seen:
-                raise ArenaFormatError(f"{where}: unknown vertex {x!r}")
-        edges.add((u, v))
+    edges = _parse_edges(doc["edges"], seen)
     return TargetArena(frozenset(protagonist), frozenset(nature), frozenset(edges), frozenset(targets))
 
 

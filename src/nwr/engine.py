@@ -5,83 +5,66 @@ with the pseudo transitive closure taken after each round, until nothing
 new can be derived.  Every rule only ever adds pairs that hold for all
 full-support families, so the fixpoint is a sound under-approximation;
 completeness is not attempted (the full relation is coNP-complete).
+
+Each rule has the signature ``rule_*(a, r)`` and yields every pair it
+derives over the whole arena.  The rules are generators and read ``r`` as
+they go, so a pair the caller adds before asking for the next one can
+already serve as a premise within the same sweep.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterator
 
 from .analysis import seed_relation
-from .arena import TargetArena, successor_map
+from .arena import TargetArena, predecessor_map, reach, successor_map
 from .relation import NwrRelation, candidate_universe
 from .solve import almost_sure_set
 
-
-def _reachers_avoiding(a: TargetArena, blocked: set[str]) -> set[str]:
-    """Vertices with a path to the targets whose non-final vertices all
-    avoid ``blocked``.  Vertices already in the targets count."""
-    pred = {v: [] for v in a.vertices}
-    for u, w in a.edges:
-        pred[w].append(u)
-    found: set[str] = set(a.targets)
-    stack = sorted(a.targets)
-    seen: set[str] = set()
-    while stack:
-        v = stack.pop()
-        for u in pred[v]:
-            if u not in seen and u not in blocked:
-                seen.add(u)
-                found.add(u)
-                stack.append(u)
-    return found
+Pair = tuple[str, frozenset[str]]
 
 
-def rule_bar_reach(
-    a: TargetArena, r: NwrRelation, v0: str, w: Iterable[str]
-) -> Optional[tuple[str, frozenset[str]]]:
-    """Emit ``v0 <= W`` when every path from ``v0`` to the targets passes
-    through a vertex already known to be below ``W``.
+def rule_bar_reach(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
+    """Yield ``v0 <= W`` for each candidate set ``W`` when every path from
+    ``v0`` to the targets passes through a vertex already known to be
+    below ``W``.
 
     Uses the maximal admissible cut: all vertices currently below ``W``.
+    A target reaches the targets by the length-zero path, outside any cut.
     """
-    wset = frozenset(w)
-    blocked = set(r.below_mask(r.mask(wset)))
-    if v0 not in _reachers_avoiding(a, blocked):
-        return (v0, wset)
-    return None
+    pred = predecessor_map(a)
+    verts = sorted(a.vertices)
+    for wset in candidate_universe(a):
+        reachers = reach(pred, a.targets, set(r.below_mask(r.mask(wset))))
+        for v0 in verts:
+            if v0 not in reachers:
+                yield v0, wset
 
 
-def rule_bar_win(
-    a: TargetArena, r: NwrRelation, w: str, v0: str
-) -> Optional[tuple[str, frozenset[str]]]:
-    """Emit ``w <= {v0}`` when ``v0`` can reach, with probability one,
+def rule_bar_win(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
+    """Yield ``w <= {v0}`` when ``v0`` can reach, with probability one,
     either a target or a Protagonist vertex already known to dominate
     ``w``."""
-    dominators = frozenset(
-        s for s in a.protagonist if r.holds_mask(w, r.mask((s,)))
-    )
-    retargeted = TargetArena(a.protagonist, a.nature, a.edges, dominators | a.targets)
-    if v0 in almost_sure_set(retargeted):
-        return (w, frozenset((v0,)))
-    return None
+    winners_of: dict[frozenset[str], frozenset[str]] = {}
+    for w in sorted(a.vertices):
+        key = a.targets | {s for s in a.protagonist if r.holds(w, (s,))}
+        if key not in winners_of:
+            winners_of[key] = almost_sure_set(TargetArena(a.protagonist, a.nature, a.edges, key))
+        for v0 in sorted(winners_of[key]):
+            yield w, frozenset((v0,))
 
 
-def rule_nature_equiv(
-    a: TargetArena, r: NwrRelation, u: str
-) -> tuple[tuple[str, frozenset[str]], ...]:
+def rule_nature_equiv(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
     """When all successors of a Nature vertex are pairwise equivalent, the
     vertex is equivalent to each of them (its value is their common
     value)."""
-    succ = successor_map(a)[u]
-    for i, v in enumerate(succ):
-        for x in succ[i + 1 :]:
-            if not r.equivalent(v, x):
-                return ()
-    out: list[tuple[str, frozenset[str]]] = []
-    for x in succ:
-        out.append((u, frozenset((x,))))
-        out.append((x, frozenset((u,))))
-    return tuple(out)
+    succ = successor_map(a)
+    for u in sorted(a.nature):
+        vs = succ[u]
+        if all(r.equivalent(v, x) for i, v in enumerate(vs) for x in vs[i + 1 :]):
+            for x in vs:
+                yield u, frozenset((x,))
+                yield x, frozenset((u,))
 
 
 def _non_dominated(r: NwrRelation, succs: tuple[str, ...]) -> list[str]:
@@ -103,18 +86,23 @@ def _non_dominated(r: NwrRelation, succs: tuple[str, ...]) -> list[str]:
             return surv
 
 
-def rule_prot_dominance(
-    a: TargetArena, r: NwrRelation, u: str, v: str
-) -> Optional[tuple[str, frozenset[str]]]:
-    """Emit ``u <= {v}`` when every non-dominated successor of ``u`` is
+def rule_prot_dominance(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
+    """Yield ``u <= {v}`` when every non-dominated successor of ``u`` is
     below the successor set of ``v`` (both non-target Protagonist)."""
     succ = successor_map(a)
-    ve = frozenset(succ[v])
-    ve_mask = r.mask(ve)
-    for w in _non_dominated(r, succ[u]):
-        if not ve or not r.holds_mask(w, ve_mask):
-            return None
-    return (u, frozenset((v,)))
+    choices = sorted(a.protagonist - a.targets)
+    for u in choices:
+        survivors = _non_dominated(r, succ[u])
+        for v in choices:
+            ve = succ[v]
+            if not ve and survivors:
+                continue
+            ve_mask = r.mask(ve)
+            if all(r.holds_mask(w, ve_mask) for w in survivors):
+                yield u, frozenset((v,))
+
+
+RULES = (rule_bar_reach, rule_bar_win, rule_nature_equiv, rule_prot_dominance)
 
 
 def saturate(a: TargetArena) -> "NwrRelation":
@@ -125,57 +113,13 @@ def saturate(a: TargetArena) -> "NwrRelation":
     candidate universe is finite, so termination is immediate.
     """
     rel = seed_relation(a)
-    universe = candidate_universe(a)
-    umasks = [rel.mask(w) for w in universe]
-    succ = successor_map(a)
-    verts = sorted(a.vertices)
-    prot_choices = sorted(a.protagonist - a.targets)
-    as_cache: dict[frozenset[str], frozenset[str]] = {}
-    bit = {v: 1 << i for i, v in enumerate(rel.vertices)}
-
-    max_rounds = len(verts) * len(universe) + 2
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > max_rounds:
-            raise AssertionError("saturation exceeded its monotone bound")
+    umasks = [rel.mask(w) for w in candidate_universe(a)]
+    for _ in range(len(a.vertices) * len(umasks) + 2):
         changed = False
-
-        for wset in universe:
-            blocked = set(rel.below_mask(rel.mask(wset)))
-            reachers = _reachers_avoiding(a, blocked)
-            for v0 in verts:
-                if v0 not in reachers:
-                    changed |= rel.add(v0, wset)
-
-        for w in verts:
-            dominators = frozenset(
-                s for s in a.protagonist if rel.holds_mask(w, bit[s])
-            )
-            key = dominators | a.targets
-            winners = as_cache.get(key)
-            if winners is None:
-                winners = almost_sure_set(
-                    TargetArena(a.protagonist, a.nature, a.edges, key)
-                )
-                as_cache[key] = winners
-            for v0 in sorted(winners):
-                changed |= rel.add_mask(w, bit[v0])
-
-        for u in sorted(a.nature):
-            for pair in rule_nature_equiv(a, rel, u):
-                changed |= rel.add(*pair)
-
-        for u in prot_choices:
-            survivors = _non_dominated(rel, succ[u])
-            for v in prot_choices:
-                ve = succ[v]
-                if not ve and survivors:
-                    continue
-                ve_mask = rel.mask(ve)
-                if all(rel.holds_mask(w, ve_mask) for w in survivors):
-                    changed |= rel.add_mask(u, bit[v])
-
+        for rule in RULES:
+            for v, w in rule(a, rel):
+                changed |= rel.add(v, w)
         changed |= rel.close(umasks)
         if not changed:
             return rel
+    raise AssertionError("saturation exceeded its monotone bound")

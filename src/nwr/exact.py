@@ -133,24 +133,27 @@ def verify_certificate(
 
 def _simple_target_paths(a: TargetArena, v: str) -> Iterator[tuple[str, ...]]:
     """All simple paths from ``v`` ending at a target, depth-first with
-    sorted successors (deterministic order)."""
+    sorted successors (deterministic order).  A path reaching a target is
+    yielded and then extended past it.  Iterative, so path length is not
+    bounded by the interpreter's recursion limit."""
     succ = successor_map(a)
-    targets = a.targets
     path = [v]
     seen = {v}
-
-    def walk(x: str) -> Iterator[tuple[str, ...]]:
-        if x in targets:
-            yield tuple(path)
-        for y in succ[x]:
+    branches = [iter(succ[v])]
+    if v in a.targets:
+        yield (v,)
+    while branches:
+        for y in branches[-1]:
             if y not in seen:
                 path.append(y)
                 seen.add(y)
-                yield from walk(y)
-                path.pop()
-                seen.remove(y)
-
-    yield from walk(v)
+                if y in a.targets:
+                    yield tuple(path)
+                branches.append(iter(succ[y]))
+                break
+        else:
+            branches.pop()
+            seen.remove(path.pop())
 
 
 def _greedy_layers(a: TargetArena, pinned_top: set[str]) -> tuple[list[frozenset[str]], set[str]]:

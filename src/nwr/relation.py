@@ -101,12 +101,9 @@ class NwrRelation:
     def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
         """Stored (inclusion-minimal) pairs in canonical order."""
         for v in self._order:
-            row = sorted(self._rows[v], key=lambda y: (y.bit_count(), self.unmask_key(y)))
+            row = sorted(self._rows[v], key=lambda y: (y.bit_count(), sorted(self.unmask(y))))
             for y in row:
                 yield v, self.unmask(y)
-
-    def unmask_key(self, m: int) -> tuple[str, ...]:
-        return tuple(sorted(self.unmask(m)))
 
     def pair_count(self) -> int:
         return sum(len(row) for row in self._rows.values())
@@ -158,9 +155,3 @@ class NwrRelation:
             rel.add(entry["v"], entry["W"])
         return rel
 
-
-def ptc(r: NwrRelation, universe: Iterable[frozenset[str]]) -> NwrRelation:
-    """Pseudo transitive closure as a pure function over a universe."""
-    out = r.copy()
-    out.close([out.mask(w) for w in universe])
-    return out

@@ -22,6 +22,7 @@ from .arena import (
     induce_chain,
     instantiate_mdp,
     predecessor_map,
+    reach,
     successor_map,
 )
 
@@ -56,51 +57,29 @@ class ValueVector:
 
 def zero_set(a: TargetArena) -> frozenset[str]:
     """Vertices (either owner) with no path to the target set."""
-    pred = predecessor_map(a)
-    seen: set[str] = set(a.targets)
-    stack = sorted(a.targets)
-    while stack:
-        v = stack.pop()
-        for u in pred[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(a.vertices - seen)
+    return frozenset(a.vertices - reach(predecessor_map(a), a.targets))
 
 
 def almost_sure_set(a: TargetArena) -> frozenset[str]:
     """Vertices from which the Protagonist can reach the targets with
     probability one, for every full-support family.
 
-    Two nested fixpoints: repeatedly restrict to the Protagonist vertices
-    that still reach a target inside the candidate set, where a Nature
-    vertex is usable only if all its successors stay candidates.  Targets
-    are treated as sinks.  A Nature vertex wins iff all its successors do.
+    Repeatedly restrict the candidates to the Protagonist vertices that
+    still reach a target inside them, where a Nature vertex is usable only
+    if all its successors stay candidates: one backward search from the
+    targets that avoids every other vertex (the arena is bipartite).  A
+    Nature vertex wins iff all its successors do.
     """
     succ = successor_map(a)
+    pred = predecessor_map(a)
     cand = set(a.protagonist)
     while True:
         usable = {n for n in a.nature if all(v in cand for v in succ[n])}
-        reach = set(a.targets & cand)
-        frontier = sorted(reach)
-        # backward closure: p reaches if some usable action has a successor that reaches
-        changed = True
-        while changed:
-            changed = False
-            for p in sorted(cand - reach):
-                for n in succ[p]:
-                    if n in usable and any(v in reach for v in succ[n]):
-                        reach.add(p)
-                        changed = True
-                        break
-        if reach == cand:
-            break
-        cand = reach
-    winners = set(cand)
-    for n in sorted(a.nature):
-        if succ[n] and all(v in cand for v in succ[n]):
-            winners.add(n)
-    return frozenset(winners)
+        avoid = (a.protagonist - cand) | (a.nature - usable)
+        reached = reach(pred, a.targets & cand, avoid) & a.protagonist
+        if reached == cand:
+            return frozenset(cand | {n for n in usable if succ[n]})
+        cand = reached
 
 
 # ---------------------------------------------------------------------------
@@ -135,22 +114,12 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
     keeps the system non-singular.
     """
     interior = stay - targets
-    # backward reachability from targets through interior states
     preds: dict[str, list[str]] = {q: [] for q in c.states}
-    for q in c.states:
-        if q in interior:
-            for r, p in c.transition[q].items():
-                if p > 0 and r in preds:
-                    preds[r].append(q)
-    can: set[str] = set()
-    stack = sorted(targets)
-    while stack:
-        v = stack.pop()
-        for u in preds[v]:
-            if u not in can:
-                can.add(u)
-                stack.append(u)
-    order = sorted(can)
+    for q in interior & c.states:
+        for r, p in c.transition[q].items():
+            if p > 0 and r in preds:
+                preds[r].append(q)
+    order = sorted(reach(preds, targets) - targets)
     idx = {q: i for i, q in enumerate(order)}
     n = len(order)
     matrix = [[Fraction(0)] * n for _ in range(n)]
@@ -202,23 +171,6 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
 # ---------------------------------------------------------------------------
 # Maximal values on MDPs
 # ---------------------------------------------------------------------------
-
-
-def _mdp_zero_states(m: Mdp) -> frozenset[str]:
-    preds: dict[str, set[str]] = {q: set() for q in m.states}
-    for (q, _), dist in m.transition.items():
-        for r, p in dist.items():
-            if p > 0 and r in preds:
-                preds[r].add(q)
-    seen: set[str] = set(m.targets)
-    stack = sorted(m.targets)
-    while stack:
-        v = stack.pop()
-        for u in sorted(preds[v]):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(m.states - seen)
 
 
 def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:

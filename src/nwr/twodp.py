@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arena import TargetArena
+from .arena import ArenaFormatError, TargetArena, _load_graph_document, _parse_edges, reach
 from .exact import SizeLimitError
 
 
@@ -30,8 +30,17 @@ def make_digraph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> D
 
 
 def parse_digraph(text: str) -> Digraph:
-    doc = json.loads(text)
-    return make_digraph(doc["vertices"], [tuple(e) for e in doc["edges"]])
+    """Parse the digraph JSON format, ``{"vertices": [ids], "edges":
+    [[u, v], ...]}``; raise ``ArenaFormatError`` on problems."""
+    doc = _load_graph_document(text)
+    seen: set[str] = set()
+    for i, vid in enumerate(doc["vertices"]):
+        if not isinstance(vid, str):
+            raise ArenaFormatError(f"vertices[{i}]: must be a string id")
+        if vid in seen:
+            raise ArenaFormatError(f"vertices[{i}]: duplicate id {vid!r}")
+        seen.add(vid)
+    return make_digraph(seen, _parse_edges(doc["edges"], seen))
 
 
 def serialize_digraph(g: Digraph) -> str:
@@ -49,35 +58,6 @@ def _succ(vertices: set[str], edges: set[tuple[str, str]]) -> dict[str, list[str
     return out
 
 
-def _reaches(vertices: set[str], edges: set[tuple[str, str]], goal: str) -> set[str]:
-    pred: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, w in edges:
-        if u in pred and w in pred:
-            pred[w].append(u)
-    seen = {goal} if goal in pred else set()
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for u in pred[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
-def _reachable_from(vertices: set[str], edges: set[tuple[str, str]], sources: set[str]) -> set[str]:
-    succ = _succ(vertices, edges)
-    seen = set(s for s in sources if s in vertices)
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def normalize_2dp(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> Digraph:
     """Prune the instance without changing its disjoint-paths answer.
 
@@ -91,8 +71,8 @@ def normalize_2dp(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> Digraph:
     verts = set(g.vertices)
     edges = {(u, v) for u, v in g.edges if u not in (t1, t2)}
     while True:
-        to_t = _reaches(verts, edges, t1) | _reaches(verts, edges, t2)
-        from_s = _reachable_from(verts, edges, {s1, s2})
+        to_t = reach(_succ(verts, {(v, u) for u, v in edges}), {t1, t2})
+        from_s = reach(_succ(verts, edges), {s1, s2} & verts)
         bad = {x for x in verts - {t1, t2} if x not in to_t or x not in from_s}
         if not bad:
             break

@@ -8,13 +8,16 @@ from nwr import (
     ArenaFormatError,
     FamilyError,
     StrategyError,
+    TargetArena,
     induce_chain,
     instantiate_mdp,
     make_arena,
     parse_arena,
     parse_family,
+    predecessor_map,
     random_arena,
     random_family,
+    reach,
     serialize_arena,
     serialize_family,
     successor_map,
@@ -212,3 +215,21 @@ class TestRandomFamily:
                 assert set(mu[u]) == set(succ[u])
                 assert all(p >= Fraction(1, 20) for p in mu[u].values())
                 assert sum(mu[u].values()) == 1
+
+
+class TestReach:
+    def test_forward_and_backward(self, coin):
+        assert reach(successor_map(coin), {"v0"}) == {"v0", "n0", "t", "f"}
+        assert reach(predecessor_map(coin), {"t"}) == {"t", "n0", "v0"}
+
+    def test_avoid_blocks_entry_but_keeps_seeds(self, coin):
+        assert reach(successor_map(coin), {"v0"}, {"n0"}) == {"v0"}
+        assert reach(successor_map(coin), {"v0"}, {"v0", "t"}) == {"v0", "n0", "f"}
+
+    def test_adjacency_shared_across_targets(self, coin):
+        # the maps do not depend on the targets, so retargeted copies share them
+        other = TargetArena(coin.protagonist, coin.nature, coin.edges, frozenset({"f"}))
+        assert successor_map(other) is successor_map(coin)
+        assert predecessor_map(other) is predecessor_map(coin)
+        assert predecessor_map(coin)["n0"] == ("v0",)
+        assert successor_map(coin)["n0"] == ("f", "t")

@@ -198,6 +198,16 @@ def test_2dp_pipeline(tmp_path, capsys):
     assert validate_arena(parse_arena(out.read_text())).ok
 
 
+def test_2dp_malformed_graph_is_input_error(tmp_path, capsys):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps([["a", "b"]]))
+    code = main(["2dp", str(graph_path), "--s1", "a", "--t1", "b", "--s2", "a", "--t2", "b"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "top level must be an object" in err
+    assert "Traceback" not in err
+
+
 def test_bench_csv(tmp_path, funnel, coin):
     arenas = tmp_path / "arenas"
     arenas.mkdir()

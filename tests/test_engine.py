@@ -9,51 +9,49 @@ from nwr import (
     seed_relation,
     vertex_values,
 )
+from nwr.engine import RULES
 from _corpus import arena_suite, family_suite
 
 
 class TestBarReach:
     def test_funnel_cut_through_t(self, funnel):
-        rel = seed_relation(funnel)
-        assert rule_bar_reach(funnel, rel, "p", {"t"}) == ("p", frozenset({"t"}))
-        assert rule_bar_reach(funnel, rel, "q", {"t"}) == ("q", frozenset({"t"}))
+        pairs = list(rule_bar_reach(funnel, seed_relation(funnel)))
+        assert ("p", frozenset({"t"})) in pairs
+        assert ("q", frozenset({"t"})) in pairs
 
     def test_target_start_blocks_emission(self, coin):
-        rel = seed_relation(coin)
         # t is a target: the length-zero path reaches T outside any cut
-        assert rule_bar_reach(coin, rel, "t", {"v0"}) is None
+        pairs = list(rule_bar_reach(coin, seed_relation(coin)))
+        assert ("t", frozenset({"v0"})) not in pairs
 
     def test_dead_vertex_below_everything(self, coin):
-        rel = seed_relation(coin)
-        assert rule_bar_reach(coin, rel, "f", {"v0"}) == ("f", frozenset({"v0"}))
+        pairs = list(rule_bar_reach(coin, seed_relation(coin)))
+        assert ("f", frozenset({"v0"})) in pairs
 
 
 class TestBarWin:
     def test_relay_t_below_p(self, relay):
-        rel = seed_relation(relay)
-        assert rule_bar_win(relay, rel, "t", "p") == ("t", frozenset({"p"}))
+        assert ("t", frozenset({"p"})) in list(rule_bar_win(relay, seed_relation(relay)))
 
     def test_funnel_t_below_p_and_q(self, funnel):
-        rel = seed_relation(funnel)
-        assert rule_bar_win(funnel, rel, "t", "p") == ("t", frozenset({"p"}))
-        assert rule_bar_win(funnel, rel, "t", "q") == ("t", frozenset({"q"}))
+        pairs = list(rule_bar_win(funnel, seed_relation(funnel)))
+        assert ("t", frozenset({"p"})) in pairs
+        assert ("t", frozenset({"q"})) in pairs
 
     def test_reemission_is_noop(self, funnel):
         rel = saturate(funnel)
-        pair = rule_bar_win(funnel, rel, "t", "p")
-        assert pair is not None
-        assert rel.add(*pair) is False
+        pairs = list(rule_bar_win(funnel, rel))
+        assert ("t", frozenset({"p"})) in pairs
+        assert not any(rel.add(*pair) for pair in pairs)
 
     def test_no_winning_route(self, coin):
-        rel = seed_relation(coin)
-        assert rule_bar_win(coin, rel, "t", "v0") is None
+        assert ("t", frozenset({"v0"})) not in list(rule_bar_win(coin, seed_relation(coin)))
 
 
 class TestNatureEquiv:
     def test_single_successor_unconditional(self):
         a = make_arena(["p", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
-        rel = seed_relation(a)
-        pairs = rule_nature_equiv(a, rel, "n")
+        pairs = list(rule_nature_equiv(a, seed_relation(a)))
         assert ("n", frozenset({"t"})) in pairs
         assert ("t", frozenset({"n"})) in pairs
 
@@ -62,30 +60,28 @@ class TestNatureEquiv:
         a = make_arena(
             ["p", "t1", "t2"], ["n"], [("p", "n"), ("n", "t1"), ("n", "t2")], ["t1", "t2"]
         )
-        rel = seed_relation(a)
-        pairs = rule_nature_equiv(a, rel, "n")
+        pairs = list(rule_nature_equiv(a, seed_relation(a)))
         assert ("n", frozenset({"t1"})) in pairs
         assert ("t2", frozenset({"n"})) in pairs
 
     def test_unrelated_successors_no_emission(self, coin):
-        rel = seed_relation(coin)
-        assert rule_nature_equiv(coin, rel, "n0") == ()
+        assert list(rule_nature_equiv(coin, seed_relation(coin))) == []
 
 
 class TestProtDominance:
     def test_reflexive(self, funnel):
-        rel = seed_relation(funnel)
-        assert rule_prot_dominance(funnel, rel, "p", "p") == ("p", frozenset({"p"}))
+        pairs = list(rule_prot_dominance(funnel, seed_relation(funnel)))
+        assert ("p", frozenset({"p"})) in pairs
 
     def test_spare_left_extra_successor_dominated(self, spare_left):
         rel = saturate(spare_left)
         assert rel.holds("u", {"v", "z"})
-        assert rule_prot_dominance(spare_left, rel, "p", "q") == ("p", frozenset({"q"}))
+        assert ("p", frozenset({"q"})) in list(rule_prot_dominance(spare_left, rel))
 
     def test_dead_protagonist_below_anything(self):
         a = make_arena(["p", "dead", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
-        rel = seed_relation(a)
-        assert rule_prot_dominance(a, rel, "dead", "p") == ("dead", frozenset({"p"}))
+        pairs = list(rule_prot_dominance(a, seed_relation(a)))
+        assert ("dead", frozenset({"p"})) in pairs
 
     def test_mutually_equivalent_successors_stay_guarded(self):
         # u's two routes both lead to the target: the routes dominate each
@@ -102,7 +98,7 @@ class TestProtDominance:
         rel = saturate(a)
         assert rel.equivalent("n1", "n2")
         assert not rel.holds("u", {"loser"})
-        assert rule_prot_dominance(a, rel, "u", "loser") is None
+        assert ("u", frozenset({"loser"})) not in list(rule_prot_dominance(a, rel))
 
 
 class TestSaturate:
@@ -121,6 +117,12 @@ class TestSaturate:
         for v in a.vertices:
             for w in a.vertices:
                 assert rel.holds(v, {w})
+
+    def test_fixpoint_of_every_rule(self, funnel, spare_left):
+        for a in [funnel, spare_left, *arena_suite(6, seed=44, max_p=4, max_n=4)]:
+            rel = saturate(a)
+            for rule in RULES:
+                assert all(rel.holds(v, w) for v, w in rule(a, rel)), rule.__name__
 
     def test_deterministic(self, funnel):
         first = list(saturate(funnel).pairs())

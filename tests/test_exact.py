@@ -16,6 +16,7 @@ from nwr import (
     verify_drift_partition,
     vertex_values,
 )
+from nwr.exact import _simple_target_paths
 from _corpus import arena_suite, ordered_set_partitions
 
 
@@ -133,6 +134,26 @@ class TestDecide:
     def test_size_limit(self, selector):
         with pytest.raises(SizeLimitError):
             decide_nwr(selector, "p", {"q"})  # 12 vertices, default limit 10
+
+    def test_long_chain_has_no_recursion_limit(self):
+        # v0 -> n0 -> v1 -> ... -> v600: one simple path of 1,201 vertices
+        chain = [f"v{i}" for i in range(601)]
+        edges = []
+        for i in range(600):
+            edges += [(f"v{i}", f"n{i}"), (f"n{i}", f"v{i + 1}")]
+        a = make_arena(chain, [f"n{i}" for i in range(600)], edges, ["v600"])
+        assert decide_nwr(a, "v0", {"v1"}, limit=2000).holds
+
+    def test_paths_continue_past_targets(self):
+        # t is a target on the way to the target u: both paths are found
+        a = make_arena(
+            ["v", "t", "u"], ["n", "m"], [("v", "n"), ("n", "t"), ("t", "m"), ("m", "u")], ["t", "u"]
+        )
+        assert list(_simple_target_paths(a, "v")) == [
+            ("v", "n", "t"),
+            ("v", "n", "t", "m", "u"),
+        ]
+        assert list(_simple_target_paths(a, "t")) == [("t",), ("t", "m", "u")]
 
     def test_matches_partition_enumeration(self):
         rng = random.Random(13)

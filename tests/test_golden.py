@@ -1,0 +1,59 @@
+"""Byte-identity gate for refactors of the relation engine and reducer.
+
+The digests were recorded before saturation was rewritten as a loop over
+the rule functions; a change that alters any of them changes what
+``nwr relate`` or ``nwr reduce`` writes, and must say why.
+"""
+
+import hashlib
+
+import pytest
+
+import nwr.reduce
+from nwr import random_arena, reduce_fixpoint, saturate, serialize_arena
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (random_arena arguments): (relation JSON, reduced arena, reduction report)
+GOLDEN = {
+    (20, 20, 0.1, 1, 3): (
+        "9757ff761294aa293714a25998a66070330a00269a95142ddde33b42d0d39916",
+        "90183f4b53e3d5c1d5de11c4052a77908056135c1afbe3becc1d822cb643c38b",
+        "c12d33ee00a2cb4783b64ce1d1ade76f2cf2275721dae150d73c2926aba7ece5",
+    ),
+    (10, 8, 0.3, 1, 1): (
+        "86d3061747a5cc36e102bcb6d145f25a5862ef27c525ad80b0f9a1e01a1f13ad",
+        "382d7c65df08191bdf8985c54df5371e84ee85549d742ba919dc4ce66554428c",
+        "b93ec7eda785d8183efe5d8ff0b3d18bd8da742f98539b1e0023c4b8352bc2b2",
+    ),
+    (10, 8, 0.3, 1, 5): (
+        "1abd051c0f0561ca989377e351dc77c4fe3e2826d1745a7825b3ef316f05da5d",
+        "09ce85f44e8d22b425789e8ca7d276de8e3165200adc7fc43316138f5f657862",
+        "23ba54edcc0540b898d4a0c8db0fc9fd13525c022d37489fef5233ab96f81a5c",
+    ),
+    (10, 8, 0.3, 1, 6): (
+        "544c34bca5a8b3ea2156a91539a63398568481cce1741a4ea938f95f35c3b79f",
+        "a2bcdf7b62605f8fcc16676cf01d7bd99c59ee65506e0bd31a6531b4845af625",
+        "744b0eea39f5bad125778b44684b1f6caf0aa040497784ad5574af83761cea99",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_outputs_are_byte_identical(args, monkeypatch):
+    # the reducer's first round saturates the input arena: keep that
+    # relation rather than saturating a second time
+    relations = []
+
+    def keep(arena):
+        relations.append(saturate(arena))
+        return relations[-1]
+
+    monkeypatch.setattr(nwr.reduce, "saturate", keep)
+    a = random_arena(*args)
+    reduced, report = reduce_fixpoint(a)
+    digests = (_sha(relations[0].to_json()), _sha(serialize_arena(reduced)), _sha(report.to_json()))
+    assert digests == GOLDEN[args]

@@ -1,15 +1,20 @@
 import itertools
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nwr import (
     MarkovChain,
     Mdp,
     SINK,
+    TargetArena,
     almost_sure_set,
     induce_chain,
     instantiate_mdp,
     make_arena,
     max_reach_values_exact,
+    random_arena,
     reach_prob,
     successor_map,
     until_prob,
@@ -46,6 +51,51 @@ class TestAlmostSure:
             ["t"],
         )
         assert almost_sure_set(a) == frozenset({"v", "mid", "t", "n1", "n2"})
+
+
+def reference_almost_sure_set(a):
+    """The two-level fixpoint ``almost_sure_set`` used to run: shrink the
+    candidates until every one still reaches a target through usable
+    Nature vertices, found by sweeping the candidates to a fixpoint."""
+    succ = successor_map(a)
+    cand = set(a.protagonist)
+    while True:
+        usable = {n for n in a.nature if all(v in cand for v in succ[n])}
+        reach = set(a.targets & cand)
+        changed = True
+        while changed:
+            changed = False
+            for p in sorted(cand - reach):
+                for n in succ[p]:
+                    if n in usable and any(v in reach for v in succ[n]):
+                        reach.add(p)
+                        changed = True
+                        break
+        if reach == cand:
+            break
+        cand = reach
+    winners = set(cand)
+    for n in sorted(a.nature):
+        if succ[n] and all(v in cand for v in succ[n]):
+            winners.add(n)
+    return frozenset(winners)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 8),
+    st.sampled_from([0.1, 0.25, 0.4, 0.6]),
+    st.integers(0, 10_000),
+    st.data(),
+)
+def test_almost_sure_matches_reference(n_p, n_n, density, seed, data):
+    a = random_arena(n_p, n_n, density, data.draw(st.integers(0, n_p)), seed)
+    assert almost_sure_set(a) == reference_almost_sure_set(a)
+    # the saturation rule asks again with dominating vertices added as targets
+    extra = data.draw(st.sets(st.sampled_from(sorted(a.protagonist))))
+    retargeted = TargetArena(a.protagonist, a.nature, a.edges, a.targets | extra)
+    assert almost_sure_set(retargeted) == reference_almost_sure_set(retargeted)
 
 
 class TestChainProbabilities:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nwr import (
+    ArenaFormatError,
     decide_nwr,
     make_digraph,
     normalize_2dp,
@@ -129,3 +130,28 @@ class TestReduction:
     def test_json_round_trip(self):
         g = make_digraph(["a", "b"], [("a", "b")])
         assert parse_digraph(serialize_digraph(g)) == g
+
+
+class TestParseDigraph:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{nope", "malformed JSON"),
+            ('[["a", "b"]]', "top level must be an object"),
+            ('{"edges": []}', "'vertices'"),
+            ('{"vertices": {}, "edges": []}', "'vertices'"),
+            ('{"vertices": ["a"]}', "'edges'"),
+            ('{"vertices": ["a"], "edges": "ab"}', "'edges'"),
+            ('{"vertices": ["a"], "edges": [], "extra": 1}', "unknown top-level key"),
+            ('{"vertices": ["a", 1], "edges": []}', "vertices[1]: must be a string"),
+            ('{"vertices": ["a", "b", "a"], "edges": []}', "vertices[2]: duplicate id 'a'"),
+            ('{"vertices": ["a", "b"], "edges": [["a", "b", "a"]]}', "edges[0]: must be a pair"),
+            ('{"vertices": ["a", "b"], "edges": ["ab"]}', "edges[0]: must be a pair"),
+            ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "c"]]}', "edges[1]: unknown vertex 'c'"),
+            ('{"vertices": ["a", "b"], "edges": [["a", 2]]}', "edges[0]: unknown vertex 2"),
+        ],
+    )
+    def test_rejects_malformed(self, text, message):
+        with pytest.raises(ArenaFormatError) as err:
+            parse_digraph(text)
+        assert message in str(err.value)
