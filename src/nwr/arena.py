@@ -261,23 +261,37 @@ def induce_chain(m: Mdp, sigma: Strategy) -> MarkovChain:
 # ---------------------------------------------------------------------------
 
 
-def _load_graph_document(text: str) -> dict:
-    """Parse a ``{"vertices": [...], "edges": [...]}`` document; raise
-    ``ArenaFormatError`` unless it is an object with exactly those two
-    keys, both lists.  Shared by the arena and digraph formats."""
+def _load_document(text: str, fields: Mapping[str, type]) -> dict:
+    """Parse a JSON object with exactly the keys of ``fields``, each
+    holding a value of the type given there; raise ``ArenaFormatError``
+    otherwise.  Shared by the arena, digraph and certificate formats."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArenaFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ArenaFormatError("top level must be an object")
-    unknown = set(doc) - {"vertices", "edges"}
+    unknown = set(doc) - set(fields)
     if unknown:
         raise ArenaFormatError(f"unknown top-level key {min(unknown)!r}")
-    for key in ("vertices", "edges"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise ArenaFormatError(f"missing or non-list {key!r}")
+    for key, kind in fields.items():
+        if key not in doc or not isinstance(doc[key], kind):
+            raise ArenaFormatError(f"missing or non-{kind.__name__} {key!r}")
     return doc
+
+
+_GRAPH_FIELDS = {"vertices": list, "edges": list}
+
+
+def _parse_ids(entries: object, where: str) -> list[str]:
+    """``entries`` as a list of string vertex ids; raise
+    ``ArenaFormatError`` on anything else."""
+    if not isinstance(entries, list):
+        raise ArenaFormatError(f"{where}: must be a list")
+    for i, x in enumerate(entries):
+        if not isinstance(x, str):
+            raise ArenaFormatError(f"{where}[{i}]: must be a string id")
+    return entries
 
 
 def _parse_edges(entries: list, declared: set[str]) -> set[tuple[str, str]]:
@@ -298,7 +312,7 @@ def _parse_edges(entries: list, declared: set[str]) -> set[tuple[str, str]]:
 
 def parse_arena(text: str) -> TargetArena:
     """Parse the arena JSON format; raise ``ArenaFormatError`` on problems."""
-    doc = _load_graph_document(text)
+    doc = _load_document(text, _GRAPH_FIELDS)
     protagonist: set[str] = set()
     nature: set[str] = set()
     targets: set[str] = set()

@@ -33,6 +33,7 @@ from .engine import saturate
 from .exact import (
     NwrCertificate,
     SizeLimitError,
+    check_size,
     decide_nwr,
     epsilon_witness,
     verify_certificate,
@@ -174,11 +175,15 @@ def _cmd_solve(args) -> int:
 
 def _cmd_relate(args) -> int:
     arena = _load_arena(args.arena)
+    if args.exact:
+        check_size(arena, args.limit)
     rel = saturate(arena)
     if args.exact:
         for v in sorted(arena.vertices):
             for w in sorted(arena.vertices):
-                if v != w and decide_nwr(arena, v, {w}, limit=args.limit).holds:
+                if v == w or rel.holds(v, (w,)):
+                    continue
+                if decide_nwr(arena, v, {w}, limit=args.limit).holds:
                     rel.add(v, (w,))
     _, cmap = quotient(arena, rel)
     classes: dict[str, list[str]] = {}
@@ -319,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArenaFormatError, FamilyError, StrategyError, ValueError, OSError, KeyError) as exc:
+    except (ArenaFormatError, FamilyError, StrategyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ def rule_bar_reach(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
     pred = predecessor_map(a)
     verts = sorted(a.vertices)
     for wset in candidate_universe(a):
-        reachers = reach(pred, a.targets, set(r.below_mask(r.mask(wset))))
+        reachers = reach(pred, a.targets, r.unmask(r.column(r.mask(wset))))
         for v0 in verts:
             if v0 not in reachers:
                 yield v0, wset

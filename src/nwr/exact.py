@@ -18,7 +18,7 @@ from fractions import Fraction
 import json
 from typing import Iterable, Iterator, Optional
 
-from .arena import TargetArena, random_family, successor_map
+from .arena import TargetArena, _load_document, _parse_ids, random_family, successor_map
 from .solve import vertex_values
 
 
@@ -49,12 +49,17 @@ class NwrCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "NwrCertificate":
-        doc = json.loads(text)
+        """Parse the certificate JSON format; raise ``ArenaFormatError`` on
+        problems."""
+        doc = _load_document(text, {"layers": list, "path": list, "v": str, "W": list})
         return cls(
-            tuple(frozenset(layer) for layer in doc["layers"]),
-            tuple(doc["path"]),
+            tuple(
+                frozenset(_parse_ids(layer, f"layers[{i}]"))
+                for i, layer in enumerate(doc["layers"])
+            ),
+            tuple(_parse_ids(doc["path"], "path")),
             doc["v"],
-            frozenset(doc["W"]),
+            frozenset(_parse_ids(doc["W"], "W")),
         )
 
 
@@ -194,6 +199,16 @@ def _greedy_layers(a: TargetArena, pinned_top: set[str]) -> tuple[list[frozenset
     return layers, placed
 
 
+def check_size(a: TargetArena, limit: int) -> None:
+    """Raise ``SizeLimitError`` when ``a`` has more than ``limit`` vertices,
+    the bound under which ``decide_nwr`` enumerates simple paths."""
+    if len(a.vertices) > limit:
+        raise SizeLimitError(
+            f"arena has {len(a.vertices)} vertices, over the limit of {limit}; "
+            "use saturate() or sample_falsify() for larger instances"
+        )
+
+
 def decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 10) -> NwrDecision:
     """Decide ``v <= W`` exactly; refutations come with a certificate.
 
@@ -209,11 +224,7 @@ def decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 10) -> Nwr
     unknown = ({v} | wset) - a.vertices
     if unknown:
         raise ValueError(f"unknown vertex {min(unknown)}")
-    if len(a.vertices) > limit:
-        raise SizeLimitError(
-            f"arena has {len(a.vertices)} vertices, over the limit of {limit}; "
-            "use saturate() or sample_falsify() for larger instances"
-        )
+    check_size(a, limit)
     if v in wset or wset & a.targets:
         return NwrDecision(True)
     for path in _simple_target_paths(a, v):

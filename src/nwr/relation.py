@@ -37,6 +37,14 @@ def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
     return tuple(sorted(sets, key=lambda w: (len(w), tuple(sorted(w)))))
 
 
+def _bits(m: int) -> Iterator[int]:
+    """Indices of the set bits of ``m``, lowest first."""
+    while m:
+        b = m & -m
+        m ^= b
+        yield b.bit_length() - 1
+
+
 class NwrRelation:
     """Mutable pair store, reflexive by construction, subset-queryable."""
 
@@ -60,12 +68,7 @@ class NwrRelation:
         return m
 
     def unmask(self, m: int) -> frozenset[str]:
-        out = []
-        while m:
-            b = m & -m
-            m ^= b
-            out.append(self._order[b.bit_length() - 1])
-        return frozenset(out)
+        return frozenset(self._order[i] for i in _bits(m))
 
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
@@ -94,9 +97,16 @@ class NwrRelation:
             w, 1 << self._index[v]
         )
 
-    def below_mask(self, m: int) -> list[str]:
-        """All vertices v with ``v <= W`` for the set W encoded by ``m``."""
-        return [v for v in self._order if self.holds_mask(v, m)]
+    def column(self, m: int) -> int:
+        """Bitmask of the vertices v with ``v <= W``, for the set W
+        encoded by ``m``."""
+        out = 0
+        for i, v in enumerate(self._order):
+            for y in self._rows[v]:
+                if y & ~m == 0:
+                    out |= 1 << i
+                    break
+        return out
 
     def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
         """Stored (inclusion-minimal) pairs in canonical order."""
@@ -116,33 +126,51 @@ class NwrRelation:
     def close(self, universe_masks: Iterable[int]) -> bool:
         """Pseudo transitive closure, restricted to the candidate universe.
 
-        Adds ``v <= X`` whenever some stored ``v <= W`` has every member of
-        ``W`` already below ``X``.  Idempotent; returns whether anything
-        was added.
+        Adds ``v <= X`` for each universe set ``X`` whenever some stored
+        ``v <= W`` has every member of ``W`` already below ``X``.
+        Idempotent; returns whether anything was added.
+
+        Works on one bitmask column ``B[Y] = {v : v <= Y}`` per premise set
+        ``Y``, that is every universe set and every stored row.  The closed
+        column of ``X`` is the least superset of its initial column that
+        contains the initial column of every premise inside it, so each one
+        is grown on its own: only premises holding a newly gained vertex
+        are tested, and a column already closed is read whole.
         """
-        masks = list(universe_masks)
-        changed_any = False
-        changed = True
-        while changed:
-            changed = False
-            for v in self._order:
-                for x in masks:
-                    if self.holds_mask(v, x):
-                        continue
-                    for y in list(self._rows[v]):
-                        yy = y
-                        ok = True
-                        while yy:
-                            b = yy & -yy
-                            yy ^= b
-                            if not self.holds_mask(self._order[b.bit_length() - 1], x):
-                                ok = False
-                                break
-                        if ok:
-                            self.add_mask(v, x)
-                            changed = changed_any = True
-                            break
-        return changed_any
+        targets = list(universe_masks)
+        owners: dict[int, int] = {}  # stored row -> vertices storing it
+        for i, v in enumerate(self._order):
+            for y in self._rows[v]:
+                owners[y] = owners.get(y, 0) | 1 << i
+        premises = set(targets).union(owners)
+        containing: list[list[int]] = [[] for _ in self._order]
+        for y in premises:
+            for i in _bits(y):
+                containing[i].append(y)
+
+        def fitting(m: int, members: int) -> set[int]:
+            """Premises inside ``m`` that hold one of ``members``."""
+            return {y for i in _bits(members) for y in containing[i] if y & ~m == 0}
+
+        col: dict[int, int] = {}
+        for y in premises:
+            col[y] = 0
+            for z in fitting(y, y):
+                col[y] |= owners.get(z, 0)
+        changed = False
+        for x in targets:
+            b = delta = col[x]
+            while delta:
+                gained = 0
+                for y in fitting(b, delta):
+                    gained |= col[y]
+                delta = gained & ~b
+                b |= delta
+            for i in _bits(b & ~col[x]):
+                self.add_mask(self._order[i], x)
+                changed = True
+            col[x] = b
+        return changed
 
     def to_json(self) -> str:
         doc = [{"v": v, "W": sorted(w)} for v, w in self.pairs()]

@@ -15,7 +15,15 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arena import ArenaFormatError, TargetArena, _load_graph_document, _parse_edges, reach
+from .arena import (
+    _GRAPH_FIELDS,
+    ArenaFormatError,
+    TargetArena,
+    _load_document,
+    _parse_edges,
+    _parse_ids,
+    reach,
+)
 from .exact import SizeLimitError
 
 
@@ -32,11 +40,9 @@ def make_digraph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> D
 def parse_digraph(text: str) -> Digraph:
     """Parse the digraph JSON format, ``{"vertices": [ids], "edges":
     [[u, v], ...]}``; raise ``ArenaFormatError`` on problems."""
-    doc = _load_graph_document(text)
+    doc = _load_document(text, _GRAPH_FIELDS)
     seen: set[str] = set()
-    for i, vid in enumerate(doc["vertices"]):
-        if not isinstance(vid, str):
-            raise ArenaFormatError(f"vertices[{i}]: must be a string id")
+    for i, vid in enumerate(_parse_ids(doc["vertices"], "vertices")):
         if vid in seen:
             raise ArenaFormatError(f"vertices[{i}]: duplicate id {vid!r}")
         seen.add(vid)

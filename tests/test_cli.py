@@ -3,11 +3,16 @@ import json
 
 import pytest
 
+import nwr.cli
 from nwr import (
     NwrCertificate,
+    decide_nwr,
     make_arena,
     parse_arena,
     parse_family,
+    quotient,
+    random_arena,
+    saturate,
     serialize_arena,
     serialize_family,
     validate_arena,
@@ -101,6 +106,39 @@ def test_relate_exact_respects_limit(tmp_path, selector):
     assert main(["relate", str(path), "--exact", "--limit", "12"]) == 0
 
 
+@pytest.mark.parametrize("seed", [1, 4, 5, 6])
+def test_relate_exact_decides_only_unproved_pairs(tmp_path, monkeypatch, seed):
+    a = random_arena(10, 8, 0.3, 1, seed)
+    proved = saturate(a)
+    unproved = sum(1 for v in a.vertices for w in a.vertices if not proved.holds(v, (w,)))
+    rel = proved.copy()
+    for v in sorted(a.vertices):
+        for w in sorted(a.vertices):
+            if v != w and decide_nwr(a, v, {w}, limit=18).holds:
+                rel.add(v, (w,))
+    _, cmap = quotient(a, rel)
+    classes = {}
+    for vertex, cls in cmap.items():
+        classes.setdefault(cls, []).append(vertex)
+    every_pair_decided = {
+        "pairs": [{"v": v, "W": sorted(w)} for v, w in rel.pairs()],
+        "classes": sorted(sorted(m) for m in classes.values()),
+    }
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide_nwr(*args, **kwargs)
+
+    monkeypatch.setattr(nwr.cli, "decide_nwr", counted)
+    path = tmp_path / "a.json"
+    out = tmp_path / "rel.json"
+    path.write_text(serialize_arena(a))
+    assert main(["relate", str(path), "--exact", "--limit", "18", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == every_pair_decided
+    assert len(calls) == unproved
+
+
 def test_reduce_outputs(tmp_path, funnel, capsys):
     arena_path = tmp_path / "funnel.json"
     arena_path.write_text(serialize_arena(funnel))
@@ -139,6 +177,20 @@ def test_certify_search_and_verify(coin_file, tmp_path, capsys):
     )
     assert code == 0
     assert "verifies" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1]", "top level must be an object"), ("{}", "missing or non-list 'layers'")],
+)
+def test_certify_check_malformed_certificate(coin_file, tmp_path, capsys, text, message):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(text)
+    argv = ["certify", str(coin_file), "--source", "t", "--against", "v0", "--check", str(cert_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_certify_holds(coin_file, capsys):

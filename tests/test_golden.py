@@ -1,8 +1,10 @@
 """Byte-identity gate for refactors of the relation engine and reducer.
 
-The digests were recorded before saturation was rewritten as a loop over
-the rule functions; a change that alters any of them changes what
-``nwr relate`` or ``nwr reduce`` writes, and must say why.
+The first four digests were recorded before saturation was rewritten as a
+loop over the rule functions, and the two sparse arenas (the benchmark's
+``sparse-reduce`` inputs) before the closure moved to bitmask columns; a
+change that alters any of them changes what ``nwr relate`` or
+``nwr reduce`` writes, and must say why.
 """
 
 import hashlib
@@ -19,6 +21,16 @@ def _sha(text: str) -> str:
 
 # (random_arena arguments): (relation JSON, reduced arena, reduction report)
 GOLDEN = {
+    (30, 30, 0.07, 1, 3): (
+        "459d919b69e98a2cbac9be90b56f178526ebaeb3c7cdc032bd73b2e0d2697b0d",
+        "801ab9abfd009d2b6a3b54cc063d7a68294ae8f8d72530aa0b20c3fd37df88d8",
+        "010e051e67cc14fda4b9154ecee1ef6ae2737a967c544cb709a955f2eea3dadb",
+    ),
+    (40, 40, 0.05, 1, 3): (
+        "64743322e84a5eaf6f7381aec16e27c7eab952632cd6a92eeed7b1ff51807140",
+        "e7a0da747c2f4a46fdbfd185b351c6cd0c91ca220318ae6a4fa1326076bd2d6d",
+        "83d46d019831cdccc88925b3a9d1644e529f99af230da8aca9d37b87c1fe70b1",
+    ),
     (20, 20, 0.1, 1, 3): (
         "9757ff761294aa293714a25998a66070330a00269a95142ddde33b42d0d39916",
         "90183f4b53e3d5c1d5de11c4052a77908056135c1afbe3becc1d822cb643c38b",

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwr import NwrRelation, candidate_universe
+from nwr import NwrRelation, candidate_universe, random_arena
 
 
 def closed(rel, universe):
@@ -33,6 +33,27 @@ def brute_close(pairs, universe, vertices):
                         changed = True
                         break
     return {(v, w) for (v, w) in holds}
+
+
+def reference_close(rel, universe_masks):
+    """The closure as first written, the reference for ``NwrRelation.close``:
+    sweep every (v, X) not yet implied and test each stored row of v
+    member by member with ``holds_mask``, until a sweep adds nothing."""
+    masks = list(universe_masks)
+    changed_any = False
+    changed = True
+    while changed:
+        changed = False
+        for v in rel.vertices:
+            for x in masks:
+                if rel.holds_mask(v, x):
+                    continue
+                for y in list(rel._rows[v]):
+                    if all(rel.holds_mask(u, x) for u in rel.unmask(y)):
+                        rel.add_mask(v, x)
+                        changed = changed_any = True
+                        break
+    return changed_any
 
 
 class TestStore:
@@ -122,3 +143,29 @@ def test_universe_shapes(seed):
             if s - {x}:
                 assert s - {x} in universe
     assert frozenset() not in universe
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 5),
+    st.sampled_from([0.2, 0.35, 0.5]),
+    st.integers(0, 10_000),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2**10), st.booleans()), max_size=14),
+)
+def test_column_close_matches_reference(p, n, density, seed, picks):
+    a = random_arena(p, n, density, 1, seed)
+    universe = candidate_universe(a)
+    rel = NwrRelation(a.vertices)
+    verts = rel.vertices
+    for i, j, inside in picks:
+        # a set outside the universe exercises stored rows no universe set names
+        w = universe[j % len(universe)] if inside else rel.unmask(j % (2 ** len(verts) - 1) + 1)
+        rel.add(verts[i % len(verts)], w)
+    masks = [rel.mask(w) for w in universe]
+    want, got = rel.copy(), rel.copy()
+    assert got.close(masks) == reference_close(want, masks)
+    assert list(got.pairs()) == list(want.pairs())
+    again = got.copy()
+    assert again.close(masks) is False
+    assert list(again.pairs()) == list(got.pairs())
