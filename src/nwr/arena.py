@@ -374,8 +374,10 @@ def parse_family(text: str) -> dict[str, dict[str, Fraction]]:
         row: dict[str, Fraction] = {}
         for v, s in dist.items():
             try:
+                if isinstance(s, bool):
+                    raise TypeError("a boolean is not a probability")
                 row[v] = Fraction(s)
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+            except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
                 raise ArenaFormatError(f"family[{u!r}][{v!r}]: bad rational {s!r}") from exc
         fam[u] = row
     return fam

@@ -1,14 +1,17 @@
 """Reachability probabilities, exactly and iteratively.
 
 Exact computations use rational arithmetic end to end: Markov chains are
-solved by Gaussian elimination over ``Fraction`` and maximal MDP values by
-strategy improvement with exact chain evaluations.  The only floating
-point code is ``value_iteration``, kept as an independent approximate
-route for cross-checking.
+solved by sparse elimination over ``Fraction``, on the states that reach
+a target, and maximal MDP values by strategy improvement with exact chain
+evaluations.  The only floating point code is ``value_iteration``, kept
+as an independent approximate route for cross-checking.  Both MDP solvers
+look only at live actions, those that can reach a target: every other
+action scores zero and cannot change a value.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -87,31 +90,15 @@ def almost_sure_set(a: TargetArena) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fractions; first non-zero pivot per column."""
-    n = len(matrix)
-    a = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str]) -> dict[str, Fraction]:
     """Probability, per state, of reaching ``targets`` while staying in ``stay``.
 
     States outside ``stay | targets`` are absorbing failures.  The linear
-    system is restricted to the states that can actually reach a target
-    inside ``stay``; all other interior states are pinned to zero, which
-    keeps the system non-singular.
+    system ``(I - P) x = b`` is restricted to the states that can actually
+    reach a target inside ``stay``; all other interior states are pinned to
+    zero.  Restricted that way, ``I - P`` is a nonsingular M-matrix, so
+    sparse elimination with the diagonal pivots, taken in sorted order,
+    never meets a zero pivot.  Each row holds only its non-zero entries.
     """
     interior = stay - targets
     preds: dict[str, list[str]] = {q: [] for q in c.states}
@@ -121,20 +108,50 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
                 preds[r].append(q)
     order = sorted(reach(preds, targets) - targets)
     idx = {q: i for i, q in enumerate(order)}
-    n = len(order)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for q in order:
-        i = idx[q]
-        matrix[i][i] = Fraction(1)
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    # users[j]: the rows not yet eliminated that mention unknown j
+    users: list[set[int]] = [set() for _ in order]
+    for i, q in enumerate(order):
+        row = {i: Fraction(1)}
+        b = Fraction(0)
         for r, p in c.transition[q].items():
             if p == 0:
                 continue
             if r in targets:
-                rhs[i] += p
+                b += p
             elif r in idx:
-                matrix[i][idx[r]] -= p
-    solved = _solve_linear(matrix, rhs) if n else []
+                j = idx[r]
+                row[j] = row.get(j, 0) - p
+        for j in row:
+            users[j].add(i)
+        rows.append(row)
+        rhs.append(b)
+    for k, row in enumerate(rows):
+        pivot = row.pop(k, 0)
+        if pivot == 0:
+            raise ArithmeticError("singular linear system")
+        users[k].discard(k)
+        for j in row:
+            row[j] /= pivot
+            users[j].discard(k)
+        rhs[k] /= pivot
+        for i in users[k]:
+            other = rows[i]
+            f = other.pop(k)
+            for j, x in row.items():
+                y = other.get(j, 0) - f * x
+                if y:
+                    other[j] = y
+                    users[j].add(i)
+                else:
+                    other.pop(j, None)
+                    users[j].discard(i)
+            rhs[i] -= f * rhs[k]
+    # back-substitution: row k now reads x_k + sum(row[j] x_j, j > k) = rhs[k]
+    solved = [Fraction(0)] * len(order)
+    for k in range(len(order) - 1, -1, -1):
+        solved[k] = rhs[k] - sum((x * solved[j] for j, x in rows[k].items()), Fraction(0))
     out: dict[str, Fraction] = {}
     for q in c.states:
         if q in targets:
@@ -173,22 +190,45 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
 # ---------------------------------------------------------------------------
 
 
+def _live_actions(m: Mdp) -> dict[str, list[str]]:
+    """Each state's live actions, sorted: those with a positive-probability
+    successor that reaches a target, found by one backward search.
+
+    Under every value vector either solver produces, states that reach no
+    target sit at zero, so a dead action scores exactly zero and never
+    replaces a choice; neither solver needs to look at it.
+    """
+    support = {key: [r for r, p in dist.items() if p > 0] for key, dist in m.transition.items()}
+    preds: dict[str, list[str]] = defaultdict(list)
+    for (q, _), succ in support.items():
+        for r in succ:
+            preds[r].append(q)
+    reaching = reach(preds, m.targets)
+    live: dict[str, list[str]] = {q: [] for q in m.states}
+    for (q, act), succ in sorted(support.items()):
+        if not reaching.isdisjoint(succ):
+            live[q].append(act)
+    return live
+
+
 def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
     """Maximal reachability values by strategy improvement, exactly.
 
-    Each candidate strategy is evaluated by an exact chain solve; a state
-    switches action only on a strict one-step improvement (keeping the
-    current action on ties), which makes the value vectors increase
-    monotonically until the unique Bellman solution is reached.  Ties
-    between new actions break toward the lexicographically smallest.
-    Returns the value vector and an optimal memoryless strategy.
+    Each state starts at its first live action in sorted order, or at its
+    first action when none is live.  Each candidate strategy is evaluated
+    by an exact chain solve; a state switches action only on a strict
+    one-step improvement (keeping the current action on ties), which makes
+    the value vectors increase monotonically until the unique Bellman
+    solution is reached.  Only live actions are scored: a dead one scores
+    zero and cannot improve.  Ties between new actions break toward the
+    lexicographically smallest.  Returns the value vector and an optimal
+    memoryless strategy.
     """
-    avail: dict[str, list[str]] = {q: [] for q in m.states}
-    for (q, act) in m.transition:
-        avail[q].append(act)
-    for q in avail:
-        avail[q].sort()
-    sigma: dict[str, str] = {q: acts[0] for q, acts in avail.items() if acts}
+    live = _live_actions(m)
+    sigma: dict[str, str] = {}
+    for (q, act) in sorted(m.transition):
+        sigma.setdefault(q, act)
+    sigma.update((q, acts[0]) for q, acts in live.items() if acts)
 
     guard = 0
     while True:
@@ -198,14 +238,14 @@ def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
         values = reach_prob_vector(induce_chain(m, sigma), m.targets)
         changed = False
         for q in sorted(sigma):
-            if q in m.targets:
+            if q in m.targets or not live[q]:
                 continue
             scores = {
                 act: sum(
                     (p * values[r] for r, p in m.transition[(q, act)].items()),
                     Fraction(0),
                 )
-                for act in avail[q]
+                for act in live[q]
             }
             best = max(scores.values())
             if best > values[q]:
@@ -220,15 +260,15 @@ def value_iteration(m: Mdp, tol: float = 1e-10, max_iters: int = 10**6) -> Value
 
     Converges to the maximal values from below; stops when the sup-norm
     change drops under ``tol``.  Hitting ``max_iters`` flags the result as
-    unconverged but still returns it.
+    unconverged but still returns it.  Sweeps only live actions: a dead
+    action scores exactly 0.0 in every sweep, so skipping it changes no
+    bit of the result.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    avail: dict[str, list[str]] = {q: [] for q in m.states}
-    for (q, act) in m.transition:
-        avail[q].append(act)
     float_tr = {
-        key: [(r, float(p)) for r, p in dist.items()] for key, dist in m.transition.items()
+        q: [[(r, float(p)) for r, p in m.transition[(q, act)].items()] for act in acts]
+        for q, acts in _live_actions(m).items()
     }
     x = {q: (1.0 if q in m.targets else 0.0) for q in m.states}
     converged = False
@@ -240,9 +280,9 @@ def value_iteration(m: Mdp, tol: float = 1e-10, max_iters: int = 10**6) -> Value
                 nxt[q] = 1.0
                 continue
             best = 0.0
-            for act in avail[q]:
+            for dist in float_tr[q]:
                 s = 0.0
-                for r, p in float_tr[(q, act)]:
+                for r, p in dist:
                     s += p * x[r]
                 if s > best:
                     best = s

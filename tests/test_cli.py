@@ -90,6 +90,23 @@ def test_solve_rejects_bad_family(coin_file, tmp_path):
     assert main(["solve", str(coin_file), "--family", str(fam)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ('{"n0": {"t": 1e400, "f": 0.5}}', "inf"),
+        ('{"n0": {"t": -1e400, "f": 0.5}}', "-inf"),
+        ('{"n0": {"t": true, "f": false}}', "True"),
+    ],
+)
+def test_solve_malformed_family_value(coin_file, tmp_path, capsys, text, bad):
+    fam = tmp_path / "bad_mu.json"
+    fam.write_text(text)
+    assert main(["solve", str(coin_file), "--family", str(fam)]) == 2
+    err = capsys.readouterr().err
+    assert f"family['n0']['t']: bad rational {bad}" in err
+    assert "Traceback" not in err
+
+
 def test_relate_finds_equivalence(tmp_path, funnel, capsys):
     path = tmp_path / "funnel.json"
     path.write_text(serialize_arena(funnel))

@@ -15,7 +15,9 @@ from nwr import (
     make_arena,
     max_reach_values_exact,
     random_arena,
+    random_family,
     reach_prob,
+    reach_prob_vector,
     successor_map,
     until_prob,
     value_iteration,
@@ -148,6 +150,85 @@ class TestChainProbabilities:
         assert checked >= 10
 
 
+def reference_solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """The dense Gauss-Jordan elimination the chain solver used to run, the
+    reference for the sparse one: first non-zero pivot per column."""
+    n = len(matrix)
+    a = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("singular linear system")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def reference_until_vector(c: MarkovChain, stay, targets) -> dict[str, Fraction]:
+    """Until-probabilities from one dense system over the states of ``stay``
+    that reach a target inside it, found by a sweep to a fixpoint."""
+    targets = frozenset(targets)
+    interior = frozenset(stay) & c.states - targets
+    reaching = set(targets)
+    changed = True
+    while changed:
+        changed = False
+        for q in sorted(interior - reaching):
+            if any(p > 0 and r in reaching for r, p in c.transition[q].items()):
+                reaching.add(q)
+                changed = True
+    order = sorted(reaching - targets)
+    idx = {q: i for i, q in enumerate(order)}
+    matrix = [[Fraction(int(i == j)) for j in range(len(order))] for i in range(len(order))]
+    rhs = [Fraction(0)] * len(order)
+    for q in order:
+        for r, p in c.transition[q].items():
+            if r in targets:
+                rhs[idx[q]] += p
+            elif r in idx:
+                matrix[idx[q]][idx[r]] -= p
+    solved = reference_solve_linear(matrix, rhs)
+    return {
+        q: Fraction(1) if q in targets else solved[idx[q]] if q in idx else Fraction(0)
+        for q in c.states
+    }
+
+
+@st.composite
+def chains_with_goals(draw):
+    """A random chain with self-loops and absorbing states, plus a target
+    set and a stay set drawn from its states."""
+    n = draw(st.integers(1, 9))
+    states = [f"q{i}" for i in range(n)]
+    transition = {}
+    for q in states:
+        if draw(st.booleans()) and draw(st.booleans()):
+            transition[q] = {q: Fraction(1)}  # absorbing: reaches no other state
+            continue
+        support = draw(st.lists(st.sampled_from(states), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+        transition[q] = {r: Fraction(w, sum(weights)) for r, w in zip(support, weights)}
+    chain = MarkovChain(frozenset(states), transition)
+    targets = draw(st.sets(st.sampled_from(states), max_size=3))
+    stay = draw(st.sets(st.sampled_from(states))) | (set(states) if draw(st.booleans()) else set())
+    return chain, frozenset(targets), frozenset(stay)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains_with_goals())
+def test_chain_solver_matches_dense_reference(case):
+    chain, targets, stay = case
+    assert reach_prob_vector(chain, targets) == reference_until_vector(chain, chain.states, targets)
+    want = reference_until_vector(chain, stay, targets)
+    for q in sorted(chain.states):
+        assert until_prob(chain, q, stay, targets) == want[q]
+
+
 def brute_force_max_values(m: Mdp) -> dict[str, Fraction]:
     """Independent oracle: enumerate every memoryless strategy."""
     choices: dict[str, list[str]] = {}
@@ -159,11 +240,10 @@ def brute_force_max_values(m: Mdp) -> dict[str, Fraction]:
     best: dict[str, Fraction] = {q: Fraction(0) for q in m.states}
     for combo in itertools.product(*(choices[q] for q in states_with_choice)):
         sigma = dict(zip(states_with_choice, combo))
-        chain = induce_chain(m, sigma)
+        vals = reference_until_vector(induce_chain(m, sigma), m.states, m.targets)
         for q in m.states:
-            val = reach_prob(chain, q, m.targets)
-            if val > best[q]:
-                best[q] = val
+            if vals[q] > best[q]:
+                best[q] = vals[q]
     for t in m.targets:
         best[t] = Fraction(1)
     return best
@@ -220,6 +300,96 @@ class TestValueIteration:
     def test_iteration_cap_flags_result(self, mixer_mdp):
         vv = value_iteration(mixer_mdp, tol=1e-12, max_iters=2)
         assert not vv.converged
+
+
+def reference_value_iteration(m: Mdp, tol: float, max_iters: int) -> tuple[dict[str, float], bool]:
+    """The float sweep ``value_iteration`` used to run, over every action."""
+    avail: dict[str, list[str]] = {q: [] for q in m.states}
+    for (q, act) in m.transition:
+        avail[q].append(act)
+    x = {q: (1.0 if q in m.targets else 0.0) for q in m.states}
+    for _ in range(max_iters):
+        delta = 0.0
+        nxt = {}
+        for q in m.states:
+            if q in m.targets:
+                nxt[q] = 1.0
+                continue
+            best = 0.0
+            for act in avail[q]:
+                s = 0.0
+                for r, p in m.transition[(q, act)].items():
+                    s += float(p) * x[r]
+                if s > best:
+                    best = s
+            nxt[q] = best
+            delta = max(delta, abs(best - x[q]))
+        x = nxt
+        if delta < tol:
+            return x, True
+    return x, False
+
+
+@st.composite
+def random_mdps(draw):
+    """``instantiate_mdp`` of a random arena: the sink, and vertices
+    outside every target's reach, have only dead actions."""
+    n_p = draw(st.integers(1, 7))
+    a = random_arena(
+        n_p,
+        draw(st.integers(1, 7)),
+        draw(st.sampled_from([0.15, 0.3, 0.5, 0.7])),
+        draw(st.integers(0, min(2, n_p))),
+        draw(st.integers(0, 10_000)),
+    )
+    need = max((len(successor_map(a)[u]) for u in a.nature), default=1)
+    return instantiate_mdp(a, random_family(a, max(need, 12), draw(st.integers(0, 10_000))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_mdps(), st.sampled_from([1, 2, 3, 10**6]), st.sampled_from([1e-3, 1e-10]))
+def test_value_iteration_matches_reference(m, max_iters, tol):
+    got = value_iteration(m, tol=tol, max_iters=max_iters)
+    want, converged = reference_value_iteration(m, tol, max_iters)
+    assert {q: repr(v) for q, v in got.values.items()} == {q: repr(v) for q, v in want.items()}
+    assert got.converged is converged
+
+
+def test_value_iteration_cap_matches_reference(mixer_mdp):
+    got = value_iteration(mixer_mdp, tol=1e-12, max_iters=3)
+    want, converged = reference_value_iteration(mixer_mdp, 1e-12, 3)
+    assert not got.converged and not converged
+    assert dict(got.values) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_mdps())
+def test_exact_strategy_achieves_its_values(m):
+    vv, sigma = max_reach_values_exact(m)
+    assert vv.values[SINK] == 0  # every action of the sink is dead
+    chain = induce_chain(m, sigma)
+    assert reference_until_vector(chain, chain.states, m.targets) == dict(vv.values)
+
+
+def test_exact_strategy_starts_at_first_live_action():
+    # at p the smallest action "a" is dead; "b" and "c" reach the target
+    one, half = Fraction(1), Fraction(1, 2)
+    m = Mdp(
+        frozenset({"p", "t", "z"}),
+        frozenset({"a", "b", "c"}),
+        {
+            ("p", "a"): {"z": one},
+            ("p", "b"): {"t": half, "z": half},
+            ("p", "c"): {"t": one},
+            ("z", "a"): {"z": one},
+            ("t", "a"): {"t": one},
+        },
+        frozenset({"t"}),
+    )
+    vv, sigma = max_reach_values_exact(m)
+    assert sigma == {"p": "c", "t": "a", "z": "a"}
+    assert vv.values == {"p": 1, "t": 1, "z": 0}
+    assert value_iteration(m).values == {"p": 1.0, "t": 1.0, "z": 0.0}
 
 
 class TestVertexValues:
