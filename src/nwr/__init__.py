@@ -12,7 +12,6 @@ from .arena import (
     FamilyError,
     MarkovChain,
     Mdp,
-    SINK,
     Strategy,
     StrategyError,
     TargetArena,

@@ -20,9 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Container, Iterable, Mapping
 
-#: Reserved absorbing state added when an arena is instantiated as an MDP.
-SINK = "__sink__"
-
 DistributionFamily = Mapping[str, Mapping[str, Fraction]]
 Strategy = Mapping[str, str]
 
@@ -187,12 +184,12 @@ def validate_family(a: TargetArena, mu: DistributionFamily) -> None:
 class Mdp:
     """Finite MDP with a rational transition function and target states.
 
-    ``transition`` maps defined ``(state, action)`` pairs to distributions
-    over states; pairs absent from the mapping are unavailable actions.
+    ``transition`` maps each available ``(state, action)`` pair to a
+    distribution over states; each state has its own actions, and a state
+    with none is absorbing.
     """
 
     states: frozenset[str]
-    actions: frozenset[str]
     transition: Mapping[tuple[str, str], Mapping[str, Fraction]]
     targets: frozenset[str]
 
@@ -206,23 +203,19 @@ class MarkovChain:
 def instantiate_mdp(a: TargetArena, mu: DistributionFamily) -> Mdp:
     """Instantiate the MDP induced by an arena and a distribution family.
 
-    States are the Protagonist vertices plus the absorbing ``SINK``;
-    actions are the Nature vertices.  Playing action ``n`` at ``p`` follows
-    ``mu[n]`` when the edge ``(p, n)`` exists and moves to the sink with
-    probability one otherwise.
+    States are the Protagonist vertices.  Each edge ``p -> n`` into a
+    Nature vertex is one action ``(p, n)``, which follows ``mu[n]``; a
+    Protagonist vertex without successors has no action.
     """
-    if SINK in a.vertices:
-        raise FamilyError(f"arena uses the reserved vertex id {SINK!r}")
     validate_family(a, mu)
-    states = frozenset(a.protagonist) | {SINK}
-    transition: dict[tuple[str, str], dict[str, Fraction]] = {}
-    for p in sorted(states):
-        for n in sorted(a.nature):
-            if (p, n) in a.edges:
-                transition[(p, n)] = {v: Fraction(q) for v, q in mu[n].items()}
-            else:
-                transition[(p, n)] = {SINK: Fraction(1)}
-    return Mdp(states, frozenset(a.nature), transition, frozenset(a.targets))
+    succ = successor_map(a)
+    transition = {
+        (p, n): {v: Fraction(q) for v, q in mu[n].items()}
+        for p in sorted(a.protagonist)
+        for n in succ[p]
+        if n in a.nature
+    }
+    return Mdp(frozenset(a.protagonist), transition, frozenset(a.targets))
 
 
 def induce_chain(m: Mdp, sigma: Strategy) -> MarkovChain:

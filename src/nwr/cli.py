@@ -20,6 +20,7 @@ from .arena import (
     FamilyError,
     StrategyError,
     arena_to_dot,
+    instantiate_mdp,
     parse_arena,
     parse_family,
     random_arena,
@@ -27,7 +28,6 @@ from .arena import (
     serialize_arena,
     serialize_family,
     validate_arena,
-    validate_family,
 )
 from .engine import saturate
 from .exact import (
@@ -41,7 +41,6 @@ from .exact import (
 from .reduce import quotient, reduce_fixpoint
 from .solve import value_iteration, vertex_values
 from .twodp import parse_digraph, reduce_2dp, solve_2dp_oracle
-from .arena import instantiate_mdp
 
 CSV_COLUMNS = [
     "name",
@@ -161,7 +160,6 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     arena = _load_arena(args.arena)
     family = parse_family(args.family.read_text(encoding="utf-8"))
-    validate_family(arena, family)
     if args.exact:
         vv = vertex_values(arena, family)
     else:

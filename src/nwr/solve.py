@@ -20,7 +20,6 @@ from .arena import (
     DistributionFamily,
     MarkovChain,
     Mdp,
-    SINK,
     TargetArena,
     induce_chain,
     instantiate_mdp,
@@ -300,12 +299,12 @@ def value_iteration(m: Mdp, tol: float = 1e-10, max_iters: int = 10**6) -> Value
 def vertex_values(a: TargetArena, mu: DistributionFamily) -> ValueVector:
     """Exact maximal reachability value of every arena vertex under ``mu``.
 
-    Protagonist values come from the induced MDP; each Nature vertex gets
-    the expectation of its successors' values.  The sink is excluded.
+    Protagonist values come from the induced MDP, whose states are exactly
+    the Protagonist vertices; each Nature vertex gets the expectation of
+    its successors' values.
     """
-    m = instantiate_mdp(a, mu)
-    vv, _ = max_reach_values_exact(m)
-    vals: dict[str, Fraction] = {q: v for q, v in vv.values.items() if q != SINK}
+    vv, _ = max_reach_values_exact(instantiate_mdp(a, mu))
+    vals: dict[str, Fraction] = dict(vv.values)
     succ = successor_map(a)
     for u in sorted(a.nature):
         vals[u] = sum((Fraction(mu[u][v]) * vals[v] for v in succ[u]), Fraction(0))

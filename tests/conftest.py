@@ -31,7 +31,6 @@ def mixer_mdp() -> Mdp:
     }
     return Mdp(
         frozenset({"p", "q", "t1", "s1", "t2", "s2"}),
-        frozenset({"a", "b"}),
         transition,
         frozenset({"t1", "t2"}),
     )

@@ -22,7 +22,6 @@ from nwr import (
     serialize_family,
     successor_map,
     validate_arena,
-    SINK,
 )
 
 
@@ -54,24 +53,28 @@ class TestValidate:
         assert any("ghost" in p for p in validate_arena(a).problems)
 
 
+def protagonist_edges(a: TargetArena) -> set[tuple[str, str]]:
+    return {(p, n) for p, n in a.edges if p in a.protagonist}
+
+
 class TestInstantiate:
     def test_coin_transitions(self, coin):
         mu = {"n0": {"t": Fraction(1, 2), "f": Fraction(1, 2)}}
         m = instantiate_mdp(coin, mu)
-        assert m.transition[("v0", "n0")] == {"t": Fraction(1, 2), "f": Fraction(1, 2)}
-        assert m.transition[("t", "n0")] == {SINK: Fraction(1)}
-        assert m.transition[(SINK, "n0")] == {SINK: Fraction(1)}
+        assert m.states == coin.protagonist
+        assert m.transition == {("v0", "n0"): {"t": Fraction(1, 2), "f": Fraction(1, 2)}}
         assert m.targets == frozenset({"t"})
 
     def test_mixer_arena_matches_mdp(self, mixer_arena, mixer_family, mixer_mdp):
         m = instantiate_mdp(mixer_arena, mixer_family)
+        assert m.states == mixer_arena.protagonist
+        assert set(m.transition) == protagonist_edges(mixer_arena)
         # action names differ (Nature vertices instead of a/b) but the
         # distributions printed on the picture must transcribe exactly
         assert m.transition[("p", "pa")] == dict(mixer_mdp.transition[("p", "a")])
         assert m.transition[("p", "pb")] == dict(mixer_mdp.transition[("p", "b")])
         assert m.transition[("q", "qa")] == dict(mixer_mdp.transition[("q", "a")])
         assert m.transition[("q", "qb")] == dict(mixer_mdp.transition[("q", "b")])
-        assert m.transition[("p", "qb")] == {SINK: Fraction(1)}
 
     def test_not_full_support_rejected(self, coin):
         with pytest.raises(FamilyError) as err:
@@ -83,7 +86,10 @@ class TestInstantiate:
             a = random_arena(4, 3, 0.5, 1, seed=seed)
             mu = random_family(a, 16, seed=seed)
             m = instantiate_mdp(a, mu)
-            for dist in m.transition.values():
+            assert m.states == a.protagonist
+            assert set(m.transition) == protagonist_edges(a)
+            for (_, n), dist in m.transition.items():
+                assert dist == mu[n]
                 assert sum(dist.values()) == 1
 
 
@@ -97,9 +103,7 @@ class TestInduceChain:
     def test_single_state_self_loop(self):
         from nwr import Mdp
 
-        m = Mdp(
-            frozenset({"s"}), frozenset({"a"}), {("s", "a"): {"s": Fraction(1)}}, frozenset()
-        )
+        m = Mdp(frozenset({"s"}), {("s", "a"): {"s": Fraction(1)}}, frozenset())
         chain = induce_chain(m, {})
         assert chain.transition["s"] == {"s": Fraction(1)}
 

@@ -84,6 +84,28 @@ def test_solve_iterate_writes_values(coin_file, coin_family_file, tmp_path, caps
     assert abs(float(doc["values"]["v0"]) - 1 / 3) < 1e-6
 
 
+def test_solve_reports_protagonist_vertices_and_accepts_any_id(
+    coin, coin_file, coin_family_file, tmp_path, capsys
+):
+    out_path = tmp_path / "values.json"
+    args = ["solve", str(coin_file), "--family", str(coin_family_file), "--iterate"]
+    assert main(args + ["--out", str(out_path)]) == 0
+    printed = {line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()}
+    assert printed == set(json.loads(out_path.read_text())["values"]) == coin.protagonist
+
+    # "__sink__" is an ordinary vertex id, here the coin's target
+    renamed = make_arena(
+        ["v0", "__sink__", "f"], ["n0"], [("v0", "n0"), ("n0", "__sink__"), ("n0", "f")], ["__sink__"]
+    )
+    arena_path = tmp_path / "renamed.json"
+    arena_path.write_text(serialize_arena(renamed))
+    fam_path = tmp_path / "renamed_mu.json"
+    fam_path.write_text(json.dumps({"n0": {"__sink__": "1/3", "f": "2/3"}}))
+    for mode, want in (("--exact", "v0 = 1/3"), ("--iterate", "__sink__ = 1.0")):
+        assert main(["solve", str(arena_path), "--family", str(fam_path), mode]) == 0
+        assert want in capsys.readouterr().out
+
+
 def test_solve_rejects_bad_family(coin_file, tmp_path):
     fam = tmp_path / "bad_mu.json"
     fam.write_text(json.dumps({"n0": {"t": "1"}}))

@@ -1,13 +1,14 @@
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nwr import (
+    DistributionFamily,
+    FamilyError,
     MarkovChain,
     Mdp,
-    SINK,
     TargetArena,
     almost_sure_set,
     induce_chain,
@@ -20,6 +21,7 @@ from nwr import (
     reach_prob_vector,
     successor_map,
     until_prob,
+    validate_family,
     value_iteration,
     vertex_values,
     zero_set,
@@ -260,7 +262,6 @@ class TestMaxValues:
     def test_all_states_target(self):
         m = Mdp(
             frozenset({"a", "b"}),
-            frozenset({"x"}),
             {("a", "x"): {"b": Fraction(1)}, ("b", "x"): {"a": Fraction(1)}},
             frozenset({"a", "b"}),
         )
@@ -286,10 +287,7 @@ class TestValueIteration:
         assert abs(vv.values["v0"] - 1 / 3) < 1e-9
 
     def test_all_target_one_sweep(self):
-        m = Mdp(
-            frozenset({"a"}), frozenset({"x"}), {("a", "x"): {"a": Fraction(1)}},
-            frozenset({"a"}),
-        )
+        m = Mdp(frozenset({"a"}), {("a", "x"): {"a": Fraction(1)}}, frozenset({"a"}))
         assert value_iteration(m).values["a"] == 1.0
 
     def test_mixer_close_to_exact(self, mixer_mdp):
@@ -331,9 +329,9 @@ def reference_value_iteration(m: Mdp, tol: float, max_iters: int) -> tuple[dict[
 
 
 @st.composite
-def random_mdps(draw):
-    """``instantiate_mdp`` of a random arena: the sink, and vertices
-    outside every target's reach, have only dead actions."""
+def arenas_with_families(draw):
+    """A random arena and a family for it.  A drawn set of Protagonist
+    vertices, targets or not, loses every successor."""
     n_p = draw(st.integers(1, 7))
     a = random_arena(
         n_p,
@@ -342,8 +340,19 @@ def random_mdps(draw):
         draw(st.integers(0, min(2, n_p))),
         draw(st.integers(0, 10_000)),
     )
+    stripped = draw(st.sets(st.sampled_from(sorted(a.protagonist))))
+    edges = frozenset((u, v) for u, v in a.edges if u not in stripped)
+    a = TargetArena(a.protagonist, a.nature, edges, a.targets)
     need = max((len(successor_map(a)[u]) for u in a.nature), default=1)
-    return instantiate_mdp(a, random_family(a, max(need, 12), draw(st.integers(0, 10_000))))
+    return a, random_family(a, max(need, 12), draw(st.integers(0, 10_000)))
+
+
+@st.composite
+def random_mdps(draw):
+    """``instantiate_mdp`` of a random arena: vertices outside every
+    target's reach have only dead actions, and a vertex without
+    successors has none."""
+    return instantiate_mdp(*draw(arenas_with_families()))
 
 
 @settings(max_examples=80, deadline=None)
@@ -366,7 +375,7 @@ def test_value_iteration_cap_matches_reference(mixer_mdp):
 @given(random_mdps())
 def test_exact_strategy_achieves_its_values(m):
     vv, sigma = max_reach_values_exact(m)
-    assert vv.values[SINK] == 0  # every action of the sink is dead
+    assert set(vv.values) == m.states
     chain = induce_chain(m, sigma)
     assert reference_until_vector(chain, chain.states, m.targets) == dict(vv.values)
 
@@ -376,7 +385,6 @@ def test_exact_strategy_starts_at_first_live_action():
     one, half = Fraction(1), Fraction(1, 2)
     m = Mdp(
         frozenset({"p", "t", "z"}),
-        frozenset({"a", "b", "c"}),
         {
             ("p", "a"): {"z": one},
             ("p", "b"): {"t": half, "z": half},
@@ -392,11 +400,72 @@ def test_exact_strategy_starts_at_first_live_action():
     assert value_iteration(m).values == {"p": 1.0, "t": 1.0, "z": 0.0}
 
 
+DENSE_SINK = "__sink__"
+
+
+def reference_instantiate_dense(a: TargetArena, mu: DistributionFamily) -> Mdp:
+    """The dense MDP ``instantiate_mdp`` used to build, the reference for
+    the sparse one: every Protagonist vertex, and an absorbing
+    ``DENSE_SINK``, gets every Nature vertex as an action, and an action
+    that is no edge moves to the sink."""
+    if DENSE_SINK in a.vertices:
+        raise FamilyError(f"arena uses the reserved vertex id {DENSE_SINK!r}")
+    validate_family(a, mu)
+    states = frozenset(a.protagonist) | {DENSE_SINK}
+    transition: dict[tuple[str, str], dict[str, Fraction]] = {}
+    for p in sorted(states):
+        for n in sorted(a.nature):
+            if (p, n) in a.edges:
+                transition[(p, n)] = {v: Fraction(q) for v, q in mu[n].items()}
+            else:
+                transition[(p, n)] = {DENSE_SINK: Fraction(1)}
+    return Mdp(states, transition, frozenset(a.targets))
+
+
+def without_sink(values) -> dict:
+    return {q: v for q, v in values.items() if q != DENSE_SINK}
+
+
+# the coin: t is a target and f a non-target, both without successors
+COIN = (
+    make_arena(["v0", "t", "f"], ["n0"], [("v0", "n0"), ("n0", "t"), ("n0", "f")], ["t"]),
+    {"n0": {"t": Fraction(1, 3), "f": Fraction(2, 3)}},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arenas_with_families(), st.sampled_from([1, 2, 3, 10**6]), st.sampled_from([1e-3, 1e-10]))
+@example(COIN, 10**6, 1e-10)
+def test_sparse_mdp_matches_dense_reference(case, max_iters, tol):
+    a, mu = case
+    sparse, dense = instantiate_mdp(a, mu), reference_instantiate_dense(a, mu)
+    assert sparse.states == dense.states - {DENSE_SINK}
+
+    exact, _ = max_reach_values_exact(sparse)
+    dense_exact, _ = max_reach_values_exact(dense)
+    assert dict(exact.values) == without_sink(dense_exact.values)
+
+    got = value_iteration(sparse, tol=tol, max_iters=max_iters)
+    want = value_iteration(dense, tol=tol, max_iters=max_iters)
+    assert {q: repr(v) for q, v in got.values.items()} == {
+        q: repr(v) for q, v in without_sink(want.values).items()
+    }
+    assert got.converged is want.converged
+
+    dense_route = without_sink(dense_exact.values)
+    succ = successor_map(a)
+    for n in sorted(a.nature):
+        dense_route[n] = sum((mu[n][v] * dense_route[v] for v in succ[n]), Fraction(0))
+    vals = vertex_values(a, mu).values
+    assert set(vals) == a.vertices
+    assert dict(vals) == dense_route
+
+
 class TestVertexValues:
     def test_targets_are_one(self, coin, coin_family):
         vals = vertex_values(coin, coin_family).values
         assert vals["t"] == 1
-        assert SINK not in vals
+        assert set(vals) == coin.vertices
 
     def test_coin_even_split(self, coin):
         vals = vertex_values(coin, {"n0": {"t": Fraction(1, 2), "f": Fraction(1, 2)}}).values
