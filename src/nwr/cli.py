@@ -269,6 +269,8 @@ def _cmd_2dp(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if not args.directory.is_dir():
+        raise NotADirectoryError(f"not a directory: {args.directory}")
     rows = []
     for path in sorted(args.directory.glob("*.json")):
         arena = _load_arena(path)

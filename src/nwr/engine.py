@@ -6,15 +6,22 @@ new can be derived.  Every rule only ever adds pairs that hold for all
 full-support families, so the fixpoint is a sound under-approximation;
 completeness is not attempted (the full relation is coNP-complete).
 
-Each rule has the signature ``rule_*(a, r)`` and yields every pair it
-derives over the whole arena.  The rules are generators and read ``r`` as
-they go, so a pair the caller adds before asking for the next one can
-already serve as a premise within the same sweep.
+Each rule has the signature ``rule_*(a, r, since=None)`` and yields the
+pairs it derives over the whole arena.  The rules are generators and read
+``r`` as they go, so a pair the caller adds before asking for the next one
+can already serve as a premise within the same sweep.
+
+Saturation is semi-naive: from the second round on, a rule skips each
+argument whose premise columns still equal the columns at the start of the
+previous round.  Columns only grow, so the rule read those same columns
+when it ran on that argument in the previous round, and everything it
+would yield is already stored; the rounds, and the fixpoint, are those of
+a full sweep.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .analysis import seed_relation
 from .arena import TargetArena, predecessor_map, reach, successor_map
@@ -24,43 +31,82 @@ from .solve import almost_sure_set
 Pair = tuple[str, frozenset[str]]
 
 
-def rule_bar_reach(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
+class Since(NamedTuple):
+    """What a saturation round passes its rules.
+
+    ``columns`` is the store's ``snapshot`` at the start of the previous
+    round, or None in the first round, which sweeps every argument;
+    ``winners`` maps each target set met so far in this saturation to its
+    almost-sure set.
+    """
+
+    columns: Optional[Mapping[int, int]]
+    winners: dict[frozenset[str], frozenset[str]]
+
+
+def _previous(since: Optional[Since]) -> Optional[Mapping[int, int]]:
+    return None if since is None else since.columns
+
+
+def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
     """Yield ``v0 <= W`` for each candidate set ``W`` when every path from
     ``v0`` to the targets passes through a vertex already known to be
     below ``W``.
 
     Uses the maximal admissible cut: all vertices currently below ``W``.
     A target reaches the targets by the length-zero path, outside any cut.
+    Skips each ``W`` whose column did not grow since ``since``.
     """
     pred = predecessor_map(a)
     verts = sorted(a.vertices)
+    prev = _previous(since)
     for wset in candidate_universe(a):
-        reachers = reach(pred, a.targets, r.unmask(r.column(r.mask(wset))))
+        m = r.mask(wset)
+        below = r.column(m)
+        if prev is not None and prev.get(m) == below:
+            continue
+        reachers = reach(pred, a.targets, r.unmask(below))
         for v0 in verts:
             if v0 not in reachers:
                 yield v0, wset
 
 
-def rule_bar_win(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
+def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
     """Yield ``w <= {v0}`` when ``v0`` can reach, with probability one,
     either a target or a Protagonist vertex already known to dominate
-    ``w``."""
-    winners_of: dict[frozenset[str], frozenset[str]] = {}
+    ``w``.
+
+    Skips each ``w`` whose bit in every Protagonist singleton column is
+    what it was at ``since``; reuses the almost-sure sets ``since`` holds.
+    """
+    winners_of = {} if since is None else since.winners
+    prev = _previous(since)
+    singles = [(s, r.mask((s,))) for s in sorted(a.protagonist)]
     for w in sorted(a.vertices):
-        key = a.targets | {s for s in a.protagonist if r.holds(w, (s,))}
+        bit = r.mask((w,))
+        if prev is not None and not any((r.column(m) ^ prev[m]) & bit for _, m in singles):
+            continue
+        key = a.targets | {s for s, m in singles if r.column(m) & bit}
         if key not in winners_of:
             winners_of[key] = almost_sure_set(TargetArena(a.protagonist, a.nature, a.edges, key))
         for v0 in sorted(winners_of[key]):
             yield w, frozenset((v0,))
 
 
-def rule_nature_equiv(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
+def rule_nature_equiv(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
     """When all successors of a Nature vertex are pairwise equivalent, the
     vertex is equivalent to each of them (its value is their common
-    value)."""
+    value).
+
+    Skips each ``u`` none of whose successors' singleton columns changed
+    since ``since``.
+    """
     succ = successor_map(a)
+    prev = _previous(since)
     for u in sorted(a.nature):
         vs = succ[u]
+        if prev is not None and all(r.column(m) == prev[m] for m in (r.mask((x,)) for x in vs)):
+            continue
         if all(r.equivalent(v, x) for i, v in enumerate(vs) for x in vs[i + 1 :]):
             for x in vs:
                 yield u, frozenset((x,))
@@ -86,9 +132,13 @@ def _non_dominated(r: NwrRelation, succs: tuple[str, ...]) -> list[str]:
             return surv
 
 
-def rule_prot_dominance(a: TargetArena, r: NwrRelation) -> Iterator[Pair]:
+def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
     """Yield ``u <= {v}`` when every non-dominated successor of ``u`` is
-    below the successor set of ``v`` (both non-target Protagonist)."""
+    below the successor set of ``v`` (both non-target Protagonist).
+
+    Always sweeps every pair; ``since`` is accepted for the common rule
+    signature.
+    """
     succ = successor_map(a)
     choices = sorted(a.protagonist - a.targets)
     for u in choices:
@@ -114,12 +164,15 @@ def saturate(a: TargetArena) -> "NwrRelation":
     """
     rel = seed_relation(a)
     umasks = [rel.mask(w) for w in candidate_universe(a)]
+    since = Since(None, {})
     for _ in range(len(a.vertices) * len(umasks) + 2):
+        start = rel.snapshot()
         changed = False
         for rule in RULES:
-            for v, w in rule(a, rel):
+            for v, w in rule(a, rel, since):
                 changed |= rel.add(v, w)
         changed |= rel.close(umasks)
         if not changed:
             return rel
+        since = Since(start, since.winners)
     raise AssertionError("saturation exceeded its monotone bound")

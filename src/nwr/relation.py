@@ -2,8 +2,15 @@
 
 A stored pair ``(v, W)`` asserts that for every full-support family some
 vertex of ``W`` has a maximal reachability value at least that of ``v``.
-The claim is monotone in ``W``, so the store keeps only inclusion-minimal
-sets per vertex and answers ``holds(v, W)`` by subset against them.
+The claim is monotone in ``W``.
+
+The store keeps one closed column ``B[Y] = {v : v <= Y}`` per known set
+``Y``: every singleton, every right-hand set ever added, and every set
+passed to ``close``.  Each column is upward closed over the known sets, so
+on a known set ``holds`` is a bit test and ``column`` a lookup; on any
+other set both are the union of the columns of the known sets inside it.
+``pairs`` reports, per known set, the vertices of its column that no known
+proper subset's column has: the inclusion-minimal pairs.
 
 Vertex sets are represented as integer bitmasks internally; the public
 surface speaks plain strings and frozensets.
@@ -12,9 +19,9 @@ surface speaks plain strings and frozensets.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
-from .arena import TargetArena, successor_map
+from .arena import ArenaFormatError, TargetArena, _parse_ids, successor_map
 
 
 def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
@@ -48,14 +55,17 @@ def _bits(m: int) -> Iterator[int]:
 class NwrRelation:
     """Mutable pair store, reflexive by construction, subset-queryable."""
 
-    __slots__ = ("_order", "_index", "_rows")
+    __slots__ = ("_order", "_index", "_cols", "_containing", "_closed")
 
     def __init__(self, vertices: Iterable[str]):
         self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
         self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
-        self._rows: dict[str, list[int]] = {
-            v: [1 << i] for v, i in self._index.items()
-        }
+        # known set -> its column; every singleton is known and below itself
+        self._cols: dict[int, int] = {1 << i: 1 << i for i in range(len(self._order))}
+        # vertex index -> the known sets holding it
+        self._containing: list[list[int]] = [[1 << i] for i in range(len(self._order))]
+        # the columns as the last ``close`` left them, and the sets it closed
+        self._closed: tuple[dict[int, int], frozenset[int]] = ({}, frozenset())
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -70,6 +80,31 @@ class NwrRelation:
     def unmask(self, m: int) -> frozenset[str]:
         return frozenset(self._order[i] for i in _bits(m))
 
+    def _subsets(self, m: int) -> Iterator[int]:
+        """The known subsets of ``m``, ``m`` itself included."""
+        for i in _bits(m):
+            low = 1 << i
+            for y in self._containing[i]:
+                if y & -y == low and y & ~m == 0:
+                    yield y
+
+    def _supersets(self, m: int) -> Iterator[int]:
+        """The known supersets of ``m``, ``m`` itself included."""
+        for y in self._containing[(m & -m).bit_length() - 1]:
+            if m & ~y == 0:
+                yield y
+
+    def _learn(self, m: int) -> int:
+        """Make ``m`` a known set; return its column, the union of the
+        columns of the known sets inside it."""
+        col = 0
+        for y in self._subsets(m):
+            col |= self._cols[y]
+        for i in _bits(m):
+            self._containing[i].append(m)
+        self._cols[m] = col
+        return col
+
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
         return self.add_mask(v, self.mask(w))
@@ -77,99 +112,121 @@ class NwrRelation:
     def add_mask(self, v: str, m: int) -> bool:
         if m == 0:
             raise ValueError("the right-hand set of a pair must be non-empty")
-        row = self._rows[v]
-        for y in row:
-            if y & ~m == 0:  # stored subset already implies the new pair
-                return False
-        row[:] = [y for y in row if m & ~y != 0]  # drop now-implied supersets
-        row.append(m)
+        col = self._cols.get(m)
+        if col is None:
+            col = self._learn(m)
+        bit = 1 << self._index[v]
+        if col & bit:
+            return False
+        cols = self._cols
+        for x in self._supersets(m):
+            cols[x] |= bit
         return True
 
     def holds(self, v: str, w: Iterable[str]) -> bool:
         return self.holds_mask(v, self.mask(w))
 
     def holds_mask(self, v: str, m: int) -> bool:
-        return any(y & ~m == 0 for y in self._rows[v])
+        return bool(self.column(m) >> self._index[v] & 1)
 
     def equivalent(self, v: str, w: str) -> bool:
         """Mutual singleton relation: both values always coincide."""
-        return self.holds_mask(v, 1 << self._index[w]) and self.holds_mask(
-            w, 1 << self._index[v]
-        )
+        i, j = self._index[v], self._index[w]
+        cols = self._cols
+        return bool(cols[1 << j] >> i & 1 and cols[1 << i] >> j & 1)
 
     def column(self, m: int) -> int:
         """Bitmask of the vertices v with ``v <= W``, for the set W
         encoded by ``m``."""
-        out = 0
-        for i, v in enumerate(self._order):
-            for y in self._rows[v]:
-                if y & ~m == 0:
-                    out |= 1 << i
-                    break
-        return out
+        col = self._cols.get(m)
+        if col is None:
+            col = 0
+            for y in self._subsets(m):
+                col |= self._cols[y]
+        return col
+
+    def snapshot(self) -> Mapping[int, int]:
+        """The column of every known set, as it is now."""
+        return dict(self._cols)
+
+    def _minimal_rows(self) -> list[list[int]]:
+        """Per vertex index, the known sets where its column bit is not
+        inherited from a known proper subset."""
+        rows: list[list[int]] = [[] for _ in self._order]
+        cols = self._cols
+        for y, col in cols.items():
+            for z in self._subsets(y):
+                if z != y:
+                    col &= ~cols[z]
+            for i in _bits(col):
+                rows[i].append(y)
+        return rows
 
     def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
         """Stored (inclusion-minimal) pairs in canonical order."""
-        for v in self._order:
-            row = sorted(self._rows[v], key=lambda y: (y.bit_count(), sorted(self.unmask(y))))
+        sets = {y: self.unmask(y) for y in self._cols}
+        keys = {y: (y.bit_count(), sorted(w)) for y, w in sets.items()}
+        for v, row in zip(self._order, self._minimal_rows()):
+            row.sort(key=keys.__getitem__)
             for y in row:
-                yield v, self.unmask(y)
+                yield v, sets[y]
 
     def pair_count(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+        return sum(len(row) for row in self._minimal_rows())
 
     def copy(self) -> "NwrRelation":
-        dup = NwrRelation(self._order)
-        dup._rows = {v: row[:] for v, row in self._rows.items()}
+        dup = NwrRelation.__new__(NwrRelation)
+        dup._order, dup._index, dup._closed = self._order, self._index, self._closed
+        dup._cols = dict(self._cols)
+        dup._containing = [ys[:] for ys in self._containing]
         return dup
 
     def close(self, universe_masks: Iterable[int]) -> bool:
         """Pseudo transitive closure, restricted to the candidate universe.
 
-        Adds ``v <= X`` for each universe set ``X`` whenever some stored
-        ``v <= W`` has every member of ``W`` already below ``X``.
+        Adds ``v <= X`` for each universe set ``X`` whenever some known
+        ``v <= Y`` has every member of ``Y`` already below ``X``.
         Idempotent; returns whether anything was added.
 
-        Works on one bitmask column ``B[Y] = {v : v <= Y}`` per premise set
-        ``Y``, that is every universe set and every stored row.  The closed
-        column of ``X`` is the least superset of its initial column that
-        contains the initial column of every premise inside it, so each one
-        is grown on its own: only premises holding a newly gained vertex
-        are tested, and a column already closed is read whole.
+        The closed column of ``X`` is the least superset of its column that
+        holds the column of every known set inside it, so each one is grown
+        on its own, testing only the premises ``Y`` that could add to it:
+        those holding a vertex the column gained, and, for a set the last
+        call left closed, those whose column grew since.
         """
         targets = list(universe_masks)
-        owners: dict[int, int] = {}  # stored row -> vertices storing it
-        for i, v in enumerate(self._order):
-            for y in self._rows[v]:
-                owners[y] = owners.get(y, 0) | 1 << i
-        premises = set(targets).union(owners)
-        containing: list[list[int]] = [[] for _ in self._order]
-        for y in premises:
-            for i in _bits(y):
-                containing[i].append(y)
-
-        def fitting(m: int, members: int) -> set[int]:
-            """Premises inside ``m`` that hold one of ``members``."""
-            return {y for i in _bits(members) for y in containing[i] if y & ~m == 0}
-
-        col: dict[int, int] = {}
-        for y in premises:
-            col[y] = 0
-            for z in fitting(y, y):
-                col[y] |= owners.get(z, 0)
+        cols, containing = self._cols, self._containing
+        for x in targets:
+            if x not in cols:
+                self._learn(x)
+        before, was_closed = self._closed
+        grown = [y for y, col in cols.items() if before.get(y) != col]
+        full = (1 << len(self._order)) - 1
         changed = False
         for x in targets:
-            b = delta = col[x]
-            while delta:
-                gained = 0
-                for y in fitting(b, delta):
-                    gained |= col[y]
+            start = b = cols[x]
+            if b == full:
+                continue
+            gained, delta = 0, b
+            if x in was_closed:
+                for y in grown:
+                    if y & ~b == 0:
+                        gained |= cols[y]
+                delta = b & ~before[x]
+            while True:
+                for i in _bits(delta):
+                    for y in containing[i]:
+                        if y & ~b == 0:
+                            gained |= cols[y]
                 delta = gained & ~b
                 b |= delta
-            for i in _bits(b & ~col[x]):
-                self.add_mask(self._order[i], x)
+                if not delta or b == full:
+                    break
+            if b != start:
                 changed = True
-            col[x] = b
+                for s in self._supersets(x):
+                    cols[s] |= b
+        self._closed = (dict(cols), frozenset(targets))
         return changed
 
     def to_json(self) -> str:
@@ -178,8 +235,27 @@ class NwrRelation:
 
     @classmethod
     def from_json(cls, text: str, vertices: Iterable[str]) -> "NwrRelation":
+        """Parse the relation JSON format: a list of ``{"v": id, "W": [id,
+        ...]}`` objects over ``vertices``; raise ``ArenaFormatError`` on
+        anything else."""
         rel = cls(vertices)
-        for entry in json.loads(text):
-            rel.add(entry["v"], entry["W"])
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ArenaFormatError(f"malformed JSON: {exc}") from exc
+        if not isinstance(doc, list):
+            raise ArenaFormatError("top level must be a list")
+        for i, entry in enumerate(doc):
+            where = f"[{i}]"
+            if not isinstance(entry, dict) or set(entry) != {"v", "W"}:
+                raise ArenaFormatError(f"{where}: must be an object with keys 'v' and 'W'")
+            v, w = entry["v"], _parse_ids(entry["W"], f"{where}.W")
+            if not isinstance(v, str):
+                raise ArenaFormatError(f"{where}.v: must be a string id")
+            if not w:
+                raise ArenaFormatError(f"{where}.W: must not be empty")
+            for x in (v, *w):
+                if x not in rel._index:
+                    raise ArenaFormatError(f"{where}: unknown vertex {x!r}")
+            rel.add(v, w)
         return rel
-

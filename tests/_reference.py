@@ -1,0 +1,178 @@
+"""Slow references for the pair store and saturation.
+
+``ReferenceRelation`` is the row store the column store of
+``nwr.relation.NwrRelation`` replaced, and ``reference_saturate`` the
+saturation that ran every rule over every argument in every round.  The
+differential tests hold the fast paths to them.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Iterable
+from unittest import mock
+
+import nwr.analysis
+from nwr import candidate_universe, seed_relation
+from nwr.engine import RULES
+from nwr.relation import _bits
+
+
+class ReferenceRelation:
+    """The row store that ``NwrRelation`` replaced: per vertex, the
+    inclusion-minimal right-hand sets added, with ``close`` growing one
+    bitmask column per premise set from scratch on every call."""
+
+    __slots__ = ("_order", "_index", "_rows")
+
+    def __init__(self, vertices: Iterable[str]):
+        self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
+        self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
+        self._rows: dict[str, list[int]] = {
+            v: [1 << i] for v, i in self._index.items()
+        }
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self._order
+
+    def mask(self, vs: Iterable[str]) -> int:
+        m = 0
+        for v in vs:
+            m |= 1 << self._index[v]
+        return m
+
+    def unmask(self, m: int) -> frozenset[str]:
+        return frozenset(self._order[i] for i in _bits(m))
+
+    def add(self, v: str, w: Iterable[str]) -> bool:
+        """Record ``v <= W``; returns False when already implied."""
+        return self.add_mask(v, self.mask(w))
+
+    def add_mask(self, v: str, m: int) -> bool:
+        if m == 0:
+            raise ValueError("the right-hand set of a pair must be non-empty")
+        row = self._rows[v]
+        for y in row:
+            if y & ~m == 0:  # stored subset already implies the new pair
+                return False
+        row[:] = [y for y in row if m & ~y != 0]  # drop now-implied supersets
+        row.append(m)
+        return True
+
+    def holds(self, v: str, w: Iterable[str]) -> bool:
+        return self.holds_mask(v, self.mask(w))
+
+    def holds_mask(self, v: str, m: int) -> bool:
+        return any(y & ~m == 0 for y in self._rows[v])
+
+    def equivalent(self, v: str, w: str) -> bool:
+        """Mutual singleton relation: both values always coincide."""
+        return self.holds_mask(v, 1 << self._index[w]) and self.holds_mask(
+            w, 1 << self._index[v]
+        )
+
+    def column(self, m: int) -> int:
+        """Bitmask of the vertices v with ``v <= W``, for the set W
+        encoded by ``m``."""
+        out = 0
+        for i, v in enumerate(self._order):
+            for y in self._rows[v]:
+                if y & ~m == 0:
+                    out |= 1 << i
+                    break
+        return out
+
+    def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
+        """Stored (inclusion-minimal) pairs in canonical order."""
+        for v in self._order:
+            row = sorted(self._rows[v], key=lambda y: (y.bit_count(), sorted(self.unmask(y))))
+            for y in row:
+                yield v, self.unmask(y)
+
+    def pair_count(self) -> int:
+        return sum(len(row) for row in self._rows.values())
+
+    def copy(self) -> "ReferenceRelation":
+        dup = ReferenceRelation(self._order)
+        dup._rows = {v: row[:] for v, row in self._rows.items()}
+        return dup
+
+    def close(self, universe_masks: Iterable[int]) -> bool:
+        """Pseudo transitive closure, restricted to the candidate universe.
+
+        Adds ``v <= X`` for each universe set ``X`` whenever some stored
+        ``v <= W`` has every member of ``W`` already below ``X``.
+        Idempotent; returns whether anything was added.
+
+        Works on one bitmask column ``B[Y] = {v : v <= Y}`` per premise set
+        ``Y``, that is every universe set and every stored row.  The closed
+        column of ``X`` is the least superset of its initial column that
+        contains the initial column of every premise inside it, so each one
+        is grown on its own: only premises holding a newly gained vertex
+        are tested, and a column already closed is read whole.
+        """
+        targets = list(universe_masks)
+        owners: dict[int, int] = {}  # stored row -> vertices storing it
+        for i, v in enumerate(self._order):
+            for y in self._rows[v]:
+                owners[y] = owners.get(y, 0) | 1 << i
+        premises = set(targets).union(owners)
+        containing: list[list[int]] = [[] for _ in self._order]
+        for y in premises:
+            for i in _bits(y):
+                containing[i].append(y)
+
+        def fitting(m: int, members: int) -> set[int]:
+            """Premises inside ``m`` that hold one of ``members``."""
+            return {y for i in _bits(members) for y in containing[i] if y & ~m == 0}
+
+        col: dict[int, int] = {}
+        for y in premises:
+            col[y] = 0
+            for z in fitting(y, y):
+                col[y] |= owners.get(z, 0)
+        changed = False
+        for x in targets:
+            b = delta = col[x]
+            while delta:
+                gained = 0
+                for y in fitting(b, delta):
+                    gained |= col[y]
+                delta = gained & ~b
+                b |= delta
+            for i in _bits(b & ~col[x]):
+                self.add_mask(self._order[i], x)
+                changed = True
+            col[x] = b
+        return changed
+
+    def to_json(self) -> str:
+        doc = [{"v": v, "W": sorted(w)} for v, w in self.pairs()]
+        return json.dumps(doc, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str, vertices: Iterable[str]) -> "ReferenceRelation":
+        rel = cls(vertices)
+        for entry in json.loads(text):
+            rel.add(entry["v"], entry["W"])
+        return rel
+
+
+def reference_saturate(a):
+    """Saturate ``a`` over a ``ReferenceRelation``, every rule sweeping
+    every argument each round; returns the relation and the number of
+    rounds."""
+    with mock.patch.object(nwr.analysis, "NwrRelation", ReferenceRelation):
+        rel = seed_relation(a)
+    umasks = [rel.mask(w) for w in candidate_universe(a)]
+    rounds = 0
+    while True:
+        rounds += 1
+        changed = False
+        for rule in RULES:
+            for v, w in rule(a, rel):
+                changed |= rel.add(v, w)
+        changed |= rel.close(umasks)
+        if not changed:
+            return rel, rounds

@@ -319,5 +319,20 @@ def test_bench_csv(tmp_path, funnel, coin):
         assert 0.0 <= pct <= 100.0
 
 
+@pytest.mark.parametrize("name", ["nope", "file.json"])
+def test_bench_needs_a_directory(tmp_path, capsys, name):
+    (tmp_path / "file.json").write_text("{}")
+    assert main(["bench", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert "not a directory" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_bench_empty_directory_prints_header(tmp_path, capsys):
+    assert main(["bench", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [",".join(nwr.cli.CSV_COLUMNS)]
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2

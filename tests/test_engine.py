@@ -1,6 +1,13 @@
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from nwr import (
+    NwrRelation,
     decide_nwr,
     make_arena,
+    random_arena,
     rule_bar_reach,
     rule_bar_win,
     rule_nature_equiv,
@@ -11,6 +18,7 @@ from nwr import (
 )
 from nwr.engine import RULES
 from _corpus import arena_suite, family_suite
+from _reference import reference_saturate
 
 
 class TestBarReach:
@@ -145,3 +153,36 @@ class TestSaturate:
             rel = saturate(a)
             for v, w_set in rel.pairs():
                 assert decide_nwr(a, v, w_set, limit=8).holds, (v, sorted(w_set))
+
+
+def _saturate_counting_rounds(a):
+    closes = 0
+    close = NwrRelation.close
+
+    def counting(rel, masks):
+        nonlocal closes
+        closes += 1
+        return close(rel, masks)
+
+    with mock.patch.object(NwrRelation, "close", counting):
+        rel = saturate(a)
+    return rel, closes - 1  # the seed relation's close is no round
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(4, 12),
+    st.integers(2, 12),
+    st.sampled_from([0.1, 0.15, 0.2, 0.3]),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+@example(12, 12, 0.15, 1, 0)  # a skip against the current round's columns stops a round early
+def test_saturate_matches_full_sweeps(p, n, density, targets, seed):
+    """Skipping arguments whose premises did not grow changes neither the
+    fixpoint nor the number of rounds."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    got, rounds = _saturate_counting_rounds(a)
+    want, want_rounds = reference_saturate(a)
+    assert list(got.pairs()) == list(want.pairs())
+    assert rounds == want_rounds

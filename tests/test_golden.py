@@ -1,9 +1,10 @@
 """Byte-identity gate for refactors of the relation engine and reducer.
 
 The first four digests were recorded before saturation was rewritten as a
-loop over the rule functions, and the two sparse arenas (the benchmark's
-``sparse-reduce`` inputs) before the closure moved to bitmask columns; a
-change that alters any of them changes what ``nwr relate`` or
+loop over the rule functions, the 60- and 80-vertex sparse arenas (the
+benchmark's ``sparse-reduce`` inputs) before the closure moved to bitmask
+columns, and the 120-vertex one before the columns became the pair store;
+a change that alters any of them changes what ``nwr relate`` or
 ``nwr reduce`` writes, and must say why.
 """
 
@@ -21,6 +22,11 @@ def _sha(text: str) -> str:
 
 # (random_arena arguments): (relation JSON, reduced arena, reduction report)
 GOLDEN = {
+    (60, 60, 1 / 25, 1, 3): (
+        "4fc2c192abf0ebd16734224b3bbb49df1666bdd2083ff119f7856b3603fc7f85",
+        "85e7e96a1a6bb85df55fb03ca3ec0a4121493cb2a086e0a564d629d5aaa079a8",
+        "c1a845700d4f1d69ec335717e16c8e8c45222b4bc51ae8fa1f68ac3240843420",
+    ),
     (30, 30, 0.07, 1, 3): (
         "459d919b69e98a2cbac9be90b56f178526ebaeb3c7cdc032bd73b2e0d2697b0d",
         "801ab9abfd009d2b6a3b54cc063d7a68294ae8f8d72530aa0b20c3fd37df88d8",

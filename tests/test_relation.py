@@ -1,9 +1,12 @@
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwr import NwrRelation, candidate_universe, random_arena
+from nwr import ArenaFormatError, NwrRelation, candidate_universe, random_arena
+from _reference import ReferenceRelation
 
 
 def closed(rel, universe):
@@ -36,9 +39,10 @@ def brute_close(pairs, universe, vertices):
 
 
 def reference_close(rel, universe_masks):
-    """The closure as first written, the reference for ``NwrRelation.close``:
-    sweep every (v, X) not yet implied and test each stored row of v
-    member by member with ``holds_mask``, until a sweep adds nothing."""
+    """The closure as first written, the reference for ``NwrRelation.close``
+    on a ``ReferenceRelation``: sweep every (v, X) not yet implied and test
+    each stored row of v member by member with ``holds_mask``, until a
+    sweep adds nothing."""
     masks = list(universe_masks)
     changed_any = False
     changed = True
@@ -99,6 +103,17 @@ class TestPtc:
         universe = [frozenset({c}) for c in ("v0", "x", "y", "z")] + [frozenset({"x", "y"})]
         assert closed(rel, universe).holds("v0", {"z"})
 
+    def test_premise_growth_after_close(self):
+        # {b} is inside the closed column of {c}; when {b}'s own column
+        # grows, {c}'s must take the new member, though it gained none
+        rel = NwrRelation(["a", "b", "c"])
+        rel.add("b", {"c"})
+        masks = [rel.mask({"c"})]
+        assert rel.close(masks) is False
+        rel.add("a", {"b"})
+        assert rel.close(masks) is True
+        assert rel.holds("a", {"c"})
+
     def test_idempotent_and_matches_brute_force(self):
         rng = random.Random(5)
         vertices = ["a", "b", "c", "d", "e"]
@@ -145,6 +160,14 @@ def test_universe_shapes(seed):
     assert frozenset() not in universe
 
 
+def _pick_set(verts, universe, j, inside):
+    """A universe set, or any non-empty set of ``verts``."""
+    if inside:
+        return universe[j % len(universe)]
+    m = j % (2 ** len(verts) - 1) + 1
+    return frozenset(v for i, v in enumerate(verts) if m >> i & 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(2, 5),
@@ -156,16 +179,98 @@ def test_universe_shapes(seed):
 def test_column_close_matches_reference(p, n, density, seed, picks):
     a = random_arena(p, n, density, 1, seed)
     universe = candidate_universe(a)
-    rel = NwrRelation(a.vertices)
-    verts = rel.vertices
+    got, want = NwrRelation(a.vertices), ReferenceRelation(a.vertices)
+    verts = got.vertices
     for i, j, inside in picks:
         # a set outside the universe exercises stored rows no universe set names
-        w = universe[j % len(universe)] if inside else rel.unmask(j % (2 ** len(verts) - 1) + 1)
-        rel.add(verts[i % len(verts)], w)
-    masks = [rel.mask(w) for w in universe]
-    want, got = rel.copy(), rel.copy()
+        v, w = verts[i % len(verts)], _pick_set(verts, universe, j, inside)
+        assert got.add(v, w) == want.add(v, w)
+    masks = [got.mask(w) for w in universe]
     assert got.close(masks) == reference_close(want, masks)
     assert list(got.pairs()) == list(want.pairs())
     again = got.copy()
     assert again.close(masks) is False
     assert list(again.pairs()) == list(got.pairs())
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add"] * 4 + ["close"] * 2 + ["holds", "column", "equivalent", "copy", "json"]),
+        st.integers(0, 99),
+        st.integers(0, 2**12),
+        st.booleans(),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 10_000), _OPS)
+def test_column_store_matches_row_store(p, n, density, seed, ops):
+    """Any sequence of operations gives the same answers, ``pairs()`` and
+    ``pair_count()`` on the column store and on the row store it replaced.
+    ``close`` runs on the whole universe or a prefix of it, so a set left
+    closed by one call can be outside the next one's targets."""
+    a = random_arena(p, n, density, 1, seed)
+    universe = candidate_universe(a)
+    got, want = NwrRelation(a.vertices), ReferenceRelation(a.vertices)
+    verts = got.vertices
+    kept = []  # copies taken along the way, which later operations must not touch
+    for op, i, j, inside in ops:
+        v, w = verts[i % len(verts)], _pick_set(verts, universe, j, inside)
+        if op == "add":
+            assert got.add(v, w) == want.add(v, w)
+        elif op == "holds":
+            assert got.holds(v, w) == want.holds(v, w)
+        elif op == "column":
+            assert got.column(got.mask(w)) == want.column(want.mask(w))
+        elif op == "equivalent":
+            x = verts[j % len(verts)]
+            assert got.equivalent(v, x) == want.equivalent(v, x)
+        elif op == "close":
+            masks = [got.mask(x) for x in universe[: j % len(universe) + 1 if inside else None]]
+            assert got.close(masks) == want.close(masks)
+        elif op == "copy":
+            kept.append((got, list(want.pairs())))
+            got, want = got.copy(), want.copy()
+        else:
+            text = got.to_json()
+            assert text == want.to_json()
+            got = NwrRelation.from_json(text, verts)
+            want = ReferenceRelation.from_json(text, verts)
+        assert list(got.pairs()) == list(want.pairs())
+        assert got.pair_count() == want.pair_count()
+    for rel, pairs in kept:
+        assert list(rel.pairs()) == pairs
+
+
+class TestFromJson:
+    VERTS = ["a", "b", "c"]
+
+    def test_sets_outside_any_universe_round_trip(self):
+        text = json.dumps([{"v": "a", "W": ["b", "c"]}, {"v": "c", "W": ["a", "b"]}])
+        rel = NwrRelation.from_json(text, self.VERTS)
+        assert rel.holds("a", {"b", "c"}) and not rel.holds("a", {"b"})
+        assert NwrRelation.from_json(rel.to_json(), self.VERTS).to_json() == rel.to_json()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('[{"v": "a", "W": "bc"}]', "[0].W: must be a list"),
+            ('{"v": "a"}', "top level must be a list"),
+            ("[1]", "[0]: must be an object with keys 'v' and 'W'"),
+            ('[{"v": "a"}]', "[0]: must be an object with keys 'v' and 'W'"),
+            ('[{"v": "a", "W": ["b"], "x": 1}]', "[0]: must be an object with keys 'v' and 'W'"),
+            ('[{"v": "z", "W": ["a"]}]', "[0]: unknown vertex 'z'"),
+            ('[{"v": "a", "W": ["b", "z"]}]', "[0]: unknown vertex 'z'"),
+            ('[{"v": 1, "W": ["a"]}]', "[0].v: must be a string id"),
+            ('[{"v": "a", "W": [1]}]', "[0].W[0]: must be a string id"),
+            ('[{"v": "a", "W": []}]', "[0].W: must not be empty"),
+            ("[", "malformed JSON"),
+        ],
+    )
+    def test_malformed_documents(self, doc, message):
+        with pytest.raises(ArenaFormatError) as info:
+            NwrRelation.from_json(doc, self.VERTS)
+        assert message in str(info.value)
