@@ -46,7 +46,6 @@ from .solve import (
 from .relation import NwrRelation, candidate_universe
 from .analysis import (
     essential_order,
-    essential_states,
     mec_decomposition,
     seed_relation,
 )

@@ -1,10 +1,11 @@
-"""Polynomial-time special cases feeding the saturation engine.
+"""Polynomial-time special cases of the never-worse relation.
 
 Maximal end components, the forced-visit order on Protagonist vertices,
 and the extremal-value sets all identify vertices with provably equal (or
 extremal) values for every full-support family, independent of the actual
-probabilities.  ``seed_relation`` bundles them into the initial
-under-approximation.
+probabilities.  ``seed_relation`` seeds saturation from the extremal sets
+alone: the saturation rules derive the end-component and forced-visit
+pairs themselves, so the other two are standalone analyses.
 """
 
 from __future__ import annotations
@@ -109,16 +110,19 @@ def mec_decomposition(a: TargetArena) -> tuple[frozenset[str], ...]:
 def essential_order(a: TargetArena) -> frozenset[tuple[str, str]]:
     """Least fixpoint of the forced-visit order on Protagonist vertices.
 
-    Reflexive, and ``(u, v)`` is added once every two-step path out of
-    ``u`` lands on a vertex already related to ``v`` (with at least one
-    such path).  ``u <= v`` then means all play from ``u`` must pass
-    through ``v`` before the targets.
+    Reflexive, and ``(u, v)`` for a non-target ``u`` is added once every
+    two-step path out of ``u`` lands on a vertex already related to ``v``
+    (with at least one such path).  ``u <= v`` then means all play from
+    ``u`` must pass through ``v`` before the targets, so both have the
+    same value.  A target is never the left side of a non-reflexive pair,
+    since its value is 1 whatever follows it; it may be the right side.
     """
     succ = successor_map(a)
     zero = zero_set(a)
     eligible = sorted(a.protagonist - zero)
+    movers = [u for u in eligible if u not in a.targets]
     two_step: dict[str, frozenset[str]] = {}
-    for u in eligible:
+    for u in movers:
         hops = set()
         for n in succ[u]:
             hops.update(succ[n])
@@ -127,7 +131,7 @@ def essential_order(a: TargetArena) -> frozenset[tuple[str, str]]:
     changed = True
     while changed:
         changed = False
-        for u in eligible:
+        for u in movers:
             hops = two_step[u]
             if not hops:
                 continue
@@ -140,34 +144,15 @@ def essential_order(a: TargetArena) -> frozenset[tuple[str, str]]:
     return frozenset(rel)
 
 
-def essential_states(a: TargetArena, order: frozenset[tuple[str, str]] | None = None) -> frozenset[str]:
-    """Maximal vertices of the forced-visit order."""
-    if order is None:
-        order = essential_order(a)
-    dominated = {u for (u, v) in order if u != v}
-    return frozenset(a.protagonist - dominated)
-
-
 def seed_relation(a: TargetArena) -> NwrRelation:
-    """Initial sound under-approximation from the polynomial special cases.
+    """Initial sound under-approximation from the extremal-value sets.
 
-    Seeds: mutual pairs inside each maximal end component; mutual pairs
-    for ``v <= w`` with ``w`` essential (both give value equality); every
-    zero-valued vertex below every singleton; every vertex below each
-    almost-surely-winning vertex.  Closed under pseudo transitive closure.
+    Seeds every zero-valued vertex below every singleton and every vertex
+    below each almost-surely-winning vertex, then takes the pseudo
+    transitive closure.  End-component and forced-visit pairs need no
+    seed: ``rule_bar_win`` and ``rule_bar_reach`` derive them.
     """
     rel = NwrRelation(a.vertices)
-    for mec in mec_decomposition(a):
-        for u in sorted(mec):
-            for v in sorted(mec):
-                if u != v:
-                    rel.add(u, (v,))
-    order = essential_order(a)
-    essentials = essential_states(a, order)
-    for (u, v) in sorted(order):
-        if u != v and v in essentials:
-            rel.add(u, (v,))
-            rel.add(v, (u,))
     everything = sorted(a.vertices)
     for z in sorted(zero_set(a)):
         for w in everything:

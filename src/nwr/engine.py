@@ -55,7 +55,8 @@ def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None
 
     Uses the maximal admissible cut: all vertices currently below ``W``.
     A target reaches the targets by the length-zero path, outside any cut.
-    Skips each ``W`` whose column did not grow since ``since``.
+    Skips each ``W`` whose column did not grow since ``since``, and each
+    ``v0`` already in the cut.
     """
     pred = predecessor_map(a)
     verts = sorted(a.vertices)
@@ -65,9 +66,10 @@ def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None
         below = r.column(m)
         if prev is not None and prev.get(m) == below:
             continue
-        reachers = reach(pred, a.targets, r.unmask(below))
+        cut = r.unmask(below)
+        reachers = reach(pred, a.targets, cut)
         for v0 in verts:
-            if v0 not in reachers:
+            if v0 not in reachers and v0 not in cut:
                 yield v0, wset
 
 

@@ -164,10 +164,12 @@ def trim_edges(
 ) -> tuple[TargetArena, list[tuple[tuple[str, str], tuple[str, tuple[str, ...]]]]]:
     """Remove edges to Nature vertices the relation proves never better.
 
-    Requires the arena to be a quotient fixed point.  Edges are removed
-    one at a time in lexicographic order, re-checking candidates against
-    the shrunken successor sets after each removal; an edge ``(w, x)``
-    goes when ``x`` is below the remaining successors of ``w``.
+    Requires the arena to be a quotient fixed point.  Edges are checked
+    once each in lexicographic order against the successor sets as earlier
+    removals left them; an edge ``(w, x)`` goes when ``x`` is below the
+    remaining successors of ``w``.  One pass suffices: a removal shrinks
+    only its own vertex's successor set, and an edge that failed against a
+    set fails against every subset of it.
     """
     fixed, _ = quotient(a, r)
     if fixed != a:
@@ -175,21 +177,14 @@ def trim_edges(
     edges = set(a.edges)
     succ: dict[str, set[str]] = {v: set(ws) for v, ws in successor_map(a).items()}
     removed: list[tuple[tuple[str, str], tuple[str, tuple[str, ...]]]] = []
-    while True:
-        hit = None
-        for w, x in sorted(edges):
-            if w not in a.protagonist or x not in a.nature:
-                continue
-            rest = succ[w] - {x}
-            if rest and r.holds(x, rest):
-                hit = (w, x, tuple(sorted(rest)))
-                break
-        if hit is None:
-            break
-        w, x, rest = hit
-        edges.discard((w, x))
-        succ[w].discard(x)
-        removed.append(((w, x), (x, rest)))
+    for w, x in sorted(a.edges):
+        if w not in a.protagonist or x not in a.nature:
+            continue
+        rest = succ[w] - {x}
+        if rest and r.holds(x, rest):
+            edges.discard((w, x))
+            succ[w].discard(x)
+            removed.append(((w, x), (x, tuple(sorted(rest)))))
     out = TargetArena(a.protagonist, a.nature, frozenset(edges), a.targets)
     return out, removed
 

@@ -22,6 +22,12 @@ def arena_suite(count: int, seed: int, max_p: int = 6, max_n: int = 6, min_p: in
         yield random_arena(n_p, n_n, density, n_targets, seed=rng.randrange(2**32))
 
 
+def several_target_arenas(count: int):
+    """Yield ``count`` small random arenas with one to three targets."""
+    for s in range(count):
+        yield random_arena(3 + s % 8, 2 + s % 6, [0.2, 0.3, 0.4][s % 3], 1 + s % 3, 11000 + s)
+
+
 def family_suite(a: TargetArena, count: int, seed: int, max_denominator: int = 24):
     rng = random.Random(seed)
     need = max(

@@ -1,9 +1,12 @@
-"""Slow references for the pair store and saturation.
+"""Slow references for the pair store, the seeds and saturation.
 
 ``ReferenceRelation`` is the row store the column store of
-``nwr.relation.NwrRelation`` replaced, and ``reference_saturate`` the
-saturation that ran every rule over every argument in every round.  The
-differential tests hold the fast paths to them.
+``nwr.relation.NwrRelation`` replaced, ``reference_seed_relation`` the seed
+that also added end-component and forced-visit pairs by hand, and
+``reference_saturate`` the saturation that ran every rule over every
+argument in every round.  ``reference_trim_edges`` is the trim that
+restarted from the first edge after each removal.  The differential tests
+hold the fast paths to them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,16 @@ from typing import Iterable
 from unittest import mock
 
 import nwr.analysis
-from nwr import candidate_universe, seed_relation
+from nwr import (
+    TargetArena,
+    almost_sure_set,
+    candidate_universe,
+    essential_order,
+    mec_decomposition,
+    seed_relation,
+    successor_map,
+    zero_set,
+)
 from nwr.engine import RULES
 from nwr.relation import _bits
 
@@ -159,12 +171,46 @@ class ReferenceRelation:
         return rel
 
 
-def reference_saturate(a):
+def reference_seed_relation(a):
+    """The seed that saturation started from before it was cut down to the
+    extremal sets, on a ``ReferenceRelation``: mutual pairs inside each
+    maximal end component, mutual pairs ``u <= {v}`` for each forced visit
+    of ``u`` to a maximal ``v`` of ``essential_order`` (the order with
+    targets kept off its left side), then the zero and almost-sure pairs,
+    closed."""
+    rel = ReferenceRelation(a.vertices)
+    for mec in mec_decomposition(a):
+        for u in sorted(mec):
+            for v in sorted(mec):
+                if u != v:
+                    rel.add(u, (v,))
+    order = essential_order(a)
+    dominated = {u for (u, v) in order if u != v}
+    for (u, v) in sorted(order):
+        if u != v and v not in dominated:
+            rel.add(u, (v,))
+            rel.add(v, (u,))
+    everything = sorted(a.vertices)
+    for z in sorted(zero_set(a)):
+        for w in everything:
+            rel.add(z, (w,))
+    for v in sorted(almost_sure_set(a)):
+        for w in everything:
+            rel.add(w, (v,))
+    rel.close([rel.mask(w) for w in candidate_universe(a)])
+    return rel
+
+
+def reference_saturate(a, seed=None):
     """Saturate ``a`` over a ``ReferenceRelation``, every rule sweeping
-    every argument each round; returns the relation and the number of
-    rounds."""
-    with mock.patch.object(nwr.analysis, "NwrRelation", ReferenceRelation):
-        rel = seed_relation(a)
+    every argument each round, from ``seed(a)`` or by default from
+    ``seed_relation`` run on a ``ReferenceRelation``; returns the relation
+    and the number of rounds."""
+    if seed is None:
+        with mock.patch.object(nwr.analysis, "NwrRelation", ReferenceRelation):
+            rel = seed_relation(a)
+    else:
+        rel = seed(a)
     umasks = [rel.mask(w) for w in candidate_universe(a)]
     rounds = 0
     while True:
@@ -176,3 +222,28 @@ def reference_saturate(a):
         changed |= rel.close(umasks)
         if not changed:
             return rel, rounds
+
+
+def reference_trim_edges(a, r):
+    """Remove edges ``(w, x)`` with ``x`` below the rest of ``w``'s
+    successors, rescanning from the first edge after each removal; returns
+    the trimmed arena and the removals with their reasons."""
+    edges = set(a.edges)
+    succ = {v: set(ws) for v, ws in successor_map(a).items()}
+    removed = []
+    while True:
+        hit = None
+        for w, x in sorted(edges):
+            if w not in a.protagonist or x not in a.nature:
+                continue
+            rest = succ[w] - {x}
+            if rest and r.holds(x, rest):
+                hit = (w, x, tuple(sorted(rest)))
+                break
+        if hit is None:
+            break
+        w, x, rest = hit
+        edges.discard((w, x))
+        succ[w].discard(x)
+        removed.append(((w, x), (x, rest)))
+    return TargetArena(a.protagonist, a.nature, frozenset(edges), a.targets), removed

@@ -78,6 +78,18 @@ def funnel() -> TargetArena:
 
 
 @pytest.fixture
+def target_into_coin() -> TargetArena:
+    """The target t leads only into v, whose one move is a coin between t
+    and the dead end z: every play from t passes through v, yet t is worth
+    1 and v less."""
+    return make_arena(
+        ["t", "v", "z"], ["n1", "n2"],
+        [("t", "n1"), ("n1", "v"), ("v", "n2"), ("n2", "t"), ("n2", "z")],
+        ["t"],
+    )
+
+
+@pytest.fixture
 def relay() -> TargetArena:
     """t can always be revisited from wherever q's progress stalls, so t is
     never better than p."""

@@ -1,14 +1,13 @@
 from nwr import (
     essential_order,
-    essential_states,
     make_arena,
     mec_decomposition,
+    saturate,
     seed_relation,
     successor_map,
     vertex_values,
-    zero_set,
 )
-from _corpus import arena_suite, family_suite
+from _corpus import arena_suite, family_suite, several_target_arenas
 
 
 def is_end_component(a, members) -> bool:
@@ -99,8 +98,13 @@ class TestEssentialOrder:
         for u in coin.protagonist:
             assert (u, u) in order
 
-    def test_order_implies_value_equality(self):
-        for i, a in enumerate(arena_suite(12, seed=94, max_p=5, max_n=4)):
+    def test_order_implies_value_equality(self, target_into_coin):
+        arenas = [
+            target_into_coin,
+            *arena_suite(12, seed=94, max_p=5, max_n=4),
+            *several_target_arenas(400),
+        ]
+        for i, a in enumerate(arenas):
             order = essential_order(a)
             pairs = [(u, v) for (u, v) in order if u != v]
             if not pairs:
@@ -119,9 +123,10 @@ class TestSeedRelation:
         assert rel.holds("v0", {"t"})
         assert not rel.holds("t", {"v0"})
 
-    def test_mixer_component_pair(self, mixer_arena):
+    def test_extremal_pairs_only(self, mixer_arena):
         rel = seed_relation(mixer_arena)
-        assert rel.equivalent("p", "q")
+        assert not rel.holds("p", {"q"})
+        assert rel.holds("s1", {"q"})
 
     def test_empty_targets_all_pairs(self):
         a = make_arena(["p", "q"], ["n"], [("p", "n"), ("n", "q"), ("q", "n")], [])
@@ -140,8 +145,28 @@ class TestSeedRelation:
                     assert vals[v] <= max(vals[w] for w in w_set)
 
 
-def test_essential_states_are_maximal(funnel):
-    order = essential_order(funnel)
-    ess = essential_states(funnel, order)
-    for w in ess:
-        assert all(x == w for (u, x) in order if u == w)
+class TestSaturationSubsumes:
+    """The rules derive what the seed no longer adds by hand."""
+
+    def test_mixer_component_pair(self, mixer_arena):
+        rel = saturate(mixer_arena)
+        assert rel.equivalent("p", "q")
+
+    def test_end_components_and_forced_visits(self, target_into_coin):
+        arenas = [
+            target_into_coin,
+            *arena_suite(20, seed=96, max_p=5, max_n=4),
+            *several_target_arenas(400),
+        ]
+        mec_pairs = forced_pairs = 0
+        for a in arenas:
+            rel = saturate(a)
+            for c in mec_decomposition(a):
+                for u in sorted(c):
+                    for v in sorted(c):
+                        assert rel.holds(u, {v}), (u, v)
+                        mec_pairs += u != v
+            for u, v in sorted(essential_order(a)):
+                assert rel.equivalent(u, v), (u, v)
+                forced_pairs += u != v
+        assert mec_pairs > 0 and forced_pairs > 0

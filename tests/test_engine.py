@@ -18,7 +18,7 @@ from nwr import (
 )
 from nwr.engine import RULES
 from _corpus import arena_suite, family_suite
-from _reference import reference_saturate
+from _reference import reference_saturate, reference_seed_relation
 
 
 class TestBarReach:
@@ -33,8 +33,14 @@ class TestBarReach:
         assert ("t", frozenset({"v0"})) not in pairs
 
     def test_dead_vertex_below_everything(self, coin):
-        pairs = list(rule_bar_reach(coin, seed_relation(coin)))
+        # from the bare store: the seed already holds f below everything
+        pairs = list(rule_bar_reach(coin, NwrRelation(coin.vertices)))
         assert ("f", frozenset({"v0"})) in pairs
+
+    def test_skips_vertices_already_in_the_cut(self, funnel):
+        for a in [funnel, *arena_suite(6, seed=45, max_p=4, max_n=4)]:
+            rel = saturate(a)
+            assert list(rule_bar_reach(a, rel)) == []
 
 
 class TestBarWin:
@@ -186,3 +192,20 @@ def test_saturate_matches_full_sweeps(p, n, density, targets, seed):
     want, want_rounds = reference_saturate(a)
     assert list(got.pairs()) == list(want.pairs())
     assert rounds == want_rounds
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(3, 10),
+    st.integers(2, 8),
+    st.sampled_from([0.2, 0.3, 0.4]),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+@example(3, 2, 0.2, 1, 0)
+def test_extremal_seed_reaches_the_old_fixpoint(p, n, density, targets, seed):
+    """Seeding only the extremal sets leaves the end-component and
+    forced-visit pairs to the rules, and the fixpoint stays the same."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    want, _ = reference_saturate(a, reference_seed_relation)
+    assert list(saturate(a).pairs()) == list(want.pairs())

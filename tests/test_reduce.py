@@ -8,6 +8,7 @@ from nwr import (
     lift_family,
     make_arena,
     quotient,
+    random_arena,
     reduce_fixpoint,
     saturate,
     successor_map,
@@ -17,7 +18,8 @@ from nwr import (
     zero_set,
     TargetArena,
 )
-from _corpus import arena_suite, family_suite
+from _corpus import arena_suite, family_suite, several_target_arenas
+from _reference import reference_trim_edges
 
 
 class TestQuotient:
@@ -195,6 +197,24 @@ class TestTrim:
                 succ[w].discard(x)
                 current = nxt
 
+    def test_one_pass_matches_rescans(self):
+        trims = 0
+        for a in several_target_arenas(400):
+            current = a
+            for _ in range(len(a.vertices) + len(a.edges) + 1):
+                rel = saturate(current)
+                fixed, _ = quotient(current, rel)
+                if fixed != current:
+                    current = fixed
+                    continue
+                got = trim_edges(current, rel)
+                assert got == reference_trim_edges(current, rel)
+                if not got[1]:
+                    break
+                trims += 1
+                current = got[0]
+        assert trims > 0
+
 
 class TestPipeline:
     def test_funnel_final_shape(self, funnel):
@@ -232,6 +252,23 @@ class TestPipeline:
                     reduced.protagonist, reduced.nature, reduced.edges, frozenset({v})
                 )
                 assert w not in almost_sure_set(retarget), (v, w)
+
+    def test_target_leading_into_a_coin_keeps_values(self, target_into_coin):
+        # a target used to sit below the vertex it was forced into, and
+        # merging the two raised that vertex's value to 1
+        arenas = [
+            target_into_coin,
+            random_arena(6, 5, 0.2, 1, 11051),
+            random_arena(9, 6, 0.3, 2, 11118),
+        ]
+        for i, a in enumerate(arenas):
+            reduced, report = reduce_fixpoint(a)
+            cmap = report.class_map
+            for mu in family_suite(a, 8, seed=8500 + i):
+                before = vertex_values(a, mu).values
+                after = vertex_values(reduced, lift_family(reduced, mu, cmap)).values
+                for v in sorted(a.protagonist):
+                    assert before[v] == after[cmap[v]], (i, v, cmap[v])
 
     def test_report_json_fields(self, funnel):
         _, report = reduce_fixpoint(funnel)
