@@ -52,7 +52,6 @@ from .analysis import (
 from .engine import (
     rule_bar_reach,
     rule_bar_win,
-    rule_nature_equiv,
     rule_prot_dominance,
     saturate,
 )

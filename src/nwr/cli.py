@@ -129,6 +129,13 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _load_arena(path: Path):
     arena = parse_arena(path.read_text(encoding="utf-8"))
     report = validate_arena(arena)
@@ -220,7 +227,7 @@ def _cmd_certify(args) -> int:
     arena = _load_arena(args.arena)
     source = args.source
     against = frozenset(x for x in args.against.split(",") if x)
-    eps = Fraction(args.eps) if args.eps else None
+    eps = _fraction(args.eps) if args.eps else None
     if args.check:
         cert = NwrCertificate.from_json(args.check.read_text(encoding="utf-8"))
         if verify_certificate(arena, cert, source, against):
@@ -242,7 +249,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_gen(args) -> int:
     arena = random_arena(
-        args.protagonist, args.nature, Fraction(args.density), args.targets, args.seed
+        args.protagonist, args.nature, _fraction(args.density), args.targets, args.seed
     )
     _emit(serialize_arena(arena), args.out)
     if args.dot:

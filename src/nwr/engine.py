@@ -1,10 +1,13 @@
 """Iterative under-approximation of the never-worse relation.
 
-Four inference rules are applied round-robin over a shared pair store,
+Three inference rules are applied round-robin over a shared pair store,
 with the pseudo transitive closure taken after each round, until nothing
 new can be derived.  Every rule only ever adds pairs that hold for all
 full-support families, so the fixpoint is a sound under-approximation;
-completeness is not attempted (the full relation is coNP-complete).
+completeness is not attempted (the full relation is coNP-complete).  A
+Nature vertex whose successors are all equivalent needs no rule of its
+own: bar-reach and the closure put it below each successor, and bar-win
+puts each successor below it.
 
 Each rule has the signature ``rule_*(a, r, since=None)`` and yields the
 pairs it derives over the whole arena.  The rules are generators and read
@@ -44,10 +47,6 @@ class Since(NamedTuple):
     winners: dict[frozenset[str], frozenset[str]]
 
 
-def _previous(since: Optional[Since]) -> Optional[Mapping[int, int]]:
-    return None if since is None else since.columns
-
-
 def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
     """Yield ``v0 <= W`` for each candidate set ``W`` when every path from
     ``v0`` to the targets passes through a vertex already known to be
@@ -60,7 +59,7 @@ def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None
     """
     pred = predecessor_map(a)
     verts = sorted(a.vertices)
-    prev = _previous(since)
+    prev = None if since is None else since.columns
     for wset in candidate_universe(a):
         m = r.mask(wset)
         below = r.column(m)
@@ -79,10 +78,10 @@ def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) 
     ``w``.
 
     Skips each ``w`` whose bit in every Protagonist singleton column is
-    what it was at ``since``; reuses the almost-sure sets ``since`` holds.
+    what it was at ``since``, and each ``v0`` already above ``w``; reuses
+    the almost-sure sets ``since`` holds.
     """
-    winners_of = {} if since is None else since.winners
-    prev = _previous(since)
+    prev, winners_of = (None, {}) if since is None else since
     singles = [(s, r.mask((s,))) for s in sorted(a.protagonist)]
     for w in sorted(a.vertices):
         bit = r.mask((w,))
@@ -92,69 +91,29 @@ def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) 
         if key not in winners_of:
             winners_of[key] = almost_sure_set(TargetArena(a.protagonist, a.nature, a.edges, key))
         for v0 in sorted(winners_of[key]):
-            yield w, frozenset((v0,))
-
-
-def rule_nature_equiv(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
-    """When all successors of a Nature vertex are pairwise equivalent, the
-    vertex is equivalent to each of them (its value is their common
-    value).
-
-    Skips each ``u`` none of whose successors' singleton columns changed
-    since ``since``.
-    """
-    succ = successor_map(a)
-    prev = _previous(since)
-    for u in sorted(a.nature):
-        vs = succ[u]
-        if prev is not None and all(r.column(m) == prev[m] for m in (r.mask((x,)) for x in vs)):
-            continue
-        if all(r.equivalent(v, x) for i, v in enumerate(vs) for x in vs[i + 1 :]):
-            for x in vs:
-                yield u, frozenset((x,))
-                yield x, frozenset((u,))
-
-
-def _non_dominated(r: NwrRelation, succs: tuple[str, ...]) -> list[str]:
-    """Prune successors one at a time while each is below the rest.
-
-    Removing a single dominated element keeps the maximum value of the set
-    attainable within it, so iterated single removals are sound; a
-    one-shot sweep would not be (two equivalent successors would erase
-    each other and the rule's premise would hold vacuously).
-    """
-    surv = sorted(succs)
-    while True:
-        for i, w in enumerate(surv):
-            rest = surv[:i] + surv[i + 1 :]
-            if rest and r.holds(w, rest):
-                surv.pop(i)
-                break
-        else:
-            return surv
+            if not r.column(r.mask((v0,))) & bit:
+                yield w, frozenset((v0,))
 
 
 def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
-    """Yield ``u <= {v}`` when every non-dominated successor of ``u`` is
-    below the successor set of ``v`` (both non-target Protagonist).
+    """Yield ``u <= {v}``, unless already stored, when every successor of
+    ``u`` is below the successor set of ``v`` (both non-target Protagonist).
 
-    Always sweeps every pair; ``since`` is accepted for the common rule
-    signature.
+    Pruning the successors of ``u`` that are below the rest would add
+    nothing the closure does not.  The pairs yielded grow no successor
+    set's column, so each is read once.  ``since`` is unused.
     """
     succ = successor_map(a)
     choices = sorted(a.protagonist - a.targets)
+    columns = [(v, r.mask((v,)), r.column(r.mask(succ[v]))) for v in choices]
     for u in choices:
-        survivors = _non_dominated(r, succ[u])
-        for v in choices:
-            ve = succ[v]
-            if not ve and survivors:
-                continue
-            ve_mask = r.mask(ve)
-            if all(r.holds_mask(w, ve_mask) for w in survivors):
+        um, bit = r.mask(succ[u]), r.mask((u,))
+        for v, vm, col in columns:
+            if um & ~col == 0 and not r.column(vm) & bit:
                 yield u, frozenset((v,))
 
 
-RULES = (rule_bar_reach, rule_bar_win, rule_nature_equiv, rule_prot_dominance)
+RULES = (rule_bar_reach, rule_bar_win, rule_prot_dominance)
 
 
 def saturate(a: TargetArena) -> "NwrRelation":

@@ -258,13 +258,13 @@ def value_iteration(m: Mdp, tol: float = 1e-10, max_iters: int = 10**6) -> Value
     """Kleene iteration from zero on the Bellman operator, in floats.
 
     Converges to the maximal values from below; stops when the sup-norm
-    change drops under ``tol``.  Hitting ``max_iters`` flags the result as
-    unconverged but still returns it.  Sweeps only live actions: a dead
-    action scores exactly 0.0 in every sweep, so skipping it changes no
-    bit of the result.
+    change drops under ``tol`` (positive and finite).  Hitting
+    ``max_iters`` flags the result as unconverged but still returns it.
+    Sweeps only live actions: a dead action scores exactly 0.0 in every
+    sweep, so skipping it changes no bit of the result.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     float_tr = {
         q: [[(r, float(p)) for r, p in m.transition[(q, act)].items()] for act in acts]
         for q, acts in _live_actions(m).items()

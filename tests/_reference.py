@@ -4,7 +4,10 @@
 ``nwr.relation.NwrRelation`` replaced, ``reference_seed_relation`` the seed
 that also added end-component and forced-visit pairs by hand, and
 ``reference_saturate`` the saturation that ran every rule over every
-argument in every round.  ``reference_trim_edges`` is the trim that
+argument in every round.  ``FOUR_RULES`` is the rule set saturation had
+before the bar rules and the closure were found to imply the other two:
+``reference_rule_nature_equiv`` and ``reference_rule_prot_dominance``,
+which pruned successors first.  ``reference_trim_edges`` is the trim that
 restarted from the first edge after each removal.  The differential tests
 hold the fast paths to them.
 """
@@ -26,7 +29,7 @@ from nwr import (
     successor_map,
     zero_set,
 )
-from nwr.engine import RULES
+from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.relation import _bits
 
 
@@ -201,11 +204,66 @@ def reference_seed_relation(a):
     return rel
 
 
-def reference_saturate(a, seed=None):
-    """Saturate ``a`` over a ``ReferenceRelation``, every rule sweeping
-    every argument each round, from ``seed(a)`` or by default from
-    ``seed_relation`` run on a ``ReferenceRelation``; returns the relation
-    and the number of rounds."""
+def reference_rule_nature_equiv(a, r):
+    """When all successors of a Nature vertex are pairwise equivalent, the
+    vertex is equivalent to each of them."""
+    succ = successor_map(a)
+    for u in sorted(a.nature):
+        vs = succ[u]
+        if all(r.equivalent(v, x) for i, v in enumerate(vs) for x in vs[i + 1 :]):
+            for x in vs:
+                yield u, frozenset((x,))
+                yield x, frozenset((u,))
+
+
+def _non_dominated(r, succs):
+    """Prune successors one at a time while each is below the rest.
+
+    Removing a single dominated element keeps the maximum value of the set
+    attainable within it, so iterated single removals are sound; a
+    one-shot sweep would not be (two equivalent successors would erase
+    each other and the rule's premise would hold vacuously).
+    """
+    surv = sorted(succs)
+    while True:
+        for i, w in enumerate(surv):
+            rest = surv[:i] + surv[i + 1 :]
+            if rest and r.holds(w, rest):
+                surv.pop(i)
+                break
+        else:
+            return surv
+
+
+def reference_rule_prot_dominance(a, r):
+    """Yield ``u <= {v}`` when every non-dominated successor of ``u`` is
+    below the successor set of ``v`` (both non-target Protagonist)."""
+    succ = successor_map(a)
+    choices = sorted(a.protagonist - a.targets)
+    for u in choices:
+        survivors = _non_dominated(r, succ[u])
+        for v in choices:
+            ve = succ[v]
+            if not ve and survivors:
+                continue
+            ve_mask = r.mask(ve)
+            if all(r.holds_mask(w, ve_mask) for w in survivors):
+                yield u, frozenset((v,))
+
+
+FOUR_RULES = (
+    rule_bar_reach,
+    rule_bar_win,
+    reference_rule_nature_equiv,
+    reference_rule_prot_dominance,
+)
+
+
+def reference_saturate(a, rules, seed=None):
+    """Saturate ``a`` over a ``ReferenceRelation`` with ``rules``, each
+    sweeping every argument each round, from ``seed(a)`` or by default
+    from ``seed_relation`` run on a ``ReferenceRelation``; returns the
+    relation and the number of rounds."""
     if seed is None:
         with mock.patch.object(nwr.analysis, "NwrRelation", ReferenceRelation):
             rel = seed_relation(a)
@@ -216,7 +274,7 @@ def reference_saturate(a, seed=None):
     while True:
         rounds += 1
         changed = False
-        for rule in RULES:
+        for rule in rules:
             for v, w in rule(a, rel):
                 changed |= rel.add(v, w)
         changed |= rel.close(umasks)

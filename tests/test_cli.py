@@ -106,6 +106,13 @@ def test_solve_reports_protagonist_vertices_and_accepts_any_id(
         assert want in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_solve_iterate_rejects_bad_tolerance(coin_file, coin_family_file, capsys, tol):
+    argv = ["solve", str(coin_file), "--family", str(coin_family_file), "--iterate", "--tol", tol]
+    assert main(argv) == 2
+    assert "error: tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_solve_rejects_bad_family(coin_file, tmp_path):
     fam = tmp_path / "bad_mu.json"
     fam.write_text(json.dumps({"n0": {"t": "1"}}))
@@ -266,6 +273,17 @@ def test_gen_with_family(tmp_path):
     arena = parse_arena(arena_path.read_text())
     fam = parse_family(fam_path.read_text())
     assert set(fam) == set(arena.nature)
+
+
+def test_zero_denominator_is_input_error(coin_file, capsys):
+    for argv in (
+        ["gen", "--protagonist", "3", "--nature", "2", "--density", "1/0"],
+        ["certify", str(coin_file), "--source", "t", "--against", "v0", "--eps", "1/0"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: zero denominator in '1/0'" in err
+        assert "Traceback" not in err
 
 
 def test_2dp_pipeline(tmp_path, capsys):

@@ -10,7 +10,6 @@ from nwr import (
     random_arena,
     rule_bar_reach,
     rule_bar_win,
-    rule_nature_equiv,
     rule_prot_dominance,
     saturate,
     seed_relation,
@@ -18,7 +17,7 @@ from nwr import (
 )
 from nwr.engine import RULES
 from _corpus import arena_suite, family_suite
-from _reference import reference_saturate, reference_seed_relation
+from _reference import FOUR_RULES, reference_saturate, reference_seed_relation
 
 
 class TestBarReach:
@@ -45,56 +44,42 @@ class TestBarReach:
 
 class TestBarWin:
     def test_relay_t_below_p(self, relay):
-        assert ("t", frozenset({"p"})) in list(rule_bar_win(relay, seed_relation(relay)))
+        assert ("t", frozenset({"p"})) in list(rule_bar_win(relay, NwrRelation(relay.vertices)))
 
     def test_funnel_t_below_p_and_q(self, funnel):
-        pairs = list(rule_bar_win(funnel, seed_relation(funnel)))
+        pairs = list(rule_bar_win(funnel, NwrRelation(funnel.vertices)))
         assert ("t", frozenset({"p"})) in pairs
         assert ("t", frozenset({"q"})) in pairs
 
     def test_reemission_is_noop(self, funnel):
-        rel = saturate(funnel)
-        pairs = list(rule_bar_win(funnel, rel))
-        assert ("t", frozenset({"p"})) in pairs
-        assert not any(rel.add(*pair) for pair in pairs)
+        # the rule skips each pair already stored instead of re-yielding it
+        for a in [funnel, *arena_suite(6, seed=46, max_p=4, max_n=4)]:
+            assert list(rule_bar_win(a, saturate(a))) == []
 
     def test_no_winning_route(self, coin):
-        assert ("t", frozenset({"v0"})) not in list(rule_bar_win(coin, seed_relation(coin)))
-
-
-class TestNatureEquiv:
-    def test_single_successor_unconditional(self):
-        a = make_arena(["p", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
-        pairs = list(rule_nature_equiv(a, seed_relation(a)))
-        assert ("n", frozenset({"t"})) in pairs
-        assert ("t", frozenset({"n"})) in pairs
-
-    def test_equivalent_successors_lift_to_nature(self):
-        # both successors of n are targets, hence provably equivalent
-        a = make_arena(
-            ["p", "t1", "t2"], ["n"], [("p", "n"), ("n", "t1"), ("n", "t2")], ["t1", "t2"]
-        )
-        pairs = list(rule_nature_equiv(a, seed_relation(a)))
-        assert ("n", frozenset({"t1"})) in pairs
-        assert ("t2", frozenset({"n"})) in pairs
-
-    def test_unrelated_successors_no_emission(self, coin):
-        assert list(rule_nature_equiv(coin, seed_relation(coin))) == []
+        assert ("t", frozenset({"v0"})) not in list(rule_bar_win(coin, NwrRelation(coin.vertices)))
 
 
 class TestProtDominance:
     def test_reflexive(self, funnel):
-        pairs = list(rule_prot_dominance(funnel, seed_relation(funnel)))
-        assert ("p", frozenset({"p"})) in pairs
+        # the reflexive pair is a property of the store, never yielded
+        bare = NwrRelation(funnel.vertices)
+        assert ("p", frozenset({"p"})) not in list(rule_prot_dominance(funnel, bare))
+        for a in [funnel, *arena_suite(6, seed=47, max_p=4, max_n=4)]:
+            assert list(rule_prot_dominance(a, saturate(a))) == []
 
     def test_spare_left_extra_successor_dominated(self, spare_left):
-        rel = saturate(spare_left)
-        assert rel.holds("u", {"v", "z"})
-        assert ("p", frozenset({"q"})) in list(rule_prot_dominance(spare_left, rel))
+        # no pruning of p's successors: u below {v, z} puts all of them
+        # below q's successor set
+        rel = NwrRelation(spare_left.vertices)
+        rel.add("u", {"v", "z"})
+        pairs = list(rule_prot_dominance(spare_left, rel))
+        assert ("p", frozenset({"q"})) in pairs
+        assert ("q", frozenset({"p"})) in pairs
 
     def test_dead_protagonist_below_anything(self):
         a = make_arena(["p", "dead", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
-        pairs = list(rule_prot_dominance(a, seed_relation(a)))
+        pairs = list(rule_prot_dominance(a, NwrRelation(a.vertices)))
         assert ("dead", frozenset({"p"})) in pairs
 
     def test_mutually_equivalent_successors_stay_guarded(self):
@@ -124,6 +109,20 @@ class TestSaturate:
     def test_spare_arenas(self, spare_left, spare_right):
         assert saturate(spare_left).equivalent("p", "q")
         assert saturate(spare_right).equivalent("p", "q")
+
+    def test_nature_vertex_with_equivalent_successors(self, coin):
+        # no rule of its own: bar-reach, the closure and bar-win derive it
+        single = make_arena(["p", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
+        assert saturate(single).equivalent("n", "t")
+        both = make_arena(
+            ["p", "t1", "t2"], ["n"], [("p", "n"), ("n", "t1"), ("n", "t2")], ["t1", "t2"]
+        )
+        rel = saturate(both)
+        assert rel.equivalent("n", "t1")
+        assert rel.equivalent("n", "t2")
+        rel = saturate(coin)
+        assert not rel.equivalent("n0", "t")
+        assert not rel.equivalent("n0", "f")
 
     def test_empty_targets_relates_everything(self):
         a = make_arena(["p", "q"], ["n"], [("p", "n"), ("n", "q"), ("q", "n")], [])
@@ -189,7 +188,7 @@ def test_saturate_matches_full_sweeps(p, n, density, targets, seed):
     fixpoint nor the number of rounds."""
     a = random_arena(p, n, density, min(targets, p), seed)
     got, rounds = _saturate_counting_rounds(a)
-    want, want_rounds = reference_saturate(a)
+    want, want_rounds = reference_saturate(a, RULES)
     assert list(got.pairs()) == list(want.pairs())
     assert rounds == want_rounds
 
@@ -207,5 +206,25 @@ def test_extremal_seed_reaches_the_old_fixpoint(p, n, density, targets, seed):
     """Seeding only the extremal sets leaves the end-component and
     forced-visit pairs to the rules, and the fixpoint stays the same."""
     a = random_arena(p, n, density, min(targets, p), seed)
-    want, _ = reference_saturate(a, reference_seed_relation)
+    want, _ = reference_saturate(a, RULES, reference_seed_relation)
     assert list(saturate(a).pairs()) == list(want.pairs())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(1, 12),
+    st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5]),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+@example(12, 12, 0.15, 1, 0)
+def test_three_rules_reach_the_four_rule_fixpoint(p, n, density, targets, seed):
+    """Without the Nature-equivalence rule and the successor pruning of
+    prot-dominance, saturation stores the same pairs in the same number of
+    rounds."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    got, rounds = _saturate_counting_rounds(a)
+    want, want_rounds = reference_saturate(a, FOUR_RULES)
+    assert list(got.pairs()) == list(want.pairs())
+    assert rounds == want_rounds

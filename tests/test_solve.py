@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -298,6 +299,12 @@ class TestValueIteration:
     def test_iteration_cap_flags_result(self, mixer_mdp):
         vv = value_iteration(mixer_mdp, tol=1e-12, max_iters=2)
         assert not vv.converged
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_tolerance_must_be_positive_and_finite(self, mixer_mdp, tol):
+        # nan would never stop before max_iters, inf would stop after one sweep
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            value_iteration(mixer_mdp, tol=tol)
 
 
 def reference_value_iteration(m: Mdp, tol: float, max_iters: int) -> tuple[dict[str, float], bool]:
