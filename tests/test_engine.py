@@ -60,6 +60,29 @@ class TestBarWin:
         assert ("t", frozenset({"v0"})) not in list(rule_bar_win(coin, NwrRelation(coin.vertices)))
 
 
+class TestNatureEquiv:
+    # no rule of its own: bar-reach, the closure and bar-win derive it
+    def test_single_successor_unconditional(self):
+        a = make_arena(["p", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
+        rel = saturate(a)
+        assert rel.holds("n", {"t"})
+        assert rel.holds("t", {"n"})
+
+    def test_equivalent_successors_lift_to_nature(self):
+        # both successors of n are targets, hence provably equivalent
+        a = make_arena(
+            ["p", "t1", "t2"], ["n"], [("p", "n"), ("n", "t1"), ("n", "t2")], ["t1", "t2"]
+        )
+        rel = saturate(a)
+        assert rel.equivalent("n", "t1")
+        assert rel.equivalent("n", "t2")
+
+    def test_unrelated_successors_no_emission(self, coin):
+        rel = saturate(coin)
+        assert not rel.equivalent("n0", "t")
+        assert not rel.equivalent("n0", "f")
+
+
 class TestProtDominance:
     def test_reflexive(self, funnel):
         # the reflexive pair is a property of the store, never yielded
@@ -109,20 +132,6 @@ class TestSaturate:
     def test_spare_arenas(self, spare_left, spare_right):
         assert saturate(spare_left).equivalent("p", "q")
         assert saturate(spare_right).equivalent("p", "q")
-
-    def test_nature_vertex_with_equivalent_successors(self, coin):
-        # no rule of its own: bar-reach, the closure and bar-win derive it
-        single = make_arena(["p", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
-        assert saturate(single).equivalent("n", "t")
-        both = make_arena(
-            ["p", "t1", "t2"], ["n"], [("p", "n"), ("n", "t1"), ("n", "t2")], ["t1", "t2"]
-        )
-        rel = saturate(both)
-        assert rel.equivalent("n", "t1")
-        assert rel.equivalent("n", "t2")
-        rel = saturate(coin)
-        assert not rel.equivalent("n0", "t")
-        assert not rel.equivalent("n0", "f")
 
     def test_empty_targets_relates_everything(self):
         a = make_arena(["p", "q"], ["n"], [("p", "n"), ("n", "q"), ("q", "n")], [])
