@@ -254,14 +254,36 @@ def induce_chain(m: Mdp, sigma: Strategy) -> MarkovChain:
 # ---------------------------------------------------------------------------
 
 
+def _loads(text: str) -> object:
+    """``json.loads`` for every input format of the package; raise
+    ``ArenaFormatError`` on malformed JSON, on nesting too deep for the
+    decoder (``RecursionError``) and on integers too long to convert."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ArenaFormatError(f"malformed JSON: {exc}") from exc
+
+
+def parse_rational(text: str) -> Fraction:
+    """An exact rational from an integer, decimal or ``num/den`` string.
+
+    Exponent notation is refused: ``Fraction("1e-999999999")`` builds a
+    billion-digit power of ten and does not return.  Raise ``ValueError``
+    with a message on that, on a zero denominator and on anything that is
+    not a rational literal."""
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _load_document(text: str, fields: Mapping[str, type]) -> dict:
     """Parse a JSON object with exactly the keys of ``fields``, each
     holding a value of the type given there; raise ``ArenaFormatError``
     otherwise.  Shared by the arena, digraph and certificate formats."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArenaFormatError(f"malformed JSON: {exc}") from exc
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise ArenaFormatError("top level must be an object")
     unknown = set(doc) - set(fields)
@@ -353,11 +375,9 @@ def serialize_arena(a: TargetArena) -> str:
 
 
 def parse_family(text: str) -> dict[str, dict[str, Fraction]]:
-    """Parse the family JSON format; rationals are "num/den" strings."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArenaFormatError(f"malformed JSON: {exc}") from exc
+    """Parse the family JSON format; rationals are JSON numbers or
+    strings that ``parse_rational`` accepts."""
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise ArenaFormatError("family must be an object")
     fam: dict[str, dict[str, Fraction]] = {}
@@ -369,9 +389,9 @@ def parse_family(text: str) -> dict[str, dict[str, Fraction]]:
             try:
                 if isinstance(s, bool):
                     raise TypeError("a boolean is not a probability")
-                row[v] = Fraction(s)
-            except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-                raise ArenaFormatError(f"family[{u!r}][{v!r}]: bad rational {s!r}") from exc
+                row[v] = parse_rational(s) if isinstance(s, str) else Fraction(s)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ArenaFormatError(f"family[{u!r}][{v!r}]: bad rational {s!r}: {exc}") from exc
         fam[u] = row
     return fam
 

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .arena import (
@@ -23,6 +23,7 @@ from .arena import (
     instantiate_mdp,
     parse_arena,
     parse_family,
+    parse_rational,
     random_arena,
     random_family,
     serialize_arena,
@@ -62,7 +63,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The ``nwr`` parser, built once per process: ``parse_args`` makes a
+    fresh namespace on every call, so ``main`` may reuse it."""
     p = _Parser(prog="nwr", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -127,13 +131,6 @@ def _build_parser() -> _Parser:
     b.add_argument("directory", type=Path)
     b.add_argument("--out", type=Path, help="write the CSV here (default stdout)")
     return p
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _load_arena(path: Path):
@@ -227,7 +224,7 @@ def _cmd_certify(args) -> int:
     arena = _load_arena(args.arena)
     source = args.source
     against = frozenset(x for x in args.against.split(",") if x)
-    eps = _fraction(args.eps) if args.eps else None
+    eps = parse_rational(args.eps) if args.eps else None
     if args.check:
         cert = NwrCertificate.from_json(args.check.read_text(encoding="utf-8"))
         if verify_certificate(arena, cert, source, against):
@@ -249,7 +246,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_gen(args) -> int:
     arena = random_arena(
-        args.protagonist, args.nature, _fraction(args.density), args.targets, args.seed
+        args.protagonist, args.nature, parse_rational(args.density), args.targets, args.seed
     )
     _emit(serialize_arena(arena), args.out)
     if args.dot:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Mapping
 
-from .arena import ArenaFormatError, TargetArena, _parse_ids, successor_map
+from .arena import ArenaFormatError, TargetArena, _loads, _parse_ids, successor_map
 
 
 def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
@@ -239,10 +239,7 @@ class NwrRelation:
         ...]}`` objects over ``vertices``; raise ``ArenaFormatError`` on
         anything else."""
         rel = cls(vertices)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArenaFormatError(f"malformed JSON: {exc}") from exc
+        doc = _loads(text)
         if not isinstance(doc, list):
             raise ArenaFormatError("top level must be a list")
         for i, entry in enumerate(doc):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -354,3 +355,107 @@ def test_bench_empty_directory_prints_header(tmp_path, capsys):
 
 def test_missing_file_is_input_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("command", ["validate", "relate", "solve", "2dp", "certify"])
+def test_over_deep_json_is_input_error(coin_file, coin_family_file, tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    argv = {
+        "validate": ["validate", str(deep)],
+        "relate": ["relate", str(deep)],
+        "solve": ["solve", str(coin_file), "--family", str(deep)],
+        "2dp": ["2dp", str(deep), "--s1", "a", "--t1", "b", "--s2", "c", "--t2", "d"],
+        "certify": ["certify", str(coin_file), "--source", "t", "--against", "v0", "--check", str(deep)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: malformed JSON: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+
+
+def test_exponent_notation_is_input_error(coin_file, tmp_path, capsys):
+    fam = tmp_path / "mu.json"
+    fam.write_text(json.dumps({"n0": {"t": "1e-999999999", "f": "1/2"}}))
+    for argv in (
+        ["solve", str(coin_file), "--family", str(fam)],
+        ["certify", str(coin_file), "--source", "t", "--against", "v0", "--eps", "1e-999999999"],
+        ["gen", "--protagonist", "3", "--nature", "2", "--density", "1e-999999999"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "exponent notation is not accepted in '1e-999999999'" in err
+        assert "Traceback" not in err
+
+
+def test_main_builds_its_parser_once(coin_file, coin_family_file, monkeypatch, capsys):
+    assert main(["validate", str(coin_file)]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv, code in (
+        (["validate", str(coin_file)], 0),
+        (["solve", str(coin_file), "--family", str(coin_family_file)], 0),
+        (["certify", str(coin_file), "--source", "v0", "--against", "t"], 0),
+        (["gen", "--protagonist", "2", "--nature", "1"], 0),
+        (["no-such-command"], 1),
+    ):
+        assert main(argv) == code
+    assert built == []
+
+
+def _run_in_order(keys, commands, out_dir, capsys):
+    """Run ``commands[key]`` for each key in order, writing into
+    ``out_dir``; return each command's exit code and output, and the files
+    written, with ``out_dir`` masked."""
+    out_dir.mkdir()
+    runs = {}
+    for key in keys:
+        code = main([part.replace("{out}", str(out_dir)) for part in commands[key]])
+        captured = capsys.readouterr()
+        runs[key] = (code, captured.out.replace(str(out_dir), "{out}"), captured.err)
+    files = {path.name: path.read_text() for path in sorted(out_dir.iterdir())}
+    return runs, files
+
+
+def test_main_output_does_not_depend_on_earlier_calls(coin_file, coin_family_file, funnel, tmp_path, capsys):
+    funnel_file = tmp_path / "funnel.json"
+    funnel_file.write_text(serialize_arena(funnel))
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(
+        json.dumps({"vertices": ["s1", "t1", "s2", "t2"], "edges": [["s1", "t1"], ["s2", "t2"]]})
+    )
+    coin, family, graph = str(coin_file), str(coin_family_file), str(graph_file)
+    certify = ["certify", coin, "--source", "t", "--against", "v0"]
+    commands = {
+        "solve-iterate": ["solve", coin, "--family", family, "--iterate", "--out", "{out}/iterate.json"],
+        "solve": ["solve", coin, "--family", family, "--out", "{out}/exact.json"],
+        "usage-error": ["solve", coin],
+        "certify-eps": certify + ["--eps", "1/64", "--out", "{out}/c1.json", "--witness-out", "{out}/w1.json"],
+        "certify": certify + ["--out", "{out}/c2.json", "--witness-out", "{out}/w2.json"],
+        "relate-exact": ["relate", str(funnel_file), "--exact", "--out", "{out}/exact-rel.json"],
+        "relate": ["relate", str(funnel_file), "--out", "{out}/rel.json"],
+        "reduce": ["reduce", str(funnel_file), "--out", "{out}/red.json", "--report", "{out}/rep.json"],
+        "2dp": ["2dp", graph, "--s1", "s1", "--t1", "t1", "--s2", "s2", "--t2", "t2", "--out", "{out}/2dp.json"],
+        "gen": ["gen", "--protagonist", "3", "--nature", "2", "--seed", "5", "--out", "{out}/gen.json"],
+    }
+    keys = list(commands)
+    forward = _run_in_order(keys, commands, tmp_path / "forward", capsys)
+    backward = _run_in_order(keys[::-1], commands, tmp_path / "backward", capsys)
+    assert forward == backward
+    runs, files = forward
+    assert runs["solve"][:2] == (0, "f = 0\nn0 = 1/3\nt = 1\nv0 = 1/3\n")
+    assert json.loads(files["exact.json"])["mode"] == "exact"
+    assert json.loads(files["iterate.json"])["mode"] == "iterative"
+    assert runs["usage-error"][0] == 1
+    assert "the following arguments are required: --family" in runs["usage-error"][2]
+    assert files["w1.json"] != files["w2.json"]
+    assert len(files) == 12
