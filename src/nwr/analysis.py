@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .arena import TargetArena, successor_map
+from .arena import TargetArena, bit_graph, successor_map
 from .relation import NwrRelation, candidate_universe
-from .solve import almost_sure_set, zero_set
+from .solve import almost_sure_bits, zero_bits, zero_set
 
 
 def _tarjan_sccs(vertices: Iterable[str], succ: dict[str, Iterable[str]]) -> list[frozenset[str]]:
@@ -148,17 +148,14 @@ def seed_relation(a: TargetArena) -> NwrRelation:
     """Initial sound under-approximation from the extremal-value sets.
 
     Seeds every zero-valued vertex below every singleton and every vertex
-    below each almost-surely-winning vertex, then takes the pseudo
-    transitive closure.  End-component and forced-visit pairs need no
-    seed: ``rule_bar_win`` and ``rule_bar_reach`` derive them.
+    below each almost-surely-winning vertex, in one bulk update of the
+    store, then takes the pseudo transitive closure.  End-component and
+    forced-visit pairs need no seed: ``rule_bar_win`` and
+    ``rule_bar_reach`` derive them.
     """
+    g = bit_graph(a)
+    targets = g.mask(a.targets)
     rel = NwrRelation(a.vertices)
-    everything = sorted(a.vertices)
-    for z in sorted(zero_set(a)):
-        for w in everything:
-            rel.add(z, (w,))
-    for v in sorted(almost_sure_set(a)):
-        for w in everything:
-            rel.add(w, (v,))
+    rel.add_extremal(zero_bits(g, targets), almost_sure_bits(g, targets))
     rel.close([rel.mask(w) for w in candidate_universe(a)])
     return rel

@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Container, Iterable, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 DistributionFamily = Mapping[str, Mapping[str, Fraction]]
 Strategy = Mapping[str, str]
@@ -88,6 +89,87 @@ def successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
 def predecessor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
     """Predecessors of every vertex, in sorted order.  Treat as read-only."""
     return _adjacency(a.protagonist, a.nature, a.edges)[1]
+
+
+def _bits(m: int) -> Iterator[int]:
+    """Indices of the set bits of ``m``, lowest first."""
+    while m:
+        b = m & -m
+        m ^= b
+        yield b.bit_length() - 1
+
+
+@dataclass(frozen=True)
+class BitGraph:
+    """An arena's graph on bitmasks.  Vertex ``i`` is the ``i``-th in
+    sorted order, as in ``NwrRelation``, so a mask means the same vertex
+    set to both; ``succ[i]`` and ``pred[i]`` are the masks of its
+    successors and predecessors."""
+
+    order: tuple[str, ...]
+    index: Mapping[str, int]
+    succ: tuple[int, ...]
+    pred: tuple[int, ...]
+    protagonist: int
+    nature: int
+
+    @property
+    def full(self) -> int:
+        return (1 << len(self.order)) - 1
+
+    def mask(self, vs: Iterable[str]) -> int:
+        m = 0
+        for v in vs:
+            m |= 1 << self.index[v]
+        return m
+
+    def unmask(self, m: int) -> frozenset[str]:
+        return frozenset(self.order[i] for i in _bits(m))
+
+
+@lru_cache(maxsize=512)
+def _bit_adjacency(
+    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
+) -> BitGraph:
+    """``_adjacency`` on masks, keyed the same way."""
+    order = tuple(sorted(protagonist | nature))
+    index = {v: i for i, v in enumerate(order)}
+    succ = [0] * len(order)
+    pred = [0] * len(order)
+    for u, w in edges:
+        if u in index and w in index:
+            succ[index[u]] |= 1 << index[w]
+            pred[index[w]] |= 1 << index[u]
+    return BitGraph(
+        order,
+        index,
+        tuple(succ),
+        tuple(pred),
+        sum(1 << index[v] for v in protagonist),
+        sum(1 << index[v] for v in nature),
+    )
+
+
+def bit_graph(a: TargetArena) -> BitGraph:
+    """The arena's graph on bitmasks, shared by its retargeted copies."""
+    return _bit_adjacency(a.protagonist, a.nature, a.edges)
+
+
+def reach_bits(adj: Sequence[int], seeds: int, avoid: int = 0) -> int:
+    """``reach`` on masks: the seeds plus every vertex reachable from them
+    along ``adj`` without entering ``avoid``.  Pass ``BitGraph.pred`` to
+    search backward.  Each round expands the whole frontier at once, each
+    vertex once."""
+    seen = frontier = seeds
+    while frontier:
+        step = 0
+        while frontier:  # ``_bits`` inlined: the innermost loop of saturation
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~(seen | avoid)
+        seen |= frontier
+    return seen
 
 
 def reach(
@@ -262,6 +344,26 @@ def _loads(text: str) -> object:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ArenaFormatError(f"malformed JSON: {exc}") from exc
+
+
+def _dumps(doc: object, margin: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)`` for a document of lists, string-keyed
+    objects and strings, through the C string encoder: ``indent`` makes
+    ``json.dumps`` fall back to its pure-Python encoder, which costs more
+    than the saturation behind a large relation.  ``margin`` is the line
+    break and indentation that close ``doc``."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    inner = margin + "  "
+    if isinstance(doc, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in doc.items()]
+        opening, closing = "{", "}"
+    else:
+        items = [_dumps(x, inner) for x in doc]
+        opening, closing = "[", "]"
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + margin + closing
 
 
 def parse_rational(text: str) -> Fraction:

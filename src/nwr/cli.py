@@ -19,6 +19,7 @@ from .arena import (
     ArenaFormatError,
     FamilyError,
     StrategyError,
+    _dumps,
     arena_to_dot,
     instantiate_mdp,
     parse_arena,
@@ -195,8 +196,7 @@ def _cmd_relate(args) -> int:
         "pairs": [{"v": v, "W": sorted(w)} for v, w in rel.pairs()],
         "classes": sorted(sorted(m) for m in classes.values()),
     }
-    text = json.dumps(doc, indent=2)
-    _emit(text, args.out)
+    _emit(_dumps(doc), args.out)
     if args.out:
         print(f"wrote {args.out}")
     return 0
@@ -248,11 +248,13 @@ def _cmd_gen(args) -> int:
     arena = random_arena(
         args.protagonist, args.nature, parse_rational(args.density), args.targets, args.seed
     )
+    # sampled before anything is written, so a family that cannot be
+    # sampled leaves no half-done output
+    family = random_family(arena, args.max_denominator, args.seed) if args.family_out else None
     _emit(serialize_arena(arena), args.out)
     if args.dot:
         args.dot.write_text(arena_to_dot(arena), encoding="utf-8")
-    if args.family_out:
-        family = random_family(arena, args.max_denominator, args.seed)
+    if family is not None:
         _emit(serialize_family(family), args.family_out)
     return 0
 

@@ -12,7 +12,13 @@ puts each successor below it.
 Each rule has the signature ``rule_*(a, r, since=None)`` and yields the
 pairs it derives over the whole arena.  The rules are generators and read
 ``r`` as they go, so a pair the caller adds before asking for the next one
-can already serve as a premise within the same sweep.
+can already serve as a premise within the same sweep; a rule reads a
+column ahead only when the pairs it yields in between cannot change it.
+
+The graph searches run on bitmasks: ``bit_graph(a)`` numbers the vertices
+in sorted order, as the store does, so a column is a set of vertices the
+kernel ``reach_bits`` can avoid or start from as it is, and the vertices a
+rule yields are the set bits of one mask, lowest first.
 
 Saturation is semi-naive: from the second round on, a rule skips each
 argument whose premise columns still equal the columns at the start of the
@@ -27,9 +33,9 @@ from __future__ import annotations
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .analysis import seed_relation
-from .arena import TargetArena, predecessor_map, reach, successor_map
+from .arena import TargetArena, _bits, bit_graph, reach_bits, successor_map
 from .relation import NwrRelation, candidate_universe
-from .solve import almost_sure_set
+from .solve import almost_sure_bits
 
 Pair = tuple[str, frozenset[str]]
 
@@ -39,12 +45,12 @@ class Since(NamedTuple):
 
     ``columns`` is the store's ``snapshot`` at the start of the previous
     round, or None in the first round, which sweeps every argument;
-    ``winners`` maps each target set met so far in this saturation to its
-    almost-sure set.
+    ``winners`` maps each target mask met so far in this saturation to its
+    almost-sure mask, both over the arena's ``bit_graph``.
     """
 
     columns: Optional[Mapping[int, int]]
-    winners: dict[frozenset[str], frozenset[str]]
+    winners: dict[int, int]
 
 
 def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
@@ -55,21 +61,19 @@ def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None
     Uses the maximal admissible cut: all vertices currently below ``W``.
     A target reaches the targets by the length-zero path, outside any cut.
     Skips each ``W`` whose column did not grow since ``since``, and each
-    ``v0`` already in the cut.
+    ``v0`` already in the cut.  ``r`` is a store over the arena's
+    vertices, so its masks are those of ``bit_graph(a)``.
     """
-    pred = predecessor_map(a)
-    verts = sorted(a.vertices)
+    g = bit_graph(a)
+    targets = g.mask(a.targets)
     prev = None if since is None else since.columns
     for wset in candidate_universe(a):
         m = r.mask(wset)
         below = r.column(m)
         if prev is not None and prev.get(m) == below:
             continue
-        cut = r.unmask(below)
-        reachers = reach(pred, a.targets, cut)
-        for v0 in verts:
-            if v0 not in reachers and v0 not in cut:
-                yield v0, wset
+        for i in _bits(g.full & ~reach_bits(g.pred, targets, below) & ~below):
+            yield g.order[i], wset
 
 
 def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
@@ -79,20 +83,34 @@ def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) 
 
     Skips each ``w`` whose bit in every Protagonist singleton column is
     what it was at ``since``, and each ``v0`` already above ``w``; reuses
-    the almost-sure sets ``since`` holds.
+    the almost-sure masks ``since`` holds.
     """
     prev, winners_of = (None, {}) if since is None else since
-    singles = [(s, r.mask((s,))) for s in sorted(a.protagonist)]
-    for w in sorted(a.vertices):
-        bit = r.mask((w,))
-        if prev is not None and not any((r.column(m) ^ prev[m]) & bit for _, m in singles):
-            continue
-        key = a.targets | {s for s, m in singles if r.column(m) & bit}
-        if key not in winners_of:
-            winners_of[key] = almost_sure_set(TargetArena(a.protagonist, a.nature, a.edges, key))
-        for v0 in sorted(winners_of[key]):
-            if not r.column(r.mask((v0,))) & bit:
-                yield w, frozenset((v0,))
+    g = bit_graph(a)
+    targets = g.mask(a.targets)
+    # The pairs yielded for ``w`` set bit ``w`` alone, in the columns of
+    # the sets holding ``v0``, so the singleton columns read here stay
+    # exact for every later ``w``.
+    singles = [r.column(1 << i) for i in range(len(g.order))]
+    prots = [(i, singles[i]) for i in _bits(g.protagonist)]
+    if prev is None:
+        changed = g.full
+    else:
+        changed = 0
+        for i, col in prots:
+            changed |= col ^ prev[1 << i]
+    for w in _bits(changed):
+        bit = 1 << w
+        key = targets
+        for i, col in prots:
+            if col & bit:
+                key |= 1 << i
+        winners = winners_of.get(key)
+        if winners is None:
+            winners = winners_of[key] = almost_sure_bits(g, key)
+        for v0 in _bits(winners):
+            if not singles[v0] & bit:
+                yield g.order[w], frozenset((g.order[v0],))
 
 
 def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:

@@ -18,10 +18,9 @@ surface speaks plain strings and frozensets.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Mapping
 
-from .arena import ArenaFormatError, TargetArena, _loads, _parse_ids, successor_map
+from .arena import ArenaFormatError, TargetArena, _bits, _dumps, _loads, _parse_ids, successor_map
 
 
 def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
@@ -42,14 +41,6 @@ def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
             if rest:
                 sets.add(rest)
     return tuple(sorted(sets, key=lambda w: (len(w), tuple(sorted(w)))))
-
-
-def _bits(m: int) -> Iterator[int]:
-    """Indices of the set bits of ``m``, lowest first."""
-    while m:
-        b = m & -m
-        m ^= b
-        yield b.bit_length() - 1
 
 
 class NwrRelation:
@@ -122,6 +113,16 @@ class NwrRelation:
         for x in self._supersets(m):
             cols[x] |= bit
         return True
+
+    def add_extremal(self, bottom: int, top: int) -> None:
+        """Record ``z <= {w}`` for every ``z`` in ``bottom`` and every
+        vertex ``w``, and ``w <= {t}`` for every vertex ``w`` and every
+        ``t`` in ``top``, all at once: every known set's column gains
+        ``bottom``, and one that holds a vertex of ``top`` becomes full."""
+        full = (1 << len(self._order)) - 1
+        cols = self._cols
+        for y, col in cols.items():
+            cols[y] = full if y & top else col | bottom
 
     def holds(self, v: str, w: Iterable[str]) -> bool:
         return self.holds_mask(v, self.mask(w))
@@ -230,8 +231,7 @@ class NwrRelation:
         return changed
 
     def to_json(self) -> str:
-        doc = [{"v": v, "W": sorted(w)} for v, w in self.pairs()]
-        return json.dumps(doc, indent=2)
+        return _dumps([{"v": v, "W": sorted(w)} for v, w in self.pairs()])
 
     @classmethod
     def from_json(cls, text: str, vertices: Iterable[str]) -> "NwrRelation":

@@ -17,14 +17,17 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arena import (
+    BitGraph,
     DistributionFamily,
     MarkovChain,
     Mdp,
     TargetArena,
+    _bits,
+    bit_graph,
     induce_chain,
     instantiate_mdp,
-    predecessor_map,
     reach,
+    reach_bits,
     successor_map,
 )
 
@@ -57,31 +60,48 @@ class ValueVector:
 # ---------------------------------------------------------------------------
 
 
-def zero_set(a: TargetArena) -> frozenset[str]:
-    """Vertices (either owner) with no path to the target set."""
-    return frozenset(a.vertices - reach(predecessor_map(a), a.targets))
+def zero_bits(g: BitGraph, targets: int) -> int:
+    """``zero_set`` on masks over ``g``, for the target mask ``targets``."""
+    return g.full & ~reach_bits(g.pred, targets)
 
 
-def almost_sure_set(a: TargetArena) -> frozenset[str]:
-    """Vertices from which the Protagonist can reach the targets with
-    probability one, for every full-support family.
+def almost_sure_bits(g: BitGraph, targets: int) -> int:
+    """``almost_sure_set`` on masks over ``g``, for the target mask
+    ``targets``.
 
     Repeatedly restrict the candidates to the Protagonist vertices that
     still reach a target inside them, where a Nature vertex is usable only
     if all its successors stay candidates: one backward search from the
     targets that avoids every other vertex (the arena is bipartite).  A
-    Nature vertex wins iff all its successors do.
+    Nature vertex wins iff all its successors do.  A vertex once dropped
+    stays dropped, so each one marks its Nature predecessors unusable
+    once.
     """
-    succ = successor_map(a)
-    pred = predecessor_map(a)
-    cand = set(a.protagonist)
+    pred, succ = g.pred, g.succ
+    cand, dropped, unusable = g.protagonist, g.full & ~g.protagonist, 0
     while True:
-        usable = {n for n in a.nature if all(v in cand for v in succ[n])}
-        avoid = (a.protagonist - cand) | (a.nature - usable)
-        reached = reach(pred, a.targets & cand, avoid) & a.protagonist
+        for i in _bits(dropped):
+            unusable |= pred[i]
+        unusable &= g.nature
+        avoid = (g.protagonist & ~cand) | unusable
+        reached = reach_bits(pred, targets & cand, avoid) & g.protagonist
         if reached == cand:
-            return frozenset(cand | {n for n in usable if succ[n]})
-        cand = reached
+            return cand | sum(1 << n for n in _bits(g.nature & ~unusable) if succ[n])
+        cand, dropped = reached, cand & ~reached
+
+
+def zero_set(a: TargetArena) -> frozenset[str]:
+    """Vertices (either owner) with no path to the target set."""
+    g = bit_graph(a)
+    return g.unmask(zero_bits(g, g.mask(a.targets)))
+
+
+def almost_sure_set(a: TargetArena) -> frozenset[str]:
+    """Vertices from which the Protagonist can reach the targets with
+    probability one, for every full-support family: the standard Prob1E
+    fixpoint, computed by ``almost_sure_bits``."""
+    g = bit_graph(a)
+    return g.unmask(almost_sure_bits(g, g.mask(a.targets)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Slow references for the pair store, the seeds and saturation.
+"""Slow references for the pair store, the seeds, the rules and saturation.
 
 ``ReferenceRelation`` is the row store the column store of
 ``nwr.relation.NwrRelation`` replaced, ``reference_seed_relation`` the seed
 that also added end-component and forced-visit pairs by hand, and
 ``reference_saturate`` the saturation that ran every rule over every
-argument in every round.  ``FOUR_RULES`` is the rule set saturation had
-before the bar rules and the closure were found to imply the other two:
+argument in every round.  ``reference_zero_set``,
+``reference_almost_sure_set``, ``reference_extremal_seed``,
+``reference_rule_bar_reach`` and ``reference_rule_bar_win`` are the
+searches over string vertex sets that the bitmask kernel of
+``nwr.arena.reach_bits`` replaced, with the seed that added its pairs one
+at a time.  ``FOUR_RULES`` is the rule set saturation had before the bar
+rules and the closure were found to imply the other two:
 ``reference_rule_nature_equiv`` and ``reference_rule_prot_dominance``,
 which pruned successors first.  ``reference_trim_edges`` is the trim that
 restarted from the first edge after each removal.  The differential tests
@@ -15,19 +20,16 @@ hold the fast paths to them.
 from __future__ import annotations
 
 import json
-from typing import Iterable
-from unittest import mock
+from typing import Iterable, Iterator
 
-import nwr.analysis
 from nwr import (
     TargetArena,
-    almost_sure_set,
     candidate_universe,
     essential_order,
     mec_decomposition,
-    seed_relation,
+    predecessor_map,
+    reach,
     successor_map,
-    zero_set,
 )
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.relation import _bits
@@ -193,15 +195,93 @@ def reference_seed_relation(a):
         if u != v and v not in dominated:
             rel.add(u, (v,))
             rel.add(v, (u,))
+    return _add_extremal_and_close(rel, a)
+
+
+def reference_zero_set(a):
+    """Vertices (either owner) with no path to the target set."""
+    return frozenset(a.vertices - reach(predecessor_map(a), a.targets))
+
+
+def reference_almost_sure_set(a):
+    """Vertices from which the Protagonist can reach the targets with
+    probability one, for every full-support family.
+
+    Repeatedly restrict the candidates to the Protagonist vertices that
+    still reach a target inside them, where a Nature vertex is usable only
+    if all its successors stay candidates: one backward search from the
+    targets that avoids every other vertex.  A Nature vertex wins iff all
+    its successors do.
+    """
+    succ = successor_map(a)
+    pred = predecessor_map(a)
+    cand = set(a.protagonist)
+    while True:
+        usable = {n for n in a.nature if all(v in cand for v in succ[n])}
+        avoid = (a.protagonist - cand) | (a.nature - usable)
+        reached = reach(pred, a.targets & cand, avoid) & a.protagonist
+        if reached == cand:
+            return frozenset(cand | {n for n in usable if succ[n]})
+        cand = reached
+
+
+def reference_extremal_seed(a, store=ReferenceRelation):
+    """The extremal seed one ``add`` at a time, on a ``store`` over the
+    arena's vertices: every zero-valued vertex below every singleton and
+    every vertex below each almost-surely-winning vertex, then closed."""
+    return _add_extremal_and_close(store(a.vertices), a)
+
+
+def _add_extremal_and_close(rel, a):
     everything = sorted(a.vertices)
-    for z in sorted(zero_set(a)):
+    for z in sorted(reference_zero_set(a)):
         for w in everything:
             rel.add(z, (w,))
-    for v in sorted(almost_sure_set(a)):
+    for v in sorted(reference_almost_sure_set(a)):
         for w in everything:
             rel.add(w, (v,))
     rel.close([rel.mask(w) for w in candidate_universe(a)])
     return rel
+
+
+def reference_rule_bar_reach(a, r, since=None):
+    """``rule_bar_reach`` over string vertex sets: unmask each grown
+    column, search backward from the targets around it, and test every
+    vertex in sorted order."""
+    pred = predecessor_map(a)
+    verts = sorted(a.vertices)
+    prev = None if since is None else since.columns
+    for wset in candidate_universe(a):
+        m = r.mask(wset)
+        below = r.column(m)
+        if prev is not None and prev.get(m) == below:
+            continue
+        cut = r.unmask(below)
+        reachers = reach(pred, a.targets, cut)
+        for v0 in verts:
+            if v0 not in reachers and v0 not in cut:
+                yield v0, wset
+
+
+def reference_rule_bar_win(a, r, since=None):
+    """``rule_bar_win`` over string vertex sets: each target set is the
+    targets plus the Protagonist vertices whose singleton column holds
+    ``w``, read as the rule goes, and its almost-sure set comes from
+    ``reference_almost_sure_set``."""
+    prev = None if since is None else since.columns
+    winners_of = {}
+    singles = [(s, r.mask((s,))) for s in sorted(a.protagonist)]
+    for w in sorted(a.vertices):
+        bit = r.mask((w,))
+        if prev is not None and not any((r.column(m) ^ prev[m]) & bit for _, m in singles):
+            continue
+        key = a.targets | {s for s, m in singles if r.column(m) & bit}
+        if key not in winners_of:
+            retargeted = TargetArena(a.protagonist, a.nature, a.edges, key)
+            winners_of[key] = reference_almost_sure_set(retargeted)
+        for v0 in sorted(winners_of[key]):
+            if not r.column(r.mask((v0,))) & bit:
+                yield w, frozenset((v0,))
 
 
 def reference_rule_nature_equiv(a, r):
@@ -261,14 +341,10 @@ FOUR_RULES = (
 
 def reference_saturate(a, rules, seed=None):
     """Saturate ``a`` over a ``ReferenceRelation`` with ``rules``, each
-    sweeping every argument each round, from ``seed(a)`` or by default
-    from ``seed_relation`` run on a ``ReferenceRelation``; returns the
-    relation and the number of rounds."""
-    if seed is None:
-        with mock.patch.object(nwr.analysis, "NwrRelation", ReferenceRelation):
-            rel = seed_relation(a)
-    else:
-        rel = seed(a)
+    sweeping every argument each round, from ``seed(a)``, by default
+    ``reference_extremal_seed``; returns the relation and the number of
+    rounds."""
+    rel = (seed or reference_extremal_seed)(a)
     umasks = [rel.mask(w) for w in candidate_universe(a)]
     rounds = 0
     while True:

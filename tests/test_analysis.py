@@ -1,13 +1,19 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nwr import (
+    NwrRelation,
     essential_order,
     make_arena,
     mec_decomposition,
+    random_arena,
     saturate,
     seed_relation,
     successor_map,
     vertex_values,
 )
 from _corpus import arena_suite, family_suite, several_target_arenas
+from _reference import reference_extremal_seed
 
 
 def is_end_component(a, members) -> bool:
@@ -143,6 +149,23 @@ class TestSeedRelation:
                 vals = vertex_values(a, mu).values
                 for v, w_set in pairs:
                     assert vals[v] <= max(vals[w] for w in w_set)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+)
+def test_bulk_seed_matches_pairwise_seed(p, n, density, targets, seed):
+    """Seeding in bulk leaves every column as one ``add`` per extremal
+    pair did, and the pairs those of the row store."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    got = seed_relation(a)
+    assert got.snapshot() == reference_extremal_seed(a, NwrRelation).snapshot()
+    assert list(got.pairs()) == list(reference_extremal_seed(a).pairs())
 
 
 class TestSaturationSubsumes:

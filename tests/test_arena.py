@@ -23,6 +23,7 @@ from nwr import (
     successor_map,
     validate_arena,
 )
+from nwr.arena import bit_graph, reach_bits
 
 
 class TestValidate:
@@ -237,3 +238,22 @@ class TestReach:
         assert predecessor_map(other) is predecessor_map(coin)
         assert predecessor_map(coin)["n0"] == ("v0",)
         assert successor_map(coin)["n0"] == ("f", "t")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(0, 10),
+    st.sampled_from([0.1, 0.2, 0.4]),
+    st.integers(0, 10_000),
+    st.data(),
+)
+def test_reach_bits_matches_reach(p, n, density, seed, data):
+    a = random_arena(p, n, density, 1, seed)
+    g = bit_graph(a)
+    assert g.order == tuple(sorted(a.vertices))
+    verts = st.sets(st.sampled_from(g.order))
+    seeds, avoid = data.draw(verts), data.draw(verts)
+    for bits, strings in ((g.succ, successor_map(a)), (g.pred, predecessor_map(a))):
+        got = reach_bits(bits, g.mask(seeds), g.mask(avoid))
+        assert g.unmask(got) == reach(strings, seeds, avoid)

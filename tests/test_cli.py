@@ -276,6 +276,19 @@ def test_gen_with_family(tmp_path):
     assert set(fam) == set(arena.nature)
 
 
+def test_gen_writes_nothing_when_the_family_cannot_be_sampled(tmp_path, capsys):
+    args = ["gen", "--protagonist", "3", "--nature", "2", "--max-denominator", "1"]
+    family = tmp_path / "f.json"
+    assert main(args + ["--family-out", str(family)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: max_denominator 1 is smaller than the 2 successors" in captured.err
+    out, dot = tmp_path / "a.json", tmp_path / "a.dot"
+    assert main(args + ["--family-out", str(family), "--out", str(out), "--dot", str(dot)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists() and not dot.exists() and not family.exists()
+
+
 def test_zero_denominator_is_input_error(coin_file, capsys):
     for argv in (
         ["gen", "--protagonist", "3", "--nature", "2", "--density", "1/0"],

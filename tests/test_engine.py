@@ -15,9 +15,16 @@ from nwr import (
     seed_relation,
     vertex_values,
 )
-from nwr.engine import RULES
+import nwr.engine
+from nwr.engine import RULES, Since
 from _corpus import arena_suite, family_suite
-from _reference import FOUR_RULES, reference_saturate, reference_seed_relation
+from _reference import (
+    FOUR_RULES,
+    reference_rule_bar_reach,
+    reference_rule_bar_win,
+    reference_saturate,
+    reference_seed_relation,
+)
 
 
 class TestBarReach:
@@ -237,3 +244,59 @@ def test_three_rules_reach_the_four_rule_fixpoint(p, n, density, targets, seed):
     want, want_rounds = reference_saturate(a, FOUR_RULES)
     assert list(got.pairs()) == list(want.pairs())
     assert rounds == want_rounds
+
+
+REFERENCE_RULES = {rule_bar_reach: reference_rule_bar_reach, rule_bar_win: reference_rule_bar_win}
+
+
+def _rule_calls(a):
+    """Each rule call of one ``saturate(a)``: the rule, a copy of the store
+    as the call found it, and the ``since`` it was passed."""
+    calls = []
+
+    def recording(rule):
+        def call(a, r, since=None):
+            calls.append((rule, r.copy(), Since(since.columns, dict(since.winners))))
+            return rule(a, r, since)
+
+        return call
+
+    with mock.patch.object(nwr.engine, "RULES", tuple(recording(rule) for rule in RULES)):
+        saturate(a)
+    return calls
+
+
+def _drive(rule, a, rel, since):
+    """What ``rule`` yields when each pair is added as it comes, as
+    ``saturate`` adds it."""
+    pairs = []
+    for v, w in rule(a, rel, since):
+        pairs.append((v, w))
+        rel.add(v, w)
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(1, 12),
+    st.sampled_from([0.1, 0.15, 0.2, 0.3]),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+@example(12, 12, 0.15, 1, 0)
+def test_bit_rules_match_string_rules(p, n, density, targets, seed):
+    """On every store state a saturation meets, each bitmask rule yields
+    the pairs of its string reference in the same order: sweeping every
+    argument, and skipping against the round's ``since`` with the
+    almost-sure masks cached so far."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    for rule, rel, since in _rule_calls(a):
+        reference = REFERENCE_RULES.get(rule)
+        if reference is None:
+            continue
+        want = _drive(reference, a, rel.copy(), None)
+        assert _drive(rule, a, rel.copy(), None) == want
+        if since.columns is not None:
+            want = _drive(reference, a, rel.copy(), Since(since.columns, {}))
+            assert _drive(rule, a, rel.copy(), since) == want

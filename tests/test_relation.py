@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwr import ArenaFormatError, NwrRelation, candidate_universe, random_arena
+from nwr.arena import _dumps
 from _reference import ReferenceRelation
 
 
@@ -274,3 +275,33 @@ class TestFromJson:
         with pytest.raises(ArenaFormatError) as info:
             NwrRelation.from_json(doc, self.VERTS)
         assert message in str(info.value)
+
+
+_DOCS = st.recursive(
+    st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_dumps_matches_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(min_size=1, max_size=4), max_size=6, unique=True),
+    st.lists(st.tuples(st.integers(0, 5), st.sets(st.integers(0, 5), min_size=1)), max_size=8),
+)
+def test_to_json_matches_json_dumps(verts, picks):
+    """Vertex ids with quotes, escapes and non-ASCII characters, and the
+    relation over no vertices, whose pair list is empty."""
+    rel = NwrRelation(verts)
+    order = rel.vertices
+    for v, w in picks:
+        if order:
+            rel.add(order[v % len(order)], {order[x % len(order)] for x in w})
+    doc = [{"v": v, "W": sorted(w)} for v, w in rel.pairs()]
+    assert rel.to_json() == json.dumps(doc, indent=2)

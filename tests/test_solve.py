@@ -28,6 +28,7 @@ from nwr import (
     zero_set,
 )
 from _corpus import arena_suite, family_suite, random_chain
+import _reference
 
 
 class TestZeroSet:
@@ -101,6 +102,34 @@ def test_almost_sure_matches_reference(n_p, n_n, density, seed, data):
     extra = data.draw(st.sets(st.sampled_from(sorted(a.protagonist))))
     retargeted = TargetArena(a.protagonist, a.nature, a.edges, a.targets | extra)
     assert almost_sure_set(retargeted) == reference_almost_sure_set(retargeted)
+
+
+def _assert_extremal_sets_match(a):
+    assert zero_set(a) == _reference.reference_zero_set(a)
+    assert almost_sure_set(a) == _reference.reference_almost_sure_set(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(0, 10),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(0, 10_000),
+    st.data(),
+)
+def test_kernel_extremal_sets_match_string_search(n_p, n_n, density, seed, data):
+    a = random_arena(n_p, n_n, density, data.draw(st.integers(0, n_p)), seed)
+    _assert_extremal_sets_match(a)
+    extra = data.draw(st.sets(st.sampled_from(sorted(a.protagonist))))
+    _assert_extremal_sets_match(TargetArena(a.protagonist, a.nature, a.edges, a.targets | extra))
+
+
+def test_kernel_extremal_sets_on_an_end_component(mixer_arena, funnel, coin):
+    for a in (mixer_arena, funnel, coin):
+        prots = sorted(a.protagonist)
+        for k in range(1 << len(prots)):
+            targets = frozenset(p for i, p in enumerate(prots) if k >> i & 1)
+            _assert_extremal_sets_match(TargetArena(a.protagonist, a.nature, a.edges, targets))
 
 
 class TestChainProbabilities:
