@@ -22,7 +22,6 @@ from .arena import (
     make_arena,
     parse_arena,
     parse_family,
-    predecessor_map,
     random_arena,
     random_family,
     reach,

@@ -69,26 +69,19 @@ def make_arena(
 @lru_cache(maxsize=512)
 def _adjacency(
     protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
-) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
-    """Successor and predecessor lists, both sorted.  Keyed without the
-    targets, so the retargeted copies of an arena share one entry."""
+) -> dict[str, tuple[str, ...]]:
+    """Successor lists, sorted.  Keyed without the targets, so the
+    retargeted copies of an arena share one entry."""
     succ: dict[str, list[str]] = {v: [] for v in protagonist | nature}
-    pred: dict[str, list[str]] = {v: [] for v in succ}
     for u, w in sorted(edges):
         if u in succ and w in succ:
             succ[u].append(w)
-            pred[w].append(u)
-    return {v: tuple(ws) for v, ws in succ.items()}, {v: tuple(us) for v, us in pred.items()}
+    return {v: tuple(ws) for v, ws in succ.items()}
 
 
 def successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
     """Successors of every vertex, in sorted order.  Treat as read-only."""
-    return _adjacency(a.protagonist, a.nature, a.edges)[0]
-
-
-def predecessor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
-    """Predecessors of every vertex, in sorted order.  Treat as read-only."""
-    return _adjacency(a.protagonist, a.nature, a.edges)[1]
+    return _adjacency(a.protagonist, a.nature, a.edges)
 
 
 def _bits(m: int) -> Iterator[int]:

@@ -18,9 +18,18 @@ surface speaks plain strings and frozensets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .arena import ArenaFormatError, TargetArena, _bits, _dumps, _loads, _parse_ids, successor_map
+from .arena import (
+    ArenaFormatError,
+    TargetArena,
+    _adjacency,
+    _bits,
+    _dumps,
+    _loads,
+    _parse_ids,
+)
 
 
 def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
@@ -29,10 +38,21 @@ def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
     Singletons, full successor sets, and successor sets with one element
     deleted: exactly what the rules and the reduction steps consume, which
     keeps saturation polynomial instead of ranging over all subsets.
+    Cached for the last arena asked, keyed without the targets like
+    ``successor_map``: it and its retargeted copies get the same tuple.
     """
-    succ = successor_map(a)
-    sets: set[frozenset[str]] = {frozenset((v,)) for v in a.vertices}
-    for v in sorted(a.vertices):
+    return _universe(a.protagonist, a.nature, a.edges)
+
+
+# seed_relation, saturate and each round of rule_bar_reach read the
+# universe of the arena being saturated, so one entry catches every repeat
+@lru_cache(maxsize=1)
+def _universe(
+    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
+) -> tuple[frozenset[str], ...]:
+    succ = _adjacency(protagonist, nature, edges)
+    sets: set[frozenset[str]] = {frozenset((v,)) for v in succ}
+    for v in sorted(succ):
         sv = frozenset(succ[v])
         if sv:
             sets.add(sv)

@@ -1,12 +1,14 @@
 """Reachability probabilities, exactly and iteratively.
 
 Exact computations use rational arithmetic end to end: Markov chains are
-solved by sparse elimination over ``Fraction``, on the states that reach
-a target, and maximal MDP values by strategy improvement with exact chain
-evaluations.  The only floating point code is ``value_iteration``, kept
-as an independent approximate route for cross-checking.  Both MDP solvers
-look only at live actions, those that can reach a target: every other
-action scores zero and cannot change a value.
+solved by fraction-free sparse elimination on integer rows, on the states
+that reach a target, and maximal MDP values by strategy improvement with
+exact chain evaluations, scoring actions on integer numerators; results
+are ``Fraction`` values.  The only floating point code is
+``value_iteration``, kept as an independent approximate route for
+cross-checking.  Both MDP solvers look only at live actions, those that
+can reach a target: every other action scores zero and cannot change a
+value.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .arena import (
@@ -109,6 +113,13 @@ def almost_sure_set(a: TargetArena) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
+def _integer_weights(dist: Mapping[str, Fraction]) -> tuple[int, list[tuple[str, int]]]:
+    """The lcm ``L`` of the denominators of ``dist``'s non-zero entries,
+    and each such entry times ``L``, in ``dist``'s order."""
+    scale = lcm(*(p.denominator for p in dist.values() if p))
+    return scale, [(r, p.numerator * (scale // p.denominator)) for r, p in dist.items() if p]
+
+
 def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str]) -> dict[str, Fraction]:
     """Probability, per state, of reaching ``targets`` while staying in ``stay``.
 
@@ -118,65 +129,95 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
     zero.  Restricted that way, ``I - P`` is a nonsingular M-matrix, so
     sparse elimination with the diagonal pivots, taken in sorted order,
     never meets a zero pivot.  Each row holds only its non-zero entries.
+
+    The rows hold Python ints.  Each starts as its row of ``(I - P | b)``
+    times the lcm of its state's probability denominators
+    (``_integer_weights``).  Row ``i`` is then reduced against the
+    finished rows ``k < i``, in increasing ``k`` (fill-in included):
+    ``row_i <- pivot_k * row_i - f * row_k``, and ``rhs_i`` alike, after
+    which row and right-hand side are divided by their gcd so the entries
+    do not grow.  By induction each integer row is a positive multiple of
+    the row elimination over ``Fraction`` holds at the same step, so every
+    pivot is a positive multiple of a ``Fraction`` pivot, and the M-matrix
+    argument above still rules out a zero one.  Back-substitution keeps
+    each unknown as a reduced numerator and denominator pair.
     """
     interior = stay - targets
     preds: dict[str, list[str]] = {q: [] for q in c.states}
     for q in interior & c.states:
         for r, p in c.transition[q].items():
-            if p > 0 and r in preds:
+            if p.numerator > 0 and r in preds:
                 preds[r].append(q)
     order = sorted(reach(preds, targets) - targets)
     idx = {q: i for i, q in enumerate(order)}
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    # users[j]: the rows not yet eliminated that mention unknown j
-    users: list[set[int]] = [set() for _ in order]
+    # row k, once eliminated, reads pivots[k] x_k + sum(rows[k][j] x_j, j > k) = rhs[k]
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    pivots: list[int] = []
     for i, q in enumerate(order):
-        row = {i: Fraction(1)}
-        b = Fraction(0)
-        for r, p in c.transition[q].items():
-            if p == 0:
-                continue
+        scale, weights = _integer_weights(c.transition[q])
+        row = {i: scale}
+        b = 0
+        for r, w in weights:
             if r in targets:
-                b += p
+                b += w
             elif r in idx:
                 j = idx[r]
-                row[j] = row.get(j, 0) - p
-        for j in row:
-            users[j].add(i)
-        rows.append(row)
-        rhs.append(b)
-    for k, row in enumerate(rows):
-        pivot = row.pop(k, 0)
+                row[j] = row.get(j, 0) - w
+        # eliminate the unknowns before i in increasing order, fill-in too
+        lower = [j for j in row if j < i]
+        heapify(lower)
+        while lower:
+            k = heappop(lower)
+            f = row.pop(k, 0)
+            if not f:  # pushed twice, or cancelled to zero since
+                continue
+            pivot = pivots[k]
+            for j in row:
+                row[j] *= pivot
+            for j, x in rows[k].items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j < i and j not in row:
+                        heappush(lower, j)
+                    row[j] = y
+                else:
+                    del row[j]
+            b = b * pivot - f * rhs[k]
+            g = gcd(b, *row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                b //= g
+        pivot = row.pop(i, 0)
         if pivot == 0:
             raise ArithmeticError("singular linear system")
-        users[k].discard(k)
-        for j in row:
-            row[j] /= pivot
-            users[j].discard(k)
-        rhs[k] /= pivot
-        for i in users[k]:
-            other = rows[i]
-            f = other.pop(k)
-            for j, x in row.items():
-                y = other.get(j, 0) - f * x
-                if y:
-                    other[j] = y
-                    users[j].add(i)
-                else:
-                    other.pop(j, None)
-                    users[j].discard(i)
-            rhs[i] -= f * rhs[k]
-    # back-substitution: row k now reads x_k + sum(row[j] x_j, j > k) = rhs[k]
-    solved = [Fraction(0)] * len(order)
+        rows.append(row)
+        rhs.append(b)
+        pivots.append(pivot)
+    # back-substitution, with x_j kept as the reduced pair num[j] / den[j]
+    num = [0] * len(order)
+    den = [1] * len(order)
     for k in range(len(order) - 1, -1, -1):
-        solved[k] = rhs[k] - sum((x * solved[j] for j, x in rows[k].items()), Fraction(0))
+        n, d = rhs[k], 1
+        for j, x in rows[k].items():
+            dj = den[j]
+            if dj == d:
+                n -= x * num[j]
+            else:
+                g = gcd(d, dj)
+                n = n * (dj // g) - x * num[j] * (d // g)
+                d = d // g * dj
+        d *= pivots[k]
+        g = gcd(n, d)
+        num[k], den[k] = n // g, d // g
     out: dict[str, Fraction] = {}
     for q in c.states:
         if q in targets:
             out[q] = Fraction(1)
         elif q in idx:
-            out[q] = solved[idx[q]]
+            i = idx[q]
+            out[q] = Fraction(num[i], den[i])
         else:
             out[q] = Fraction(0)
     return out
@@ -242,12 +283,25 @@ def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
     zero and cannot improve.  Ties between new actions break toward the
     lexicographically smallest.  Returns the value vector and an optimal
     memoryless strategy.
+
+    Scoring runs on integers.  Each live action is a list of integer
+    weights over the lcm ``L`` of its probabilities' denominators, and each
+    round brings the values to one common denominator ``D``; an action's
+    score times ``L * D`` is then the sum of its weights times the value
+    numerators, and scores are compared by cross-multiplying with ``L``.
     """
     live = _live_actions(m)
     sigma: dict[str, str] = {}
     for (q, act) in sorted(m.transition):
         sigma.setdefault(q, act)
     sigma.update((q, acts[0]) for q, acts in live.items() if acts)
+    # the states that choose, sorted, each with its live actions in sorted
+    # order as (action, L, [(successor, weight)])
+    weighted = [
+        (q, [(act, *_integer_weights(m.transition[(q, act)])) for act in live[q]])
+        for q in sorted(sigma)
+        if q not in m.targets and live[q]
+    ]
 
     guard = 0
     while True:
@@ -255,20 +309,17 @@ def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
         if guard > 10_000:
             raise AssertionError("strategy improvement failed to converge")
         values = reach_prob_vector(induce_chain(m, sigma), m.targets)
+        common = lcm(*{v.denominator for v in values.values()})
+        num = {q: v.numerator * (common // v.denominator) for q, v in values.items()}
         changed = False
-        for q in sorted(sigma):
-            if q in m.targets or not live[q]:
-                continue
-            scores = {
-                act: sum(
-                    (p * values[r] for r, p in m.transition[(q, act)].items()),
-                    Fraction(0),
-                )
-                for act in live[q]
-            }
-            best = max(scores.values())
-            if best > values[q]:
-                sigma[q] = min(act for act, s in scores.items() if s == best)
+        for q, scored in weighted:
+            best_act, best_scale, best = None, 1, 0
+            for act, scale, weights in scored:
+                s = sum(w * num[r] for r, w in weights)
+                if best_act is None or s * best_scale > best * scale:
+                    best_act, best_scale, best = act, scale, s
+            if best > num[q] * best_scale:
+                sigma[q] = best_act
                 changed = True
         if not changed:
             return ValueVector(values, "exact"), sigma

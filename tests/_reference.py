@@ -13,26 +13,158 @@ at a time.  ``FOUR_RULES`` is the rule set saturation had before the bar
 rules and the closure were found to imply the other two:
 ``reference_rule_nature_equiv`` and ``reference_rule_prot_dominance``,
 which pruned successors first.  ``reference_trim_edges`` is the trim that
-restarted from the first edge after each removal.  The differential tests
-hold the fast paths to them.
+restarted from the first edge after each removal.
+``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
+are the chain solve and the strategy improvement over ``Fraction`` objects
+that the integer versions in ``nwr.solve`` replaced, and
+``predecessor_map`` the string adjacency the bit kernel left without a
+caller in the package.  The differential tests hold the fast paths to
+them.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from nwr import (
+    MarkovChain,
+    Mdp,
     TargetArena,
+    ValueVector,
     candidate_universe,
     essential_order,
+    induce_chain,
     mec_decomposition,
-    predecessor_map,
     reach,
     successor_map,
 )
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.relation import _bits
+from nwr.solve import _live_actions
+
+
+@lru_cache(maxsize=512)
+def _predecessors(
+    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
+) -> dict[str, tuple[str, ...]]:
+    pred: dict[str, list[str]] = {v: [] for v in protagonist | nature}
+    for u, w in sorted(edges):
+        if u in pred and w in pred:
+            pred[w].append(u)
+    return {v: tuple(us) for v, us in pred.items()}
+
+
+def predecessor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
+    """Predecessors of every vertex, in sorted order, cached without the
+    targets like ``successor_map``.  Treat as read-only."""
+    return _predecessors(a.protagonist, a.nature, a.edges)
+
+
+def reference_sparse_until_vector(
+    c: MarkovChain, stay: frozenset[str], targets: frozenset[str]
+) -> dict[str, Fraction]:
+    """``nwr.solve._until_vector`` over ``Fraction`` rows: the same
+    restriction to the states that reach a target inside ``stay`` and the
+    same sorted diagonal pivots, each row normalised by its pivot."""
+    interior = stay - targets
+    preds: dict[str, list[str]] = {q: [] for q in c.states}
+    for q in interior & c.states:
+        for r, p in c.transition[q].items():
+            if p > 0 and r in preds:
+                preds[r].append(q)
+    order = sorted(reach(preds, targets) - targets)
+    idx = {q: i for i, q in enumerate(order)}
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    # users[j]: the rows not yet eliminated that mention unknown j
+    users: list[set[int]] = [set() for _ in order]
+    for i, q in enumerate(order):
+        row = {i: Fraction(1)}
+        b = Fraction(0)
+        for r, p in c.transition[q].items():
+            if p == 0:
+                continue
+            if r in targets:
+                b += p
+            elif r in idx:
+                j = idx[r]
+                row[j] = row.get(j, 0) - p
+        for j in row:
+            users[j].add(i)
+        rows.append(row)
+        rhs.append(b)
+    for k, row in enumerate(rows):
+        pivot = row.pop(k, 0)
+        if pivot == 0:
+            raise ArithmeticError("singular linear system")
+        users[k].discard(k)
+        for j in row:
+            row[j] /= pivot
+            users[j].discard(k)
+        rhs[k] /= pivot
+        for i in users[k]:
+            other = rows[i]
+            f = other.pop(k)
+            for j, x in row.items():
+                y = other.get(j, 0) - f * x
+                if y:
+                    other[j] = y
+                    users[j].add(i)
+                else:
+                    other.pop(j, None)
+                    users[j].discard(i)
+            rhs[i] -= f * rhs[k]
+    # back-substitution: row k now reads x_k + sum(row[j] x_j, j > k) = rhs[k]
+    solved = [Fraction(0)] * len(order)
+    for k in range(len(order) - 1, -1, -1):
+        solved[k] = rhs[k] - sum((x * solved[j] for j, x in rows[k].items()), Fraction(0))
+    out: dict[str, Fraction] = {}
+    for q in c.states:
+        if q in targets:
+            out[q] = Fraction(1)
+        elif q in idx:
+            out[q] = solved[idx[q]]
+        else:
+            out[q] = Fraction(0)
+    return out
+
+
+def reference_max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str], int]:
+    """``nwr.solve.max_reach_values_exact`` scoring ``Fraction`` sums, each
+    strategy solved by ``reference_sparse_until_vector``; returns the
+    values, the strategy and the number of rounds."""
+    live = _live_actions(m)
+    sigma: dict[str, str] = {}
+    for (q, act) in sorted(m.transition):
+        sigma.setdefault(q, act)
+    sigma.update((q, acts[0]) for q, acts in live.items() if acts)
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > 10_000:
+            raise AssertionError("strategy improvement failed to converge")
+        chain = induce_chain(m, sigma)
+        values = reference_sparse_until_vector(chain, chain.states, m.targets)
+        changed = False
+        for q in sorted(sigma):
+            if q in m.targets or not live[q]:
+                continue
+            scores = {
+                act: sum(
+                    (p * values[r] for r, p in m.transition[(q, act)].items()),
+                    Fraction(0),
+                )
+                for act in live[q]
+            }
+            best = max(scores.values())
+            if best > values[q]:
+                sigma[q] = min(act for act, s in scores.items() if s == best)
+                changed = True
+        if not changed:
+            return ValueVector(values, "exact"), sigma, rounds
 
 
 class ReferenceRelation:

@@ -14,7 +14,6 @@ from nwr import (
     make_arena,
     parse_arena,
     parse_family,
-    predecessor_map,
     random_arena,
     random_family,
     reach,
@@ -24,6 +23,7 @@ from nwr import (
     validate_arena,
 )
 from nwr.arena import bit_graph, reach_bits
+from _reference import predecessor_map
 
 
 class TestValidate:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwr import ArenaFormatError, NwrRelation, candidate_universe, random_arena
+from nwr import ArenaFormatError, NwrRelation, TargetArena, candidate_universe, random_arena
 from nwr.arena import _dumps
 from _reference import ReferenceRelation
 
@@ -159,6 +159,12 @@ def test_universe_shapes(seed):
             if s - {x}:
                 assert s - {x} in universe
     assert frozenset() not in universe
+
+
+def test_universe_is_shared_by_retargeted_copies():
+    a = random_arena(6, 6, 0.3, 1, seed=1)
+    other = TargetArena(a.protagonist, a.nature, a.edges, frozenset())
+    assert candidate_universe(other) is candidate_universe(a)
 
 
 def _pick_set(verts, universe, j, inside):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from nwr import (
     vertex_values,
     zero_set,
 )
+from nwr import solve
 from _corpus import arena_suite, family_suite, random_chain
 import _reference
 
@@ -261,6 +263,74 @@ def test_chain_solver_matches_dense_reference(case):
         assert until_prob(chain, q, stay, targets) == want[q]
 
 
+#: Distribution weights: wide ones (up to 10**4, with the primes 9973 and
+#: 9967 and the prime powers 8192 and 6561) give rows with mixed coprime
+#: denominators, narrow ones give equal distributions and tied scores.
+WEIGHTS = st.one_of(
+    st.integers(1, 10_000), st.sampled_from([9973, 9967, 8192, 6561]), st.integers(1, 3)
+)
+
+
+@st.composite
+def wide_distributions(draw, states):
+    """A distribution over a drawn support, from ``WEIGHTS``, plus explicit
+    ``Fraction(0)`` entries on some states outside the support."""
+    support = draw(st.lists(st.sampled_from(states), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(WEIGHTS, min_size=len(support), max_size=len(support)))
+    dist = {r: Fraction(w, sum(weights)) for r, w in zip(support, weights)}
+    for r in draw(st.lists(st.sampled_from(states), max_size=2)):
+        dist.setdefault(r, Fraction(0))
+    return dist
+
+
+@st.composite
+def wide_chains(draw):
+    """A chain with self-loops, absorbing states, explicit zero entries and
+    mixed denominators, plus a target set and a stay set, usually smaller
+    than the state set."""
+    n = draw(st.integers(1, 9))
+    states = [f"q{i}" for i in range(n)]
+    transition = {}
+    for q in states:
+        if draw(st.integers(0, 4)) == 0:
+            transition[q] = {q: Fraction(1)}
+        else:
+            transition[q] = draw(wide_distributions(states))
+    targets = draw(st.sets(st.sampled_from(states), max_size=3))
+    stay = draw(st.sets(st.sampled_from(states), max_size=max(n - 1, 0)))
+    if draw(st.integers(0, 3)) == 0:
+        stay = set(states)
+    return MarkovChain(frozenset(states), transition), frozenset(targets), frozenset(stay)
+
+
+ZERO_ENTRIES = (
+    MarkovChain(
+        frozenset({"a", "b", "t", "z"}),
+        {
+            "a": {"b": Fraction(2, 7), "t": Fraction(0), "z": Fraction(5, 7)},
+            "b": {"a": Fraction(0), "b": Fraction(1, 9991), "t": Fraction(9990, 9991)},
+            "t": {"t": Fraction(1)},
+            "z": {"z": Fraction(1)},
+        },
+    ),
+    frozenset({"t"}),
+    frozenset({"a", "b"}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_chains())
+@example(ZERO_ENTRIES)
+def test_integer_chain_solver_matches_fraction_reference(case):
+    chain, targets, stay = case
+    got = {q: until_prob(chain, q, stay, targets) for q in sorted(chain.states)}
+    assert got == _reference.reference_sparse_until_vector(chain, stay, targets)
+    assert all(type(v) is Fraction for v in got.values())
+    got = reach_prob_vector(chain, targets)
+    assert got == _reference.reference_sparse_until_vector(chain, chain.states, targets)
+    assert all(type(v) is Fraction for v in got.values())
+
+
 def brute_force_max_values(m: Mdp) -> dict[str, Fraction]:
     """Independent oracle: enumerate every memoryless strategy."""
     choices: dict[str, list[str]] = {}
@@ -434,6 +504,52 @@ def test_exact_strategy_starts_at_first_live_action():
     assert sigma == {"p": "c", "t": "a", "z": "a"}
     assert vv.values == {"p": 1, "t": 1, "z": 0}
     assert value_iteration(m).values == {"p": 1.0, "t": 1.0, "z": 0.0}
+
+
+@st.composite
+def mdps_with_ties(draw):
+    """An MDP whose actions carry wide distributions, self-loops and zero
+    entries; some states have none, and some actions copy an earlier
+    action of their state under another name, so two actions tie."""
+    n = draw(st.integers(1, 10))
+    states = [f"s{i}" for i in range(n)]
+    transition = {}
+    for q in states:
+        names = draw(st.lists(st.sampled_from("abcde"), max_size=5, unique=True))
+        dists = []
+        for act in names:
+            if dists and draw(st.booleans()):
+                dist = dict(draw(st.sampled_from(dists)))
+            else:
+                dist = draw(wide_distributions(states))
+            dists.append(dist)
+            transition[(q, act)] = dist
+    targets = draw(st.sets(st.sampled_from(states), max_size=2))
+    return Mdp(frozenset(states), transition, frozenset(targets))
+
+
+@st.composite
+def arenas_with_wide_families(draw):
+    """A random arena and a family whose weights come from ``WEIGHTS``."""
+    a, _ = draw(arenas_with_families())
+    succ = successor_map(a)
+    mu = {}
+    for u in sorted(a.nature):
+        weights = draw(st.lists(WEIGHTS, min_size=len(succ[u]), max_size=len(succ[u])))
+        mu[u] = {v: Fraction(w, sum(weights)) for v, w in zip(succ[u], weights)}
+    return instantiate_mdp(a, mu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mdps_with_ties(), arenas_with_wide_families()))
+def test_integer_strategy_improvement_matches_fraction_reference(m):
+    with mock.patch.object(solve, "reach_prob_vector", wraps=solve.reach_prob_vector) as solves:
+        vv, sigma = max_reach_values_exact(m)
+    want, want_sigma, rounds = _reference.reference_max_reach_values_exact(m)
+    assert dict(vv.values) == dict(want.values)
+    assert all(type(v) is Fraction for v in vv.values.values())
+    assert sigma == want_sigma
+    assert solves.call_count == rounds
 
 
 DENSE_SINK = "__sink__"
