@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 DistributionFamily = Mapping[str, Mapping[str, Fraction]]
@@ -232,10 +233,19 @@ def validate_family(a: TargetArena, mu: DistributionFamily) -> None:
     vertex, all probabilities must be positive rationals, and each
     distribution must sum to one.
     """
+    _family_rows(a, mu)
+
+
+def _family_rows(a: TargetArena, mu: DistributionFamily) -> dict[str, dict[str, Fraction]]:
+    """``validate_family``, returning each distribution with its
+    probabilities as ``Fraction`` values, in ``mu``'s own order.  Each
+    probability is converted once, and each sum is checked on integers
+    over the lcm of the distribution's denominators."""
     succ = successor_map(a)
     extra = set(mu) - set(a.nature)
     if extra:
         raise FamilyError(f"family defined on non-Nature vertex {min(extra)}")
+    rows: dict[str, dict[str, Fraction]] = {}
     for u in sorted(a.nature):
         if u not in mu:
             raise FamilyError(f"family missing Nature vertex {u}")
@@ -245,14 +255,20 @@ def validate_family(a: TargetArena, mu: DistributionFamily) -> None:
             raise FamilyError(
                 f"family at {u} has support {sorted(dist)}; expected {sorted(expected)}"
             )
-        total = Fraction(0)
+        row: dict[str, Fraction] = {}
         for v in sorted(dist):
-            p = Fraction(dist[v])
+            p = dist[v]
+            if type(p) is not Fraction:
+                p = Fraction(p)
             if p <= 0:
                 raise FamilyError(f"family at {u} is not full support on {v}")
-            total += p
-        if total != 1:
+            row[v] = p
+        scale = lcm(*(p.denominator for p in row.values()))
+        if sum(p.numerator * (scale // p.denominator) for p in row.values()) != scale:
+            total = sum(row.values(), Fraction(0))
             raise FamilyError(f"family at {u} sums to {total}, not 1")
+        rows[u] = {v: row[v] for v in dist}
+    return rows
 
 
 @dataclass(frozen=True)
@@ -282,10 +298,10 @@ def instantiate_mdp(a: TargetArena, mu: DistributionFamily) -> Mdp:
     Nature vertex is one action ``(p, n)``, which follows ``mu[n]``; a
     Protagonist vertex without successors has no action.
     """
-    validate_family(a, mu)
+    rows = _family_rows(a, mu)
     succ = successor_map(a)
     transition = {
-        (p, n): {v: Fraction(q) for v, q in mu[n].items()}
+        (p, n): rows[n]
         for p in sorted(a.protagonist)
         for n in succ[p]
         if n in a.nature

@@ -186,7 +186,7 @@ def _cmd_relate(args) -> int:
             for w in sorted(arena.vertices):
                 if v == w or rel.holds(v, (w,)):
                     continue
-                if decide_nwr(arena, v, {w}, limit=args.limit).holds:
+                if decide_nwr(arena, v, {w}, limit=args.limit, relation=rel).holds:
                     rel.add(v, (w,))
     _, cmap = quotient(arena, rel)
     classes: dict[str, list[str]] = {}

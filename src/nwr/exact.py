@@ -8,6 +8,15 @@ Such a layering, found here by search over simple paths plus a canonical
 greedy construction of the lower layers, doubles as a checkable
 certificate; from it one can synthesize a concrete full-support family
 that separates the values across one half.
+
+The search and the layering run on the masks of ``arena.bit_graph``.  The
+path search enters only vertices that reach a target without passing
+through ``W``.  Given a sound relation, it also skips every vertex ``u``
+with ``u <= W`` already proven.  This is the decision cut: the path of a
+certificate holds no such ``u``, because under the certificate's epsilon
+witness ``u`` is worth more than one half and all of ``W`` less (see
+``decide_nwr``).  So the first valid path, the verdict and the
+certificate stay the same.
 """
 
 from __future__ import annotations
@@ -18,7 +27,17 @@ from fractions import Fraction
 import json
 from typing import Iterable, Iterator, Optional
 
-from .arena import TargetArena, _load_document, _parse_ids, random_family, successor_map
+from .arena import (
+    BitGraph,
+    TargetArena,
+    _load_document,
+    _parse_ids,
+    bit_graph,
+    random_family,
+    reach_bits,
+    successor_map,
+)
+from .relation import NwrRelation
 from .solve import vertex_values
 
 
@@ -136,66 +155,87 @@ def verify_certificate(
     return bool(wset) and wset <= below
 
 
-def _simple_target_paths(a: TargetArena, v: str) -> Iterator[tuple[str, ...]]:
-    """All simple paths from ``v`` ending at a target, depth-first with
-    sorted successors (deterministic order).  A path reaching a target is
-    yielded and then extended past it.  Iterative, so path length is not
+def _target_paths(
+    g: BitGraph, v: int, targets: int, allowed: int
+) -> Iterator[tuple[list[int], int]]:
+    """Every simple path from vertex ``v`` through ``allowed`` that ends at
+    a target, depth-first with successors in increasing bit order, which
+    is sorted order.  A path reaching a target is yielded and then
+    extended past it.  Yields the path's vertex indices, which the search
+    goes on to change, and its mask.  Iterative, so path length is not
     bounded by the interpreter's recursion limit."""
-    succ = successor_map(a)
+    if not allowed >> v & 1:
+        return
+    succ = g.succ
     path = [v]
-    seen = {v}
-    branches = [iter(succ[v])]
-    if v in a.targets:
-        yield (v,)
+    seen = 1 << v
+    # per path vertex, the successors not tried yet
+    branches = [succ[v] & allowed]
+    if targets & seen:
+        yield path, seen
     while branches:
-        for y in branches[-1]:
-            if y not in seen:
-                path.append(y)
-                seen.add(y)
-                if y in a.targets:
-                    yield tuple(path)
-                branches.append(iter(succ[y]))
-                break
+        rest = branches[-1] & ~seen
+        if rest:
+            low = rest & -rest
+            branches[-1] = rest ^ low
+            y = low.bit_length() - 1
+            path.append(y)
+            seen |= low
+            if targets & low:
+                yield path, seen
+            branches.append(succ[y] & allowed)
         else:
             branches.pop()
-            seen.remove(path.pop())
+            seen ^= 1 << path.pop()
 
 
-def _greedy_layers(a: TargetArena, pinned_top: set[str]) -> tuple[list[frozenset[str]], set[str]]:
-    """Build maximal valid layers bottom-up underneath a pinned top set.
+def _greedy_layers(g: BitGraph, pinned_top: int) -> tuple[list[int], int]:
+    """Build maximal valid layers bottom-up underneath a pinned top mask.
 
     Each layer is the largest set of still-free vertices whose Protagonist
     members have no edge above it and whose Nature members pointing above
     also point into an already-placed layer.  Maximal layers are
     canonical: moving any closed or valid set downward never invalidates a
     layering, so this greedy succeeds whenever any layering does.
+
+    Within a layer the placed vertices are fixed and the candidate set
+    only shrinks, so a vertex can gain an upward edge only when one of its
+    successors is dropped: after the first sweep, only the predecessors of
+    the vertices just dropped are tested again.  Returns the layers,
+    bottom first, and their union.
     """
-    succ = successor_map(a)
-    placed: set[str] = set()
-    layers: list[frozenset[str]] = []
-    remaining = set(a.vertices) - pinned_top
+    succ, pred = g.succ, g.pred
+    placed = below = 0  # ``below``: the vertices with a successor placed
+    layers: list[int] = []
+    remaining = g.full & ~pinned_top
     while remaining:
-        m = set(remaining)
-        while True:
-            drop = set()
-            for x in m:
-                up = False
-                down = False
-                for y in succ[x]:
-                    if y in placed:
-                        down = True
-                    elif y not in m:
-                        up = True
-                if up and (x in a.protagonist or not down):
-                    drop.add(x)
-            if not drop:
-                break
-            m -= drop
+        # only these may have to leave the layer for an upward edge
+        fragile = g.protagonist | ~below
+        m = remaining
+        test = m & fragile
+        while test:  # ``_bits`` inlined: the innermost loop of decision
+            outside = ~(placed | m)
+            drop = 0
+            while test:
+                low = test & -test
+                test ^= low
+                if succ[low.bit_length() - 1] & outside:
+                    drop |= low
+            m ^= drop
+            while drop:
+                low = drop & -drop
+                drop ^= low
+                test |= pred[low.bit_length() - 1]
+            test &= m & fragile
         if not m:
             break
-        layers.append(frozenset(m))
+        layers.append(m)
         placed |= m
-        remaining -= m
+        remaining ^= m
+        while m:
+            low = m & -m
+            m ^= low
+            below |= pred[low.bit_length() - 1]
     return layers, placed
 
 
@@ -209,7 +249,13 @@ def check_size(a: TargetArena, limit: int) -> None:
         )
 
 
-def decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 10) -> NwrDecision:
+def decide_nwr(
+    a: TargetArena,
+    v: str,
+    w: Iterable[str],
+    limit: int = 10,
+    relation: Optional[NwrRelation] = None,
+) -> NwrDecision:
     """Decide ``v <= W`` exactly; refutations come with a certificate.
 
     Enumerates simple paths from ``v`` to the targets in canonical order;
@@ -217,6 +263,18 @@ def decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 10) -> Nwr
     below the layer holding the path and the targets (refuted,
     certificate emitted) or proves no layering exists for that path.
     Complete: the relation fails iff some path admits such a layering.
+
+    The search never enters a vertex of ``W``, since no certificate's path
+    holds one, nor a vertex that cannot reach a target without doing so.
+    Given a sound ``relation`` over the arena's vertices (``saturate``'s,
+    say), it also never enters a vertex ``u`` with ``u <= W`` stored
+    there.  This cut keeps the first valid path, and so the certificate:
+    under the epsilon witness of a certificate (``epsilon_witness``),
+    every vertex of its path reaches a target along the path with
+    probability at least ``(1 - eps)**n > 1/2``, while every vertex of
+    ``W`` sits below the top layer and has value under 1/2, so a path
+    through ``u`` would refute ``u <= W``.  Raise ``ValueError`` when the
+    relation is over other vertices.
     """
     wset = frozenset(w)
     if not wset:
@@ -224,16 +282,24 @@ def decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 10) -> Nwr
     unknown = ({v} | wset) - a.vertices
     if unknown:
         raise ValueError(f"unknown vertex {min(unknown)}")
+    g = bit_graph(a)
+    if relation is not None and relation.vertices != g.order:
+        raise ValueError("the relation is over other vertices than the arena")
     check_size(a, limit)
     if v in wset or wset & a.targets:
         return NwrDecision(True)
-    for path in _simple_target_paths(a, v):
-        if wset & set(path):
-            continue
-        layers, placed = _greedy_layers(a, set(path) | a.targets)
-        if wset <= placed:
-            top = frozenset(a.vertices - placed)
-            cert = NwrCertificate(tuple(layers) + (top,), path, v, wset)
+    wmask, targets = g.mask(wset), g.mask(a.targets)
+    avoid = wmask if relation is None else wmask | relation.column(wmask)
+    allowed = reach_bits(g.pred, targets & ~avoid, avoid)
+    for path, seen in _target_paths(g, g.index[v], targets, allowed):
+        layers, placed = _greedy_layers(g, seen | targets)
+        if not wmask & ~placed:
+            cert = NwrCertificate(
+                tuple(map(g.unmask, layers)) + (g.unmask(g.full & ~placed),),
+                tuple(g.order[i] for i in path),
+                v,
+                wset,
+            )
             return NwrDecision(False, cert)
     return NwrDecision(True)
 

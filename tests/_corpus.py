@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from nwr import MarkovChain, TargetArena, random_arena, random_family, successor_map
+from nwr import MarkovChain, TargetArena, make_digraph, random_arena, random_family, successor_map
 
 
 def arena_suite(count: int, seed: int, max_p: int = 6, max_n: int = 6, min_p: int = 1):
@@ -26,6 +26,15 @@ def several_target_arenas(count: int):
     """Yield ``count`` small random arenas with one to three targets."""
     for s in range(count):
         yield random_arena(3 + s % 8, 2 + s % 6, [0.2, 0.3, 0.4][s % 3], 1 + s % 3, 11000 + s)
+
+
+def digraph_instance(n: int, density: float, seed: int):
+    """A random digraph on ``x0`` .. ``x{n-1}`` and four distinct
+    terminals ``(s1, t1, s2, t2)`` for a 2DP instance."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(n)]
+    edges = {(u, v) for u in names for v in names if u != v and rng.random() < density}
+    return make_digraph(names, edges), tuple(rng.sample(names, 4))
 
 
 def family_suite(a: TargetArena, count: int, seed: int, max_denominator: int = 24):

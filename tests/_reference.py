@@ -18,7 +18,10 @@ restarted from the first edge after each removal.
 are the chain solve and the strategy improvement over ``Fraction`` objects
 that the integer versions in ``nwr.solve`` replaced, and
 ``predecessor_map`` the string adjacency the bit kernel left without a
-caller in the package.  The differential tests hold the fast paths to
+caller in the package.  ``reference_simple_target_paths``,
+``reference_greedy_layers`` and ``reference_decide_nwr`` are the exact
+decision over string paths and sets that ``nwr.exact`` moved onto the bit
+kernel.  The differential tests hold the fast paths to
 them.
 """
 
@@ -32,6 +35,8 @@ from typing import Iterable, Iterator
 from nwr import (
     MarkovChain,
     Mdp,
+    NwrCertificate,
+    NwrDecision,
     TargetArena,
     ValueVector,
     candidate_universe,
@@ -42,6 +47,7 @@ from nwr import (
     successor_map,
 )
 from nwr.engine import rule_bar_reach, rule_bar_win
+from nwr.exact import check_size
 from nwr.relation import _bits
 from nwr.solve import _live_actions
 
@@ -513,3 +519,86 @@ def reference_trim_edges(a, r):
         succ[w].discard(x)
         removed.append(((w, x), (x, rest)))
     return TargetArena(a.protagonist, a.nature, frozenset(edges), a.targets), removed
+
+
+def reference_simple_target_paths(a: TargetArena, v: str) -> Iterator[tuple[str, ...]]:
+    """All simple paths from ``v`` ending at a target, depth-first with
+    sorted successors (deterministic order).  A path reaching a target is
+    yielded and then extended past it.  Iterative, so path length is not
+    bounded by the interpreter's recursion limit."""
+    succ = successor_map(a)
+    path = [v]
+    seen = {v}
+    branches = [iter(succ[v])]
+    if v in a.targets:
+        yield (v,)
+    while branches:
+        for y in branches[-1]:
+            if y not in seen:
+                path.append(y)
+                seen.add(y)
+                if y in a.targets:
+                    yield tuple(path)
+                branches.append(iter(succ[y]))
+                break
+        else:
+            branches.pop()
+            seen.remove(path.pop())
+
+
+def reference_greedy_layers(
+    a: TargetArena, pinned_top: set[str]
+) -> tuple[list[frozenset[str]], set[str]]:
+    """Build maximal valid layers bottom-up underneath a pinned top set,
+    dropping every vertex with a forbidden upward edge at once, round
+    after round, until a layer is stable."""
+    succ = successor_map(a)
+    placed: set[str] = set()
+    layers: list[frozenset[str]] = []
+    remaining = set(a.vertices) - pinned_top
+    while remaining:
+        m = set(remaining)
+        while True:
+            drop = set()
+            for x in m:
+                up = False
+                down = False
+                for y in succ[x]:
+                    if y in placed:
+                        down = True
+                    elif y not in m:
+                        up = True
+                if up and (x in a.protagonist or not down):
+                    drop.add(x)
+            if not drop:
+                break
+            m -= drop
+        if not m:
+            break
+        layers.append(frozenset(m))
+        placed |= m
+        remaining -= m
+    return layers, placed
+
+
+def reference_decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 10) -> NwrDecision:
+    """``decide_nwr`` over every simple target path, skipping those that
+    hold a vertex of ``W``, with the greedy layering for each."""
+    wset = frozenset(w)
+    if not wset:
+        raise ValueError("W must be non-empty")
+    unknown = ({v} | wset) - a.vertices
+    if unknown:
+        raise ValueError(f"unknown vertex {min(unknown)}")
+    check_size(a, limit)
+    if v in wset or wset & a.targets:
+        return NwrDecision(True)
+    for path in reference_simple_target_paths(a, v):
+        if wset & set(path):
+            continue
+        layers, placed = reference_greedy_layers(a, set(path) | a.targets)
+        if wset <= placed:
+            top = frozenset(a.vertices - placed)
+            cert = NwrCertificate(tuple(layers) + (top,), path, v, wset)
+            return NwrDecision(False, cert)
+    return NwrDecision(True)

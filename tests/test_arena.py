@@ -82,6 +82,47 @@ class TestInstantiate:
             instantiate_mdp(coin, {"n0": {"t": Fraction(1)}})
         assert "n0" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            ({"t": Fraction(1, 3), "f": Fraction(1, 2)}, "family at n0 sums to 5/6, not 1"),
+            ({"t": Fraction(2, 3), "f": Fraction(1, 2)}, "family at n0 sums to 7/6, not 1"),
+            ({"t": Fraction(1, 2), "f": Fraction(0)}, "family at n0 is not full support on f"),
+            ({"t": Fraction(-1, 2), "f": 0}, "family at n0 is not full support on f"),
+            ({"t": 2, "f": Fraction(-1)}, "family at n0 is not full support on f"),
+        ],
+    )
+    def test_family_errors_keep_their_text(self, coin, dist, message):
+        with pytest.raises(FamilyError) as err:
+            instantiate_mdp(coin, {"n0": dist})
+        assert str(err.value) == message
+
+    def test_probabilities_convert_once_in_family_order(self, coin):
+        # ints, floats and strings become Fractions; the row keeps the
+        # family's own key order, which the float solver sums in
+        m = instantiate_mdp(coin, {"n0": {"t": "1/4", "f": 0.75}})
+        dist = m.transition[("v0", "n0")]
+        assert list(dist.items()) == [("t", Fraction(1, 4)), ("f", Fraction(3, 4))]
+        assert all(type(p) is Fraction for p in dist.values())
+        m = instantiate_mdp(coin, {"n0": {"f": Fraction(1, 7), "t": Fraction(6, 7)}})
+        assert list(m.transition[("v0", "n0")]) == ["f", "t"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=1), min_size=1, max_size=6))
+    def test_integer_sum_check_matches_fraction_sum(self, probs):
+        succ = [f"s{i}" for i in range(len(probs))]
+        a = make_arena(["p"] + succ, ["n"], [("p", "n")] + [("n", s) for s in succ], [])
+        mu = {"n": dict(zip(succ, probs))}
+        if sum(probs, Fraction(0)) == 1:
+            assert instantiate_mdp(a, mu).transition[("p", "n")] == mu["n"]
+        else:
+            with pytest.raises(FamilyError, match=f"sums to {sum(probs, Fraction(0))}, not 1"):
+                instantiate_mdp(a, mu)
+        last = 1 - sum(probs[:-1], Fraction(0))
+        if last > 0:  # the same support, now summing to one
+            mu["n"][succ[-1]] = last
+            assert instantiate_mdp(a, mu).transition[("p", "n")] == mu["n"]
+
     def test_rows_sum_to_one_on_random_instances(self):
         for seed in range(25):
             a = random_arena(4, 3, 0.5, 1, seed=seed)

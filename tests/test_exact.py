@@ -2,22 +2,34 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nwr import (
     NwrCertificate,
+    NwrRelation,
     SizeLimitError,
     decide_nwr,
     default_epsilon,
     epsilon_witness,
     make_arena,
+    random_arena,
+    reduce_2dp,
     sample_falsify,
+    saturate,
     successor_map,
     verify_certificate,
     verify_drift_partition,
     vertex_values,
 )
-from nwr.exact import _simple_target_paths
-from _corpus import arena_suite, ordered_set_partitions
+from nwr.arena import bit_graph
+from nwr.exact import _greedy_layers, _target_paths
+from _corpus import arena_suite, digraph_instance, ordered_set_partitions
+from _reference import (
+    reference_decide_nwr,
+    reference_greedy_layers,
+    reference_simple_target_paths,
+)
 
 
 def brute_refutable(a, v, w_set) -> bool:
@@ -149,11 +161,11 @@ class TestDecide:
         a = make_arena(
             ["v", "t", "u"], ["n", "m"], [("v", "n"), ("n", "t"), ("t", "m"), ("m", "u")], ["t", "u"]
         )
-        assert list(_simple_target_paths(a, "v")) == [
+        assert list(reference_simple_target_paths(a, "v")) == [
             ("v", "n", "t"),
             ("v", "n", "t", "m", "u"),
         ]
-        assert list(_simple_target_paths(a, "t")) == [("t",), ("t", "m", "u")]
+        assert list(reference_simple_target_paths(a, "t")) == [("t",), ("t", "m", "u")]
 
     def test_matches_partition_enumeration(self):
         rng = random.Random(13)
@@ -168,6 +180,105 @@ class TestDecide:
                 assert got.holds == (not brute_refutable(a, v, w))
                 if not got.holds:
                     assert verify_certificate(a, got.certificate, v, w)
+
+
+def _decided_relation(a):
+    """The relation ``relate --exact`` ends with: saturation plus every
+    singleton pair the reference decision proves, added in its order."""
+    rel = saturate(a)
+    for v in sorted(a.vertices):
+        for w in sorted(a.vertices):
+            if v != w and not rel.holds(v, (w,)):
+                if reference_decide_nwr(a, v, {w}, limit=len(a.vertices)).holds:
+                    rel.add(v, (w,))
+    return rel
+
+
+RELATIONS = {"none": lambda a: None, "saturated": saturate, "decided": _decided_relation}
+
+
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.sampled_from([0.2, 0.3, 0.4, 0.6]),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+    st.data(),
+)
+def test_decision_matches_string_reference(relation, p, n, density, targets, seed, data):
+    """Same verdict and same certificate as the search over string paths,
+    with or without a relation to cut by, for one or two vertices in W."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    rel = RELATIONS[relation](a)
+    verts = sorted(a.vertices)
+    for _ in range(4):
+        v = data.draw(st.sampled_from(verts))
+        w = data.draw(st.sets(st.sampled_from(verts), min_size=1, max_size=2))
+        want = reference_decide_nwr(a, v, w, limit=len(verts))
+        assert decide_nwr(a, v, w, limit=len(verts), relation=rel) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 9), st.sampled_from([0.2, 0.25, 0.3, 0.4]), st.integers(0, 10_000))
+def test_2dp_decision_matches_string_reference(n, density, seed):
+    graph, terminals = digraph_instance(n, density, seed)
+    try:
+        a, source, against = reduce_2dp(graph, *terminals)
+    except ValueError:
+        assume(False)
+    size = len(a.vertices)
+    want = reference_decide_nwr(a, source, against, limit=size)
+    assert decide_nwr(a, source, against, limit=size) == want
+    assert decide_nwr(a, source, against, limit=size, relation=saturate(a)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.sampled_from([0.2, 0.3, 0.5]),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+    st.data(),
+)
+def test_worklist_layering_matches_round_sweeps(p, n, density, targets, seed, data):
+    a = random_arena(p, n, density, min(targets, p), seed)
+    pinned = data.draw(st.sets(st.sampled_from(sorted(a.vertices))))
+    g = bit_graph(a)
+    layers, placed = _greedy_layers(g, g.mask(pinned))
+    want_layers, want_placed = reference_greedy_layers(a, set(pinned))
+    assert [g.unmask(m) for m in layers] == want_layers
+    assert g.unmask(placed) == want_placed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.sampled_from([0.2, 0.3, 0.5]),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+)
+def test_mask_paths_match_string_paths(p, n, density, targets, seed):
+    """Unpruned, the mask search yields every simple target path, in the
+    same order."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    g = bit_graph(a)
+    for v in sorted(a.vertices):
+        paths = _target_paths(g, g.index[v], g.mask(a.targets), g.full)
+        got = [(tuple(g.order[i] for i in path), seen) for path, seen in paths]
+        assert [path for path, _ in got] == list(reference_simple_target_paths(a, v))
+        assert all(seen == g.mask(path) for path, seen in got)
+
+
+def test_relation_over_other_vertices_is_refused(coin):
+    with pytest.raises(ValueError):
+        decide_nwr(coin, "t", {"v0"}, relation=NwrRelation(["t", "v0", "f"]))
+    with pytest.raises(ValueError):
+        decide_nwr(coin, "t", {"v0"}, relation=NwrRelation(coin.vertices | {"x"}))
+    assert not decide_nwr(coin, "t", {"v0"}, relation=saturate(coin)).holds
 
 
 class TestEpsilonWitness:
