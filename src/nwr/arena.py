@@ -357,19 +357,22 @@ def _loads(text: str) -> object:
 
 def _dumps(doc: object, margin: str = "\n") -> str:
     """``json.dumps(doc, indent=2)`` for a document of lists, string-keyed
-    objects and strings, through the C string encoder: ``indent`` makes
+    objects, strings and scalars, through the C encoders: ``indent`` makes
     ``json.dumps`` fall back to its pure-Python encoder, which costs more
-    than the saturation behind a large relation.  ``margin`` is the line
-    break and indentation that close ``doc``."""
+    than the saturation behind a large relation.  Every JSON output of the
+    package is written here.  ``margin`` is the line break and indentation
+    that close ``doc``."""
     if isinstance(doc, str):
         return encode_basestring_ascii(doc)
     inner = margin + "  "
     if isinstance(doc, dict):
         items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in doc.items()]
         opening, closing = "{", "}"
-    else:
+    elif isinstance(doc, (list, tuple)):
         items = [_dumps(x, inner) for x in doc]
         opening, closing = "[", "]"
+    else:
+        return json.dumps(doc)
     if not items:
         return opening + closing
     return opening + inner + ("," + inner).join(items) + margin + closing
@@ -482,7 +485,7 @@ def serialize_arena(a: TargetArena) -> str:
         for v in sorted(a.vertices)
     ]
     edges = [[u, v] for u, v in sorted(a.edges)]
-    return json.dumps({"vertices": vertices, "edges": edges}, indent=2, sort_keys=True)
+    return _dumps({"edges": edges, "vertices": vertices})
 
 
 def parse_family(text: str) -> dict[str, dict[str, Fraction]]:
@@ -508,8 +511,7 @@ def parse_family(text: str) -> dict[str, dict[str, Fraction]]:
 
 
 def serialize_family(mu: DistributionFamily) -> str:
-    doc = {u: {v: str(Fraction(p)) for v, p in dist.items()} for u, dist in mu.items()}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _dumps({u: {v: str(Fraction(p)) for v, p in sorted(d.items())} for u, d in sorted(mu.items())})
 
 
 def arena_to_dot(a: TargetArena) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from functools import cache
@@ -40,7 +39,7 @@ from .exact import (
     epsilon_witness,
     verify_certificate,
 )
-from .reduce import quotient, reduce_fixpoint
+from .reduce import proven_classes, reduce_fixpoint
 from .solve import value_iteration, vertex_values
 from .twodp import parse_digraph, reduce_2dp, solve_2dp_oracle
 
@@ -172,7 +171,7 @@ def _cmd_solve(args) -> int:
     for vertex in sorted(vv.values):
         print(f"{vertex} = {vv.values[vertex]}")
     if args.out:
-        _emit(json.dumps(vv.to_json_dict(), indent=2), args.out)
+        _emit(_dumps(vv.to_json_dict()), args.out)
     return 0
 
 
@@ -188,9 +187,8 @@ def _cmd_relate(args) -> int:
                     continue
                 if decide_nwr(arena, v, {w}, limit=args.limit, relation=rel).holds:
                     rel.add(v, (w,))
-    _, cmap = quotient(arena, rel)
     classes: dict[str, list[str]] = {}
-    for vertex, cls in cmap.items():
+    for vertex, cls in proven_classes(arena, rel).items():
         classes.setdefault(cls, []).append(vertex)
     doc = {
         "pairs": [{"v": v, "W": sorted(w)} for v, w in rel.pairs()],
@@ -205,7 +203,6 @@ def _cmd_relate(args) -> int:
 def _cmd_reduce(args) -> int:
     arena = _load_arena(args.arena)
     reduced, report = reduce_fixpoint(arena)
-    doc = report.to_json_dict()
     print(
         f"vertices {report.original_vertices} -> {report.reduced_vertices}, "
         f"edges {report.original_edges} -> {report.reduced_edges}, "
@@ -214,7 +211,7 @@ def _cmd_reduce(args) -> int:
     if args.out:
         _emit(serialize_arena(reduced), args.out)
     if args.report:
-        _emit(json.dumps(doc, indent=2), args.report)
+        _emit(report.to_json(), args.report)
     if args.dot:
         args.dot.write_text(arena_to_dot(reduced), encoding="utf-8")
     return 0

@@ -24,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 from typing import Iterable, Iterator, Optional
 
 from .arena import (
     BitGraph,
     TargetArena,
+    _dumps,
     _load_document,
     _parse_ids,
     bit_graph,
@@ -56,14 +56,13 @@ class NwrCertificate:
     W: frozenset[str]
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _dumps(
             {
                 "layers": [sorted(layer) for layer in self.layers],
                 "path": list(self.path),
                 "v": self.v,
                 "W": sorted(self.W),
-            },
-            indent=2,
+            }
         )
 
     @classmethod

@@ -10,12 +10,11 @@ alternates them with fresh saturations until nothing changes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arena import DistributionFamily, TargetArena, successor_map
+from .arena import DistributionFamily, TargetArena, _bits, _dumps, bit_graph, successor_map
 from .engine import saturate
 from .relation import NwrRelation
 
@@ -55,59 +54,66 @@ class ReductionReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _dumps(self.to_json_dict())
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def proven_classes(a: TargetArena, r: NwrRelation) -> dict[str, str]:
+    """Each vertex's class of proven equivalents, named by its smallest member.
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # keep the lexicographically smaller root as representative
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+    Equivalent vertices are each below the other's singleton.  A
+    Protagonist class is a block of equivalent Protagonist vertices; a
+    Nature class is one of equivalent Nature vertices whose successors all
+    lie in one Protagonist class, so a Nature vertex whose own successors
+    span two classes stays alone.  ``r`` must be over the vertices of
+    ``a``, and its singleton pairs transitive, which makes "all successors
+    of both pairwise equivalent" the same as "all in one Protagonist
+    class": ``saturate`` leaves them so by its closure, and ``relate
+    --exact`` by deciding every open singleton pair of the true relation,
+    which is transitive.
+    """
+    g = bit_graph(a)
+    if r.vertices != g.order:
+        raise ValueError("the relation is over other vertices than the arena")
+    singles = [r.column(1 << i) for i in range(len(g.order))]
+    # above[i]: the vertices whose singleton column holds i
+    above = [0] * len(singles)
+    for j, col in enumerate(singles):
+        for i in _bits(col):
+            above[i] |= 1 << j
+    name = list(range(len(singles)))
+    home = [0] * len(singles)  # each Protagonist vertex's class
+    free = g.protagonist
+    while free:
+        i = (free & -free).bit_length() - 1
+        cls = singles[i] & above[i] & free
+        free &= ~cls
+        for j in _bits(cls):
+            name[j], home[j] = i, cls
+    free = g.nature
+    while free:
+        i = (free & -free).bit_length() - 1
+        succ, cls = g.succ[i], 1 << i
+        inside = home[(succ & -succ).bit_length() - 1] if succ else 0
+        if succ and succ & ~inside == 0:
+            cls = sum(1 << j for j in _bits(singles[i] & above[i] & free) if g.succ[j] & ~inside == 0)
+        free &= ~cls
+        for j in _bits(cls):
+            name[j] = i
+    return {v: g.order[k] for v, k in zip(g.order, name)}
 
 
 def quotient(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, dict[str, str]]:
     """Collapse proven equivalence classes of same-owner vertices.
 
-    Class names are the lexicographically smallest members.  An edge from
-    a Protagonist class to a Nature vertex survives only when that Nature
-    vertex has a successor outside the class, which removes self-loops;
-    Nature classes left unreachable are dropped.  Nature vertices merge
-    only when all their successors are pairwise proven equivalent as well,
-    so the lifted family stays full-support and member-independent.
+    The classes are ``proven_classes(a, r)``.  An edge from a Protagonist
+    class to a Nature vertex survives only when that Nature vertex has a
+    successor outside the class, which removes self-loops; Nature classes
+    left unreachable are dropped.  Nature vertices merge only when all
+    their successors lie in one Protagonist class, so the lifted family
+    stays full-support and member-independent.
     """
     succ = successor_map(a)
-    uf = _UnionFind(sorted(a.vertices))
-    prots = sorted(a.protagonist)
-    for i, u in enumerate(prots):
-        for v in prots[i + 1 :]:
-            if r.equivalent(u, v):
-                uf.union(u, v)
-    nats = sorted(a.nature)
-    for i, u in enumerate(nats):
-        for v in nats[i + 1 :]:
-            if not r.equivalent(u, v):
-                continue
-            members = set(succ[u]) | set(succ[v])
-            pairs_ok = all(
-                r.equivalent(x, y)
-                for xi, x in enumerate(sorted(members))
-                for y in sorted(members)[xi + 1 :]
-            )
-            if pairs_ok:
-                uf.union(u, v)
-    cmap = {v: uf.find(v) for v in sorted(a.vertices)}
+    cmap = proven_classes(a, r)
 
     p_classes = {cmap[v] for v in a.protagonist}
     n_classes = {cmap[v] for v in a.nature}

@@ -11,7 +11,6 @@ exhaustive path-pair oracle for cross-checking.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -19,6 +18,7 @@ from .arena import (
     _GRAPH_FIELDS,
     ArenaFormatError,
     TargetArena,
+    _dumps,
     _load_document,
     _parse_edges,
     _parse_ids,
@@ -50,10 +50,7 @@ def parse_digraph(text: str) -> Digraph:
 
 
 def serialize_digraph(g: Digraph) -> str:
-    return json.dumps(
-        {"vertices": sorted(g.vertices), "edges": [list(e) for e in sorted(g.edges)]},
-        indent=2,
-    )
+    return _dumps({"vertices": sorted(g.vertices), "edges": [list(e) for e in sorted(g.edges)]})
 
 
 def _succ(vertices: set[str], edges: set[tuple[str, str]]) -> dict[str, list[str]]:

@@ -21,8 +21,9 @@ that the integer versions in ``nwr.solve`` replaced, and
 caller in the package.  ``reference_simple_target_paths``,
 ``reference_greedy_layers`` and ``reference_decide_nwr`` are the exact
 decision over string paths and sets that ``nwr.exact`` moved onto the bit
-kernel.  The differential tests hold the fast paths to
-them.
+kernel.  ``reference_classes`` is the union-find over pairwise
+``equivalent`` calls that ``nwr.reduce.proven_classes`` replaced.  The
+differential tests hold the fast paths to them.
 """
 
 from __future__ import annotations
@@ -602,3 +603,45 @@ def reference_decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 
             cert = NwrCertificate(tuple(layers) + (top,), path, v, wset)
             return NwrDecision(False, cert)
     return NwrDecision(True)
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            # keep the lexicographically smaller root as representative
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def reference_classes(a: TargetArena, r) -> dict[str, str]:
+    """The class map ``quotient`` built before ``proven_classes``: union
+    every pair of equivalent Protagonist vertices, and every pair of
+    equivalent Nature vertices whose successors are all pairwise
+    equivalent; name each class by its smallest member."""
+    succ = successor_map(a)
+    uf = _UnionFind(sorted(a.vertices))
+    prots = sorted(a.protagonist)
+    for i, u in enumerate(prots):
+        for v in prots[i + 1 :]:
+            if r.equivalent(u, v):
+                uf.union(u, v)
+    nats = sorted(a.nature)
+    for i, u in enumerate(nats):
+        for v in nats[i + 1 :]:
+            if not r.equivalent(u, v):
+                continue
+            members = sorted(set(succ[u]) | set(succ[v]))
+            if all(r.equivalent(x, y) for xi, x in enumerate(members) for y in members[xi + 1 :]):
+                uf.union(u, v)
+    return {v: uf.find(v) for v in sorted(a.vertices)}

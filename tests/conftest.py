@@ -1,8 +1,20 @@
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from nwr import Mdp, TargetArena, make_arena
+
+# Hypothesis writes a failing example's patch with a module that imports
+# libcst, whose import warns; under ``-W error`` that warning would end
+# the session instead of reporting the failure.  Import it once here, with
+# only that warning silenced and only around the import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nwr import (
     NwrRelation,
     almost_sure_set,
+    decide_nwr,
     lift_family,
     make_arena,
     quotient,
@@ -18,8 +21,9 @@ from nwr import (
     zero_set,
     TargetArena,
 )
+from nwr.reduce import proven_classes
 from _corpus import arena_suite, family_suite, several_target_arenas
-from _reference import reference_trim_edges
+from _reference import reference_classes, reference_trim_edges
 
 
 class TestQuotient:
@@ -58,6 +62,63 @@ class TestQuotient:
         reduced, _ = quotient(a, NwrRelation(a.vertices))
         assert ("v", "n") not in reduced.edges
         assert "n" not in reduced.nature
+
+
+def _relate_exact_relation(a):
+    """The relation ``relate --exact`` ends with: saturation plus every
+    open singleton pair that exact decision proves, added in its order."""
+    rel = saturate(a)
+    for v in sorted(a.vertices):
+        for w in sorted(a.vertices):
+            if v != w and not rel.holds(v, (w,)):
+                if decide_nwr(a, v, {w}, limit=len(a.vertices), relation=rel).holds:
+                    rel.add(v, (w,))
+    return rel
+
+
+class TestProvenClasses:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.5]),
+        st.integers(1, 3),
+        st.integers(0, 10_000),
+    )
+    @example(30, 30, 0.07, 1, 3)  # the 60-vertex sparse arena of the benchmark
+    def test_saturated_matches_union_find(self, p, n, density, targets, seed):
+        a = random_arena(p, n, density, min(targets, p), seed)
+        rel = saturate(a)
+        assert proven_classes(a, rel) == reference_classes(a, rel)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 5),
+        st.sampled_from([0.2, 0.3, 0.4, 0.6]),
+        st.integers(1, 3),
+        st.integers(0, 10_000),
+    )
+    @example(7, 5, 0.3, 1, 1)
+    def test_exactly_completed_matches_union_find(self, p, n, density, targets, seed):
+        a = random_arena(p, n, density, min(targets, p), seed)
+        rel = _relate_exact_relation(a)
+        assert proven_classes(a, rel) == reference_classes(a, rel)
+
+    def test_nature_successors_across_classes_stay_alone(self, mixer_arena):
+        rel = saturate(mixer_arena)
+        cmap = proven_classes(mixer_arena, rel)
+        assert cmap["p"] == cmap["q"] == "p"
+        # pa and qa lead into the one class {p, q}; pb and qb do not
+        assert cmap["pa"] == cmap["qa"] == "pa"
+        assert cmap["pb"] == "pb" and cmap["qb"] == "qb"
+
+    def test_relation_over_other_vertices_refused(self, coin):
+        for verts in (["v0", "t"], sorted(coin.vertices) + ["x"], ["a", "b", "c", "d"]):
+            with pytest.raises(ValueError, match="other vertices"):
+                proven_classes(coin, NwrRelation(verts))
+        with pytest.raises(ValueError):
+            quotient(coin, NwrRelation(["v0", "t"]))
 
 
 class TestLiftFamily:

@@ -284,7 +284,7 @@ class TestFromJson:
 
 
 _DOCS = st.recursive(
-    st.text(),
+    st.text() | st.booleans() | st.integers() | st.floats() | st.none(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=12,
 )
