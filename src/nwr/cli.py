@@ -36,6 +36,7 @@ from .exact import (
     SizeLimitError,
     check_size,
     decide_nwr,
+    decide_singletons,
     epsilon_witness,
     verify_certificate,
 )
@@ -181,12 +182,7 @@ def _cmd_relate(args) -> int:
         check_size(arena, args.limit)
     rel = saturate(arena)
     if args.exact:
-        for v in sorted(arena.vertices):
-            for w in sorted(arena.vertices):
-                if v == w or rel.holds(v, (w,)):
-                    continue
-                if decide_nwr(arena, v, {w}, limit=args.limit, relation=rel).holds:
-                    rel.add(v, (w,))
+        decide_singletons(arena, rel, args.limit)
     classes: dict[str, list[str]] = {}
     for vertex, cls in proven_classes(arena, rel).items():
         classes.setdefault(cls, []).append(vertex)

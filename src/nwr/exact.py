@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Optional
 from .arena import (
     BitGraph,
     TargetArena,
+    _bits,
     _dumps,
     _load_document,
     _parse_ids,
@@ -303,21 +304,52 @@ def decide_nwr(
     return NwrDecision(True)
 
 
+def decide_singletons(a: TargetArena, relation: NwrRelation, limit: int = 10) -> None:
+    """Decide every singleton pair ``v <= {w}`` open in ``relation``, in
+    sorted order, and add each one that holds.  Each ``decide_nwr`` call
+    gets the relation as it stands, for the decision cut.
+
+    One refutation refutes many pairs.  Its certificate's top layer ``T``
+    holds the targets, and every vertex ``u`` of ``T`` that reaches a
+    target without leaving ``T`` starts a simple path there, so the same
+    layering refutes ``u <= {x}`` for every ``x`` below ``T``.  Those
+    pairs are not searched again.  A refutation adds no pair, so every
+    remaining call sees the relation it would see without the skips, and
+    the verdicts and the relation stay the same.
+    """
+    g = bit_graph(a)
+    targets = g.mask(a.targets)
+    refuted = [0] * len(g.order)  # refuted[u]: the x with u <= {x} known false
+    for i, v in enumerate(g.order):
+        for j, w in enumerate(g.order):
+            if i == j or refuted[i] >> j & 1 or relation.holds(v, (w,)):
+                continue
+            decision = decide_nwr(a, v, {w}, limit=limit, relation=relation)
+            if decision.holds:
+                relation.add(v, (w,))
+                continue
+            below = g.full & ~g.mask(decision.certificate.layers[-1])
+            for u in _bits(reach_bits(g.pred, targets, below)):
+                refuted[u] |= below
+
+
 def default_epsilon(n_vertices: int) -> Fraction:
     """A rational epsilon strictly inside the witness bound for ``n``
     vertices: half the distance below ``1 - 2**(-1/n)``, obtained from an
     exact rational upper bound on ``2**(-1/n)``."""
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
-    half = Fraction(1, 2)
-    lo, hi = half, Fraction(1)
+    # bisect 20 times from [1/2, 1] on numerators over 2**j: the midpoint
+    # k / 2**j has k**n / 2**(j*n) >= 1/2 exactly when 2 * k**n >= 2**(j*n)
+    j, lo, hi = 1, 1, 2
     for _ in range(20):
-        mid = (lo + hi) / 2
-        if mid**n_vertices >= half:
+        j += 1
+        mid, lo, hi = lo + hi, 2 * lo, 2 * hi
+        if 2 * mid**n_vertices >= 1 << (j * n_vertices):
             hi = mid
         else:
             lo = mid
-    return (1 - hi) / 2
+    return Fraction((1 << j) - hi, 1 << (j + 1))
 
 
 def epsilon_witness(

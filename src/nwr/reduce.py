@@ -75,17 +75,12 @@ def proven_classes(a: TargetArena, r: NwrRelation) -> dict[str, str]:
     if r.vertices != g.order:
         raise ValueError("the relation is over other vertices than the arena")
     singles = [r.column(1 << i) for i in range(len(g.order))]
-    # above[i]: the vertices whose singleton column holds i
-    above = [0] * len(singles)
-    for j, col in enumerate(singles):
-        for i in _bits(col):
-            above[i] |= 1 << j
     name = list(range(len(singles)))
     home = [0] * len(singles)  # each Protagonist vertex's class
     free = g.protagonist
     while free:
         i = (free & -free).bit_length() - 1
-        cls = singles[i] & above[i] & free
+        cls = sum(1 << j for j in _bits(singles[i] & free) if singles[j] >> i & 1)
         free &= ~cls
         for j in _bits(cls):
             name[j], home[j] = i, cls
@@ -95,7 +90,11 @@ def proven_classes(a: TargetArena, r: NwrRelation) -> dict[str, str]:
         succ, cls = g.succ[i], 1 << i
         inside = home[(succ & -succ).bit_length() - 1] if succ else 0
         if succ and succ & ~inside == 0:
-            cls = sum(1 << j for j in _bits(singles[i] & above[i] & free) if g.succ[j] & ~inside == 0)
+            cls = sum(
+                1 << j
+                for j in _bits(singles[i] & free)
+                if singles[j] >> i & 1 and g.succ[j] & ~inside == 0
+            )
         free &= ~cls
         for j in _bits(cls):
             name[j] = i

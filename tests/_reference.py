@@ -38,13 +38,16 @@ from nwr import (
     Mdp,
     NwrCertificate,
     NwrDecision,
+    NwrRelation,
     TargetArena,
     ValueVector,
     candidate_universe,
+    decide_nwr,
     essential_order,
     induce_chain,
     mec_decomposition,
     reach,
+    saturate,
     successor_map,
 )
 from nwr.engine import rule_bar_reach, rule_bar_win
@@ -603,6 +606,37 @@ def reference_decide_nwr(a: TargetArena, v: str, w: Iterable[str], limit: int = 
             cert = NwrCertificate(tuple(layers) + (top,), path, v, wset)
             return NwrDecision(False, cert)
     return NwrDecision(True)
+
+
+def reference_relate_exact(a: TargetArena) -> NwrRelation:
+    """The relation ``relate --exact`` ends with, by its loop without
+    certificate reuse: saturation plus every open singleton pair that
+    exact decision proves, added in sorted order, one ``decide_nwr``
+    call per open pair."""
+    rel = saturate(a)
+    for v in sorted(a.vertices):
+        for w in sorted(a.vertices):
+            if v != w and not rel.holds(v, (w,)):
+                if decide_nwr(a, v, {w}, limit=len(a.vertices), relation=rel).holds:
+                    rel.add(v, (w,))
+    return rel
+
+
+def reference_default_epsilon(n_vertices: int) -> Fraction:
+    """``default_epsilon`` bisecting on ``Fraction`` powers: 20 halvings
+    of ``[1/2, 1]`` towards ``2**(-1/n)``, then half the distance from
+    the upper bound to 1."""
+    if n_vertices < 1:
+        raise ValueError("need at least one vertex")
+    half = Fraction(1, 2)
+    lo, hi = half, Fraction(1)
+    for _ in range(20):
+        mid = (lo + hi) / 2
+        if mid**n_vertices >= half:
+            hi = mid
+        else:
+            lo = mid
+    return (1 - hi) / 2
 
 
 class _UnionFind:

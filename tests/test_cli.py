@@ -5,6 +5,7 @@ import json
 import pytest
 
 import nwr.cli
+import nwr.exact
 from nwr import (
     NwrCertificate,
     decide_nwr,
@@ -19,6 +20,7 @@ from nwr import (
     validate_arena,
 )
 from nwr.cli import main
+from _reference import reference_decide_nwr
 
 
 @pytest.fixture
@@ -157,7 +159,7 @@ def test_relate_exact_respects_limit(tmp_path, selector):
 def test_relate_exact_decides_only_unproved_pairs(tmp_path, monkeypatch, seed):
     a = random_arena(10, 8, 0.3, 1, seed)
     proved = saturate(a)
-    unproved = sum(1 for v in a.vertices for w in a.vertices if not proved.holds(v, (w,)))
+    unproved = {(v, w) for v in a.vertices for w in a.vertices if not proved.holds(v, (w,))}
     rel = proved.copy()
     for v in sorted(a.vertices):
         for w in sorted(a.vertices):
@@ -177,13 +179,18 @@ def test_relate_exact_decides_only_unproved_pairs(tmp_path, monkeypatch, seed):
         calls.append(args)
         return decide_nwr(*args, **kwargs)
 
-    monkeypatch.setattr(nwr.cli, "decide_nwr", counted)
+    monkeypatch.setattr(nwr.exact, "decide_nwr", counted)
     path = tmp_path / "a.json"
     out = tmp_path / "rel.json"
     path.write_text(serialize_arena(a))
     assert main(["relate", str(path), "--exact", "--limit", "18", "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == every_pair_decided
-    assert len(calls) == unproved
+    # a refutation's certificate refutes other pairs, which are not searched
+    called = {(v, w) for _, v, (w,) in calls}
+    assert len(called) == len(calls) and called <= unproved
+    assert len(calls) < len(unproved) if unproved else not calls
+    for v, w in sorted(unproved - called):
+        assert not reference_decide_nwr(a, v, {w}, limit=18).holds
 
 
 def test_reduce_outputs(tmp_path, funnel, capsys):

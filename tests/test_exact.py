@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nwr.exact
 from nwr import (
     NwrCertificate,
     NwrRelation,
@@ -23,11 +24,13 @@ from nwr import (
     vertex_values,
 )
 from nwr.arena import bit_graph
-from nwr.exact import _greedy_layers, _target_paths
+from nwr.exact import _greedy_layers, _target_paths, decide_singletons
 from _corpus import arena_suite, digraph_instance, ordered_set_partitions
 from _reference import (
     reference_decide_nwr,
+    reference_default_epsilon,
     reference_greedy_layers,
+    reference_relate_exact,
     reference_simple_target_paths,
 )
 
@@ -221,6 +224,39 @@ def test_decision_matches_string_reference(relation, p, n, density, targets, see
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 6),
+    st.sampled_from([0.2, 0.3, 0.4, 0.6]),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+)
+def test_singletons_skip_only_refuted_pairs(p, n, density, targets, seed):
+    """Every open pair that a certificate marks refuted, and so is not
+    searched, is refuted by the string reference, and the relation is the
+    one of one search per open pair."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    rel = saturate(a)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide_nwr(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nwr.exact, "decide_nwr", counted)
+        decide_singletons(a, rel, limit=len(a.vertices))
+    assert list(rel.pairs()) == list(reference_relate_exact(a).pairs())
+    called = {(v, w) for _, v, (w,) in calls}
+    assert len(called) == len(calls)
+    verts = sorted(a.vertices)
+    for v in verts:
+        for w in verts:
+            if (v, w) not in called and not rel.holds(v, (w,)):
+                assert not reference_decide_nwr(a, v, {w}, limit=len(verts)).holds
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(4, 9), st.sampled_from([0.2, 0.25, 0.3, 0.4]), st.integers(0, 10_000))
 def test_2dp_decision_matches_string_reference(n, density, seed):
     graph, terminals = digraph_instance(n, density, seed)
@@ -327,6 +363,10 @@ class TestEpsilonWitness:
             eps = default_epsilon(n)
             assert 0 < eps < 1
             assert (1 - eps) ** n > Fraction(1, 2)
+
+    def test_default_epsilon_matches_fraction_bisection(self):
+        for n in range(1, 201):
+            assert default_epsilon(n) == reference_default_epsilon(n)
 
 
 class TestSampleFalsify:

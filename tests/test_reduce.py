@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from nwr import (
     NwrRelation,
     almost_sure_set,
-    decide_nwr,
     lift_family,
     make_arena,
     quotient,
@@ -23,7 +22,7 @@ from nwr import (
 )
 from nwr.reduce import proven_classes
 from _corpus import arena_suite, family_suite, several_target_arenas
-from _reference import reference_classes, reference_trim_edges
+from _reference import reference_classes, reference_relate_exact, reference_trim_edges
 
 
 class TestQuotient:
@@ -64,18 +63,6 @@ class TestQuotient:
         assert "n" not in reduced.nature
 
 
-def _relate_exact_relation(a):
-    """The relation ``relate --exact`` ends with: saturation plus every
-    open singleton pair that exact decision proves, added in its order."""
-    rel = saturate(a)
-    for v in sorted(a.vertices):
-        for w in sorted(a.vertices):
-            if v != w and not rel.holds(v, (w,)):
-                if decide_nwr(a, v, {w}, limit=len(a.vertices), relation=rel).holds:
-                    rel.add(v, (w,))
-    return rel
-
-
 class TestProvenClasses:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -102,7 +89,7 @@ class TestProvenClasses:
     @example(7, 5, 0.3, 1, 1)
     def test_exactly_completed_matches_union_find(self, p, n, density, targets, seed):
         a = random_arena(p, n, density, min(targets, p), seed)
-        rel = _relate_exact_relation(a)
+        rel = reference_relate_exact(a)
         assert proven_classes(a, rel) == reference_classes(a, rel)
 
     def test_nature_successors_across_classes_stay_alone(self, mixer_arena):
