@@ -67,24 +67,6 @@ def make_arena(
     )
 
 
-@lru_cache(maxsize=512)
-def _adjacency(
-    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
-) -> dict[str, tuple[str, ...]]:
-    """Successor lists, sorted.  Keyed without the targets, so the
-    retargeted copies of an arena share one entry."""
-    succ: dict[str, list[str]] = {v: [] for v in protagonist | nature}
-    for u, w in sorted(edges):
-        if u in succ and w in succ:
-            succ[u].append(w)
-    return {v: tuple(ws) for v, ws in succ.items()}
-
-
-def successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
-    """Successors of every vertex, in sorted order.  Treat as read-only."""
-    return _adjacency(a.protagonist, a.nature, a.edges)
-
-
 def _bits(m: int) -> Iterator[int]:
     """Indices of the set bits of ``m``, lowest first."""
     while m:
@@ -98,7 +80,8 @@ class BitGraph:
     """An arena's graph on bitmasks.  Vertex ``i`` is the ``i``-th in
     sorted order, as in ``NwrRelation``, so a mask means the same vertex
     set to both; ``succ[i]`` and ``pred[i]`` are the masks of its
-    successors and predecessors."""
+    successors and predecessors, and ``names[v]`` the successors of ``v``
+    by name, in sorted order."""
 
     order: tuple[str, ...]
     index: Mapping[str, int]
@@ -106,6 +89,7 @@ class BitGraph:
     pred: tuple[int, ...]
     protagonist: int
     nature: int
+    names: Mapping[str, tuple[str, ...]]
 
     @property
     def full(self) -> int:
@@ -125,7 +109,8 @@ class BitGraph:
 def _bit_adjacency(
     protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
 ) -> BitGraph:
-    """``_adjacency`` on masks, keyed the same way."""
+    """The one cached graph of an arena.  Keyed without the targets, so
+    the retargeted copies of an arena share one entry."""
     order = tuple(sorted(protagonist | nature))
     index = {v: i for i, v in enumerate(order)}
     succ = [0] * len(order)
@@ -141,12 +126,19 @@ def _bit_adjacency(
         tuple(pred),
         sum(1 << index[v] for v in protagonist),
         sum(1 << index[v] for v in nature),
+        {v: tuple(order[j] for j in _bits(m)) for v, m in zip(order, succ)},
     )
 
 
 def bit_graph(a: TargetArena) -> BitGraph:
     """The arena's graph on bitmasks, shared by its retargeted copies."""
     return _bit_adjacency(a.protagonist, a.nature, a.edges)
+
+
+def successor_map(a: TargetArena) -> Mapping[str, tuple[str, ...]]:
+    """Successors of every vertex, in sorted order: the names of
+    ``bit_graph(a)``.  Treat as read-only."""
+    return bit_graph(a).names
 
 
 def reach_bits(adj: Sequence[int], seeds: int, avoid: int = 0) -> int:

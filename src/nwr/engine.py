@@ -15,10 +15,11 @@ pairs it derives over the whole arena.  The rules are generators and read
 can already serve as a premise within the same sweep; a rule reads a
 column ahead only when the pairs it yields in between cannot change it.
 
-The graph searches run on bitmasks: ``bit_graph(a)`` numbers the vertices
-in sorted order, as the store does, so a column is a set of vertices the
-kernel ``reach_bits`` can avoid or start from as it is, and the vertices a
-rule yields are the set bits of one mask, lowest first.
+All three rules read masks: ``bit_graph(a)`` numbers the vertices in
+sorted order, as the store does, so a column is a set of vertices the
+kernel ``reach_bits`` can avoid or start from as it is, a successor mask is
+a right-hand set the store can look up, and the vertices a rule yields are
+the set bits of one mask, lowest first.
 
 Saturation is semi-naive: from the second round on, a rule skips each
 argument whose premise columns still equal the columns at the start of the
@@ -33,7 +34,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .analysis import seed_relation
-from .arena import TargetArena, _bits, bit_graph, reach_bits, successor_map
+from .arena import TargetArena, _bits, bit_graph, reach_bits
 from .relation import NwrRelation, candidate_universe
 from .solve import almost_sure_bits
 
@@ -121,14 +122,14 @@ def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] =
     nothing the closure does not.  The pairs yielded grow no successor
     set's column, so each is read once.  ``since`` is unused.
     """
-    succ = successor_map(a)
-    choices = sorted(a.protagonist - a.targets)
-    columns = [(v, r.mask((v,)), r.column(r.mask(succ[v]))) for v in choices]
-    for u in choices:
-        um, bit = r.mask(succ[u]), r.mask((u,))
-        for v, vm, col in columns:
-            if um & ~col == 0 and not r.column(vm) & bit:
-                yield u, frozenset((v,))
+    g = bit_graph(a)
+    choices = g.protagonist & ~g.mask(a.targets)
+    columns = [(v, r.column(g.succ[v])) for v in _bits(choices)]
+    for u in _bits(choices):
+        um, bit = g.succ[u], 1 << u
+        for v, col in columns:
+            if um & ~col == 0 and not r.column(1 << v) & bit:
+                yield g.order[u], frozenset((g.order[v],))
 
 
 RULES = (rule_bar_reach, rule_bar_win, rule_prot_dominance)

@@ -18,6 +18,9 @@ from .arena import DistributionFamily, TargetArena, _bits, _dumps, bit_graph, su
 from .engine import saturate
 from .relation import NwrRelation
 
+# a removed edge and the pair that allowed it: ((w, x), (x, rest))
+Removal = tuple[tuple[str, str], tuple[str, tuple[str, ...]]]
+
 
 @dataclass(frozen=True)
 class ReductionReport:
@@ -26,7 +29,7 @@ class ReductionReport:
     reduced_vertices: int
     reduced_edges: int
     class_map: Mapping[str, str]
-    removed_edges: tuple[tuple[tuple[str, str], tuple[str, tuple[str, ...]]], ...]
+    removed_edges: tuple[Removal, ...]
     rounds: int
 
     def to_json_dict(self) -> dict:
@@ -164,9 +167,7 @@ def lift_family(
     return out
 
 
-def trim_edges(
-    a: TargetArena, r: NwrRelation
-) -> tuple[TargetArena, list[tuple[tuple[str, str], tuple[str, tuple[str, ...]]]]]:
+def trim_edges(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Removal]]:
     """Remove edges to Nature vertices the relation proves never better.
 
     Requires the arena to be a quotient fixed point.  Edges are checked
@@ -179,9 +180,15 @@ def trim_edges(
     fixed, _ = quotient(a, r)
     if fixed != a:
         raise ValueError("trim requires a quotient fixed point; quotient the arena first")
+    return _trim(a, r)
+
+
+def _trim(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Removal]]:
+    """``trim_edges`` on an arena the caller has found to be a quotient
+    fixed point."""
     edges = set(a.edges)
     succ: dict[str, set[str]] = {v: set(ws) for v, ws in successor_map(a).items()}
-    removed: list[tuple[tuple[str, str], tuple[str, tuple[str, ...]]]] = []
+    removed: list[Removal] = []
     for w, x in sorted(a.edges):
         if w not in a.protagonist or x not in a.nature:
             continue
@@ -202,7 +209,7 @@ def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
     """
     current = a
     cmap = {v: v for v in a.vertices}
-    removed_all: list[tuple[tuple[str, str], tuple[str, tuple[str, ...]]]] = []
+    removed_all: list[Removal] = []
     bound = len(a.vertices) + len(a.edges) + 1
     rounds = 0
     while True:
@@ -215,7 +222,7 @@ def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
             cmap = {orig: qmap.get(rep, rep) for orig, rep in cmap.items()}
             current = collapsed
             continue
-        trimmed, removed = trim_edges(current, rel)
+        trimmed, removed = _trim(current, rel)
         if removed:
             removed_all.extend(removed)
             current = trimmed

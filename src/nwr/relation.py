@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 from .arena import (
     ArenaFormatError,
     TargetArena,
-    _adjacency,
+    _bit_adjacency,
     _bits,
     _dumps,
     _loads,
@@ -50,13 +50,13 @@ def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
 def _universe(
     protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
 ) -> tuple[frozenset[str], ...]:
-    succ = _adjacency(protagonist, nature, edges)
+    succ = _bit_adjacency(protagonist, nature, edges).names
     sets: set[frozenset[str]] = {frozenset((v,)) for v in succ}
-    for v in sorted(succ):
-        sv = frozenset(succ[v])
+    for v, ws in succ.items():
+        sv = frozenset(ws)
         if sv:
             sets.add(sv)
-        for x in succ[v]:
+        for x in ws:
             rest = sv - {x}
             if rest:
                 sets.add(rest)
@@ -149,12 +149,6 @@ class NwrRelation:
 
     def holds_mask(self, v: str, m: int) -> bool:
         return bool(self.column(m) >> self._index[v] & 1)
-
-    def equivalent(self, v: str, w: str) -> bool:
-        """Mutual singleton relation: both values always coincide."""
-        i, j = self._index[v], self._index[w]
-        cols = self._cols
-        return bool(cols[1 << j] >> i & 1 and cols[1 << i] >> j & 1)
 
     def column(self, m: int) -> int:
         """Bitmask of the vertices v with ``v <= W``, for the set W

@@ -12,17 +12,22 @@ searches over string vertex sets that the bitmask kernel of
 at a time.  ``FOUR_RULES`` is the rule set saturation had before the bar
 rules and the closure were found to imply the other two:
 ``reference_rule_nature_equiv`` and ``reference_rule_prot_dominance``,
-which pruned successors first.  ``reference_trim_edges`` is the trim that
+which pruned successors first.  ``reference_rule_prot_dominance_unpruned``
+is the rule saturation runs, over the string successor sets it read
+before it moved onto ``bit_graph`` masks.  ``reference_trim_edges`` is the trim that
 restarted from the first edge after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
 are the chain solve and the strategy improvement over ``Fraction`` objects
-that the integer versions in ``nwr.solve`` replaced, and
-``predecessor_map`` the string adjacency the bit kernel left without a
-caller in the package.  ``reference_simple_target_paths``,
+that the integer versions in ``nwr.solve`` replaced.
+``reference_successor_map`` is the string adjacency ``successor_map``
+cached on its own before it read the names of ``bit_graph``, and
+``predecessor_map`` the one the bit kernel left without a caller in the
+package.  ``reference_simple_target_paths``,
 ``reference_greedy_layers`` and ``reference_decide_nwr`` are the exact
 decision over string paths and sets that ``nwr.exact`` moved onto the bit
 kernel.  ``reference_classes`` is the union-find over pairwise
-``equivalent`` calls that ``nwr.reduce.proven_classes`` replaced.  The
+``equivalent`` tests that ``nwr.reduce.proven_classes`` replaced; each
+test reads both singleton pairs through the store's ``holds``.  The
 differential tests hold the fast paths to them.
 """
 
@@ -54,6 +59,16 @@ from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.relation import _bits
 from nwr.solve import _live_actions
+
+
+def reference_successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
+    """Successors of every vertex, in sorted order, built from the edge
+    strings as ``successor_map`` was before it read ``bit_graph``."""
+    succ: dict[str, list[str]] = {v: [] for v in a.protagonist | a.nature}
+    for u, w in sorted(a.edges):
+        if u in succ and w in succ:
+            succ[u].append(w)
+    return {v: tuple(ws) for v, ws in succ.items()}
 
 
 @lru_cache(maxsize=512)
@@ -426,13 +441,19 @@ def reference_rule_bar_win(a, r, since=None):
                 yield w, frozenset((v0,))
 
 
+def equivalent(r, v, w):
+    """Whether ``v`` and ``w`` are each below the other's singleton in
+    store ``r``: their values always coincide."""
+    return r.holds(v, (w,)) and r.holds(w, (v,))
+
+
 def reference_rule_nature_equiv(a, r):
     """When all successors of a Nature vertex are pairwise equivalent, the
     vertex is equivalent to each of them."""
     succ = successor_map(a)
     for u in sorted(a.nature):
         vs = succ[u]
-        if all(r.equivalent(v, x) for i, v in enumerate(vs) for x in vs[i + 1 :]):
+        if all(equivalent(r, v, x) for i, v in enumerate(vs) for x in vs[i + 1 :]):
             for x in vs:
                 yield u, frozenset((x,))
                 yield x, frozenset((u,))
@@ -470,6 +491,19 @@ def reference_rule_prot_dominance(a, r):
                 continue
             ve_mask = r.mask(ve)
             if all(r.holds_mask(w, ve_mask) for w in survivors):
+                yield u, frozenset((v,))
+
+
+def reference_rule_prot_dominance_unpruned(a, r, since=None):
+    """``rule_prot_dominance`` over string successor sets: mask each
+    successor set through the store and read its column."""
+    succ = reference_successor_map(a)
+    choices = sorted(a.protagonist - a.targets)
+    columns = [(v, r.mask((v,)), r.column(r.mask(succ[v]))) for v in choices]
+    for u in choices:
+        um, bit = r.mask(succ[u]), r.mask((u,))
+        for v, vm, col in columns:
+            if um & ~col == 0 and not r.column(vm) & bit:
                 yield u, frozenset((v,))
 
 
@@ -668,14 +702,14 @@ def reference_classes(a: TargetArena, r) -> dict[str, str]:
     prots = sorted(a.protagonist)
     for i, u in enumerate(prots):
         for v in prots[i + 1 :]:
-            if r.equivalent(u, v):
+            if equivalent(r, u, v):
                 uf.union(u, v)
     nats = sorted(a.nature)
     for i, u in enumerate(nats):
         for v in nats[i + 1 :]:
-            if not r.equivalent(u, v):
+            if not equivalent(r, u, v):
                 continue
             members = sorted(set(succ[u]) | set(succ[v]))
-            if all(r.equivalent(x, y) for xi, x in enumerate(members) for y in members[xi + 1 :]):
+            if all(equivalent(r, x, y) for xi, x in enumerate(members) for y in members[xi + 1 :]):
                 uf.union(u, v)
     return {v: uf.find(v) for v in sorted(a.vertices)}

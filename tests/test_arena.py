@@ -23,7 +23,7 @@ from nwr import (
     validate_arena,
 )
 from nwr.arena import bit_graph, reach_bits
-from _reference import predecessor_map
+from _reference import predecessor_map, reference_successor_map
 
 
 class TestValidate:
@@ -276,6 +276,7 @@ class TestReach:
         # the maps do not depend on the targets, so retargeted copies share them
         other = TargetArena(coin.protagonist, coin.nature, coin.edges, frozenset({"f"}))
         assert successor_map(other) is successor_map(coin)
+        assert successor_map(coin) is bit_graph(coin).names  # one cached graph
         assert predecessor_map(other) is predecessor_map(coin)
         assert predecessor_map(coin)["n0"] == ("v0",)
         assert successor_map(coin)["n0"] == ("f", "t")
@@ -293,8 +294,10 @@ def test_reach_bits_matches_reach(p, n, density, seed, data):
     a = random_arena(p, n, density, 1, seed)
     g = bit_graph(a)
     assert g.order == tuple(sorted(a.vertices))
+    assert successor_map(a) == reference_successor_map(a)
+    assert tuple(successor_map(a)) == g.order
     verts = st.sets(st.sampled_from(g.order))
     seeds, avoid = data.draw(verts), data.draw(verts)
-    for bits, strings in ((g.succ, successor_map(a)), (g.pred, predecessor_map(a))):
+    for bits, strings in ((g.succ, reference_successor_map(a)), (g.pred, predecessor_map(a))):
         got = reach_bits(bits, g.mask(seeds), g.mask(avoid))
         assert g.unmask(got) == reach(strings, seeds, avoid)

@@ -202,7 +202,7 @@ def test_column_close_matches_reference(p, n, density, seed, picks):
 
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["add"] * 4 + ["close"] * 2 + ["holds", "column", "equivalent", "copy", "json"]),
+        st.sampled_from(["add"] * 4 + ["close"] * 2 + ["holds", "column", "copy", "json"]),
         st.integers(0, 99),
         st.integers(0, 2**12),
         st.booleans(),
@@ -232,9 +232,6 @@ def test_column_store_matches_row_store(p, n, density, seed, ops):
             assert got.holds(v, w) == want.holds(v, w)
         elif op == "column":
             assert got.column(got.mask(w)) == want.column(want.mask(w))
-        elif op == "equivalent":
-            x = verts[j % len(verts)]
-            assert got.equivalent(v, x) == want.equivalent(v, x)
         elif op == "close":
             masks = [got.mask(x) for x in universe[: j % len(universe) + 1 if inside else None]]
             assert got.close(masks) == want.close(masks)
