@@ -6,9 +6,10 @@ that reach a target, and maximal MDP values by strategy improvement with
 exact chain evaluations, scoring actions on integer numerators; results
 are ``Fraction`` values.  The only floating point code is
 ``value_iteration``, kept as an independent approximate route for
-cross-checking.  Both MDP solvers look only at live actions, those that
-can reach a target: every other action scores zero and cannot change a
-value.
+cross-checking.  It sums each distinct distribution once per sweep,
+however many actions share it, bit-identically to a sweep over every
+action.  Both MDP solvers look only at live actions, those that can reach
+a target: every other action scores zero and cannot change a value.
 """
 
 from __future__ import annotations
@@ -250,23 +251,50 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
 # ---------------------------------------------------------------------------
 
 
+def _rows(m: Mdp) -> tuple[list[Mapping[str, Fraction]], dict[tuple[str, str], int], list[bool]]:
+    """``m``'s distinct distributions as rows, the row of each action, and
+    whether each row is live: whether it puts positive probability on a
+    state that reaches a target.
+
+    Rows are keyed by object identity, so actions that share one
+    distribution object, as ``instantiate_mdp``'s actions into one Nature
+    vertex do, share its row; equal distributions held as separate
+    objects just get more rows.  Liveness is one backward search from the
+    targets over states and row numbers, which scans each row's support
+    once: from a state to the rows with it in their support, and from a
+    row to the states with an action on it.  States are strings and rows
+    ints, so the two never share a key.
+    """
+    number: dict[int, int] = {}
+    dists: list[Mapping[str, Fraction]] = []
+    row_of: dict[tuple[str, str], int] = {}
+    back: dict[str | int, list[str | int]] = defaultdict(list)
+    for key, dist in m.transition.items():
+        k = number.get(id(dist))
+        if k is None:
+            k = number[id(dist)] = len(dists)
+            dists.append(dist)
+            for r, p in dist.items():
+                if p > 0:
+                    back[r].append(k)
+        row_of[key] = k
+        back[k].append(key[0])
+    reached = reach(back, m.targets)
+    return dists, row_of, [k in reached for k in range(len(dists))]
+
+
 def _live_actions(m: Mdp) -> dict[str, list[str]]:
     """Each state's live actions, sorted: those with a positive-probability
-    successor that reaches a target, found by one backward search.
+    successor that reaches a target, read from ``_rows``.
 
     Under every value vector either solver produces, states that reach no
     target sit at zero, so a dead action scores exactly zero and never
     replaces a choice; neither solver needs to look at it.
     """
-    support = {key: [r for r, p in dist.items() if p > 0] for key, dist in m.transition.items()}
-    preds: dict[str, list[str]] = defaultdict(list)
-    for (q, _), succ in support.items():
-        for r in succ:
-            preds[r].append(q)
-    reaching = reach(preds, m.targets)
+    _, row_of, live_row = _rows(m)
     live: dict[str, list[str]] = {q: [] for q in m.states}
-    for (q, act), succ in sorted(support.items()):
-        if not reaching.isdisjoint(succ):
+    for (q, act), k in sorted(row_of.items()):
+        if live_row[k]:
             live[q].append(act)
     return live
 
@@ -333,38 +361,55 @@ def value_iteration(m: Mdp, tol: float = 1e-10, max_iters: int = 10**6) -> Value
     ``max_iters`` flags the result as unconverged but still returns it.
     Sweeps only live actions: a dead action scores exactly 0.0 in every
     sweep, so skipping it changes no bit of the result.
+
+    The states are numbered, and each distinct distribution of a live
+    action (``_rows``) is kept once as a tuple of (successor number,
+    float probability) in the distribution's own order.  Each sweep sums
+    every such row once, then each non-target state takes the largest of
+    its live rows' sums, starting from 0.0.  Those are the float
+    operations of a sweep over every live action, in the same order, so
+    the values, the sweep count and ``converged`` are bit-identical to
+    it; only the repeated sums of a shared distribution are gone.
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    float_tr = {
-        q: [[(r, float(p)) for r, p in m.transition[(q, act)].items()] for act in acts]
-        for q, acts in _live_actions(m).items()
-    }
-    x = {q: (1.0 if q in m.targets else 0.0) for q in m.states}
+    dists, row_of, live_row = _rows(m)
+    states = list(m.states)
+    index = {q: i for i, q in enumerate(states)}
+    # each non-target state with a live action: its number and its rows,
+    # renumbered over the rows some such state uses
+    used: dict[int, int] = {}
+    choices: dict[int, list[int]] = {}
+    for (q, _), k in sorted(row_of.items()):
+        if live_row[k] and q not in m.targets:
+            choices.setdefault(index[q], []).append(used.setdefault(k, len(used)))
+    rows = [tuple((index[r], float(p)) for r, p in dists[k].items()) for k in used]
+    choosers = list(choices.items())
+    x = [1.0 if q in m.targets else 0.0 for q in states]
+    sums = [0.0] * len(rows)
     converged = False
     for _ in range(max_iters):
+        for k, row in enumerate(rows):
+            s = 0.0
+            for r, p in row:
+                s += p * x[r]
+            sums[k] = s
+        # every sum has read x already, so x may change in place
         delta = 0.0
-        nxt = {}
-        for q in m.states:
-            if q in m.targets:
-                nxt[q] = 1.0
-                continue
+        for i, ks in choosers:
             best = 0.0
-            for dist in float_tr[q]:
-                s = 0.0
-                for r, p in dist:
-                    s += p * x[r]
+            for k in ks:
+                s = sums[k]
                 if s > best:
                     best = s
-            nxt[q] = best
-            d = abs(best - x[q])
+            d = abs(best - x[i])
             if d > delta:
                 delta = d
-        x = nxt
+            x[i] = best
         if delta < tol:
             converged = True
             break
-    return ValueVector(x, "iterative", converged)
+    return ValueVector(dict(zip(states, x)), "iterative", converged)
 
 
 def vertex_values(a: TargetArena, mu: DistributionFamily) -> ValueVector:

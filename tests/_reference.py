@@ -18,7 +18,9 @@ before it moved onto ``bit_graph`` masks.  ``reference_trim_edges`` is the trim 
 restarted from the first edge after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
 are the chain solve and the strategy improvement over ``Fraction`` objects
-that the integer versions in ``nwr.solve`` replaced.
+that the integer versions in ``nwr.solve`` replaced, and
+``reference_live_actions`` the search for live actions that scanned the
+support of every action rather than of each distinct distribution once.
 ``reference_successor_map`` is the string adjacency ``successor_map``
 cached on its own before it read the names of ``bit_graph``, and
 ``predecessor_map`` the one the bit kernel left without a caller in the
@@ -34,6 +36,7 @@ differential tests hold the fast paths to them.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -58,7 +61,6 @@ from nwr import (
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.relation import _bits
-from nwr.solve import _live_actions
 
 
 def reference_successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
@@ -157,11 +159,27 @@ def reference_sparse_until_vector(
     return out
 
 
+def reference_live_actions(m: Mdp) -> dict[str, list[str]]:
+    """Each state's live actions, sorted, found by one backward search
+    over the positive-probability support of every action."""
+    support = {key: [r for r, p in dist.items() if p > 0] for key, dist in m.transition.items()}
+    preds: dict[str, list[str]] = defaultdict(list)
+    for (q, _), succ in support.items():
+        for r in succ:
+            preds[r].append(q)
+    reaching = reach(preds, m.targets)
+    live: dict[str, list[str]] = {q: [] for q in m.states}
+    for (q, act), succ in sorted(support.items()):
+        if not reaching.isdisjoint(succ):
+            live[q].append(act)
+    return live
+
+
 def reference_max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str], int]:
     """``nwr.solve.max_reach_values_exact`` scoring ``Fraction`` sums, each
     strategy solved by ``reference_sparse_until_vector``; returns the
     values, the strategy and the number of rounds."""
-    live = _live_actions(m)
+    live = reference_live_actions(m)
     sigma: dict[str, str] = {}
     for (q, act) in sorted(m.transition):
         sigma.setdefault(q, act)

@@ -8,15 +8,26 @@ a change that alters any of them changes what ``nwr relate`` or
 ``nwr reduce`` writes, and must say why.  The ``relate --exact`` and
 ``certify`` digests were recorded before exact decision moved onto the
 bit kernel and ``relate --exact`` began to skip the paths its relation
-rules out.
+rules out.  The ``solve`` digests were recorded before value iteration
+began to sum each distinct distribution once per sweep.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 import nwr.reduce
-from nwr import random_arena, reduce_2dp, reduce_fixpoint, saturate, serialize_arena
+from nwr import (
+    make_arena,
+    random_arena,
+    random_family,
+    reduce_2dp,
+    reduce_fixpoint,
+    saturate,
+    serialize_arena,
+    serialize_family,
+)
 from nwr.cli import main
 from _corpus import digraph_instance
 
@@ -133,3 +144,40 @@ def test_certify_2dp_is_byte_identical(seed, tmp_path, capsys):
     assert main(argv) == 0
     files = [_sha(f.read_text()) if f.exists() else None for f in (cert, witness)]
     assert (_sha(capsys.readouterr().out), *files) == CERTIFY_GOLDEN[seed]
+
+
+# (random_arena arguments), solved under random_family(a, 64, 0), or the
+# coin: (``solve --iterate --out``, ``solve --exact --out``)
+SOLVE_GOLDEN = {
+    (100, 100, 0.025, 3, 2): (
+        "d05baa9b1a4ceb33be559f46b2a8d6a101dbe72d57d7c0102ac8f37a98864e3e",
+        "71de44c8047a88cacd889f542ac22c6dd58c269a32c9a741013fcaaa5f7a5d77",
+    ),
+    (80, 80, 0.03, 3, 3): (
+        "917e46da8f1cf07fcb7b24de905b18a4fdd3f8f7b23e46b13cc68aed188bb6f8",
+        "a192f0ae789bdca87e096ba680869a4077a0c4cb0c1749dd6183de7984d5ec6a",
+    ),
+    "coin": (
+        "3a840f27ede325f538bc632f95c743c2cc266251c64ab7bf08bbb35a3af30872",
+        "2c8a90c8634703c1f0fc11d3ca4a38fba8678400adbc9a933a39e8be610685d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_GOLDEN), ids=str)
+def test_solve_is_byte_identical(case, tmp_path, capsys):
+    if case == "coin":
+        arena = make_arena(["v0", "t", "f"], ["n0"], [("v0", "n0"), ("n0", "t"), ("n0", "f")], ["t"])
+        family = {"n0": {"t": Fraction(1, 3), "f": Fraction(2, 3)}}
+    else:
+        arena = random_arena(*case)
+        family = random_family(arena, 64, 0)
+    arena_path, family_path, out = tmp_path / "a.json", tmp_path / "mu.json", tmp_path / "v.json"
+    arena_path.write_text(serialize_arena(arena))
+    family_path.write_text(serialize_family(family))
+    digests = []
+    for mode in ("--iterate", "--exact"):
+        assert main(["solve", str(arena_path), "--family", str(family_path), mode, "--out", str(out)]) == 0
+        digests.append(_sha(out.read_text()))
+    capsys.readouterr()
+    assert tuple(digests) == SOLVE_GOLDEN[case]

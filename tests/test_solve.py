@@ -461,13 +461,37 @@ def random_mdps(draw):
     return instantiate_mdp(*draw(arenas_with_families()))
 
 
-@settings(max_examples=80, deadline=None)
-@given(random_mdps(), st.sampled_from([1, 2, 3, 10**6]), st.sampled_from([1e-3, 1e-10]))
-def test_value_iteration_matches_reference(m, max_iters, tol):
+@st.composite
+def mdps_sharing_distributions(draw):
+    """An MDP whose actions draw from a small pool of distributions, each
+    either the pooled object itself or a copy of it."""
+    n = draw(st.integers(1, 8))
+    states = [f"s{i}" for i in range(n)]
+    pool = draw(st.lists(wide_distributions(states), min_size=1, max_size=4))
+    transition = {}
+    for q in states:
+        for act in draw(st.lists(st.sampled_from("abc"), max_size=3, unique=True)):
+            dist = draw(st.sampled_from(pool))
+            transition[(q, act)] = dict(dist) if draw(st.booleans()) else dist
+    targets = draw(st.sets(st.sampled_from(states), max_size=2))
+    return Mdp(frozenset(states), transition, frozenset(targets))
+
+
+def _assert_iteration_matches_reference(m, tol, max_iters):
     got = value_iteration(m, tol=tol, max_iters=max_iters)
     want, converged = reference_value_iteration(m, tol, max_iters)
     assert {q: repr(v) for q, v in got.values.items()} == {q: repr(v) for q, v in want.items()}
     assert got.converged is converged
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(random_mdps(), mdps_sharing_distributions()),
+    st.sampled_from([1, 2, 3, 10**6]),
+    st.sampled_from([1e-3, 1e-10]),
+)
+def test_value_iteration_matches_reference(m, max_iters, tol):
+    _assert_iteration_matches_reference(m, tol, max_iters)
 
 
 def test_value_iteration_cap_matches_reference(mixer_mdp):
@@ -550,6 +574,64 @@ def test_integer_strategy_improvement_matches_fraction_reference(m):
     assert all(type(v) is Fraction for v in vv.values.values())
     assert sigma == want_sigma
     assert solves.call_count == rounds
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 10, 10**6])
+def test_value_iteration_matches_reference_on_the_200_vertex_arena(max_iters):
+    # 255 actions over 91 distinct distributions
+    a = random_arena(100, 100, 0.025, 3, 2)
+    _assert_iteration_matches_reference(instantiate_mdp(a, random_family(a, 64, 0)), 1e-10, max_iters)
+
+
+def _mixer_sharing(copy):
+    """The mixer with both ``a`` actions on one distribution object, or on
+    two equal copies of it."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    mix = {"p": half, "q": half}
+    transition = {
+        ("p", "a"): mix,
+        ("q", "a"): dict(mix) if copy else mix,
+        ("p", "b"): {"t1": quarter, "s1": 3 * quarter},
+        ("q", "b"): {"t2": 3 * quarter, "s2": quarter},
+    }
+    return Mdp(frozenset({"p", "q", "t1", "s1", "t2", "s2"}), transition, frozenset({"t1", "t2"}))
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 10**6])
+def test_shared_and_copied_distributions_iterate_alike(max_iters):
+    shared, copied = _mixer_sharing(False), _mixer_sharing(True)
+    assert len(solve._rows(shared)[0]) == 3 and len(solve._rows(copied)[0]) == 4
+    for m in (shared, copied):
+        _assert_iteration_matches_reference(m, 1e-12, max_iters)
+    got, want = value_iteration(shared, 1e-12, max_iters), value_iteration(copied, 1e-12, max_iters)
+    assert [repr(got.values[q]) for q in sorted(got.values)] == [repr(want.values[q]) for q in sorted(want.values)]
+    assert got.converged is want.converged
+
+
+def test_one_label_on_two_distributions_keeps_both():
+    # p and q each have an action "a", on different distributions: rows
+    # shared by label would give q p's row
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    m = Mdp(
+        frozenset({"p", "q", "t", "z"}),
+        {
+            ("p", "a"): {"t": half, "z": half},
+            ("q", "a"): {"t": quarter, "p": 3 * quarter},
+            ("q", "b"): {"z": Fraction(1)},
+            ("z", "a"): {"z": Fraction(1)},
+        },
+        frozenset({"t"}),
+    )
+    for max_iters in (1, 2, 10**6):
+        _assert_iteration_matches_reference(m, 1e-12, max_iters)
+    assert value_iteration(m).values == {"p": 0.5, "q": 0.625, "t": 1.0, "z": 0.0}
+    assert solve._live_actions(m) == _reference.reference_live_actions(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_mdps(), mdps_with_ties(), mdps_sharing_distributions()))
+def test_live_actions_match_reference(m):
+    assert solve._live_actions(m) == _reference.reference_live_actions(m)
 
 
 DENSE_SINK = "__sink__"
