@@ -228,16 +228,26 @@ def validate_family(a: TargetArena, mu: DistributionFamily) -> None:
     _family_rows(a, mu)
 
 
-def _family_rows(a: TargetArena, mu: DistributionFamily) -> dict[str, dict[str, Fraction]]:
-    """``validate_family``, returning each distribution with its
-    probabilities as ``Fraction`` values, in ``mu``'s own order.  Each
-    probability is converted once, and each sum is checked on integers
-    over the lcm of the distribution's denominators."""
+class _Row(dict):
+    """A distribution as ``_family_rows`` builds it: a ``dict`` of
+    ``Fraction`` values that also keeps its integer form, built once.
+    ``scale`` is the lcm of the denominators, and ``weights`` each
+    ``(state, probability * scale)`` pair, in the row's own order.  Rows
+    are never changed after they are built, so the two cannot go stale."""
+
+    __slots__ = ("scale", "weights")
+
+
+def _family_rows(a: TargetArena, mu: DistributionFamily) -> dict[str, _Row]:
+    """``validate_family``, returning each distribution as a ``_Row`` of
+    ``Fraction`` values, in ``mu``'s own order.  Each probability is
+    converted once, and each sum is checked on the row's integer
+    weights."""
     succ = successor_map(a)
     extra = set(mu) - set(a.nature)
     if extra:
         raise FamilyError(f"family defined on non-Nature vertex {min(extra)}")
-    rows: dict[str, dict[str, Fraction]] = {}
+    rows: dict[str, _Row] = {}
     for u in sorted(a.nature):
         if u not in mu:
             raise FamilyError(f"family missing Nature vertex {u}")
@@ -247,19 +257,21 @@ def _family_rows(a: TargetArena, mu: DistributionFamily) -> dict[str, dict[str, 
             raise FamilyError(
                 f"family at {u} has support {sorted(dist)}; expected {sorted(expected)}"
             )
-        row: dict[str, Fraction] = {}
+        checked: dict[str, Fraction] = {}
         for v in sorted(dist):
             p = dist[v]
             if type(p) is not Fraction:
                 p = Fraction(p)
-            if p <= 0:
+            if p.numerator <= 0:
                 raise FamilyError(f"family at {u} is not full support on {v}")
-            row[v] = p
-        scale = lcm(*(p.denominator for p in row.values()))
-        if sum(p.numerator * (scale // p.denominator) for p in row.values()) != scale:
+            checked[v] = p
+        row = _Row((v, checked[v]) for v in dist)
+        row.scale = scale = lcm(*(p.denominator for p in row.values()))
+        row.weights = tuple((v, p.numerator * (scale // p.denominator)) for v, p in row.items())
+        if sum(w for _, w in row.weights) != scale:
             total = sum(row.values(), Fraction(0))
             raise FamilyError(f"family at {u} sums to {total}, not 1")
-        rows[u] = {v: row[v] for v in dist}
+        rows[u] = row
     return rows
 
 
@@ -306,23 +318,25 @@ def induce_chain(m: Mdp, sigma: Strategy) -> MarkovChain:
 
     The strategy must cover every state with more than one available
     action; a state with a single action defaults to it and a state with
-    no actions becomes absorbing.
+    no actions becomes absorbing.  The chain shares the MDP's distribution
+    objects rather than copying them.
     """
     avail: dict[str, list[str]] = {q: [] for q in m.states}
     for (q, act) in m.transition:
         avail[q].append(act)
     transition: dict[str, Mapping[str, Fraction]] = {}
     for q in sorted(m.states):
-        acts = sorted(avail[q])
         if q in sigma:
             act = sigma[q]
             if (q, act) not in m.transition:
                 raise StrategyError(f"strategy picks action {act} undefined at state {q}")
-            transition[q] = dict(m.transition[(q, act)])
-        elif len(acts) == 0:
+            transition[q] = m.transition[(q, act)]
+            continue
+        acts = sorted(avail[q])
+        if len(acts) == 0:
             transition[q] = {q: Fraction(1)}
         elif len(acts) == 1:
-            transition[q] = dict(m.transition[(q, acts[0])])
+            transition[q] = m.transition[(q, acts[0])]
         else:
             raise StrategyError(f"strategy undefined at state {q} with choices {acts}")
     return MarkovChain(frozenset(m.states), transition)

@@ -3,13 +3,16 @@
 Exact computations use rational arithmetic end to end: Markov chains are
 solved by fraction-free sparse elimination on integer rows, on the states
 that reach a target, and maximal MDP values by strategy improvement with
-exact chain evaluations, scoring actions on integer numerators; results
-are ``Fraction`` values.  The only floating point code is
-``value_iteration``, kept as an independent approximate route for
-cross-checking.  It sums each distinct distribution once per sweep,
-however many actions share it, bit-identically to a sweep over every
-action.  Both MDP solvers look only at live actions, those that can reach
-a target: every other action scores zero and cannot change a value.
+exact chain evaluations.  Strategy improvement runs on one integer row
+table: each distinct distribution is weighted once, and scored once per
+round on the values' integer numerators.  Nature vertex values are
+integer sums over the same numerators.  Results are ``Fraction`` values.
+The only floating point code is ``value_iteration``, kept as an
+independent approximate route for cross-checking.  It sums each distinct
+distribution once per sweep, however many actions share it,
+bit-identically to a sweep over every action.  Both MDP solvers look
+only at live actions, those that can reach a target: every other action
+scores zero and cannot change a value.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .arena import (
     BitGraph,
@@ -28,12 +31,12 @@ from .arena import (
     Mdp,
     TargetArena,
     _bits,
+    _Row,
     bit_graph,
     induce_chain,
     instantiate_mdp,
     reach,
     reach_bits,
-    successor_map,
 )
 
 
@@ -114,9 +117,12 @@ def almost_sure_set(a: TargetArena) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _integer_weights(dist: Mapping[str, Fraction]) -> tuple[int, list[tuple[str, int]]]:
+def _integer_weights(dist: Mapping[str, Fraction]) -> tuple[int, Sequence[tuple[str, int]]]:
     """The lcm ``L`` of the denominators of ``dist``'s non-zero entries,
-    and each such entry times ``L``, in ``dist``'s order."""
+    and each such entry times ``L``, in ``dist``'s order: read from a
+    ``_Row``, which keeps them, and computed for any other mapping."""
+    if type(dist) is _Row:
+        return dist.scale, dist.weights
     scale = lcm(*(p.denominator for p in dist.values() if p))
     return scale, [(r, p.numerator * (scale // p.denominator)) for r, p in dist.items() if p]
 
@@ -132,9 +138,12 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
     never meets a zero pivot.  Each row holds only its non-zero entries.
 
     The rows hold Python ints.  Each starts as its row of ``(I - P | b)``
-    times the lcm of its state's probability denominators
-    (``_integer_weights``).  Row ``i`` is then reduced against the
-    finished rows ``k < i``, in increasing ``k`` (fill-in included):
+    times the lcm of its state's probability denominators, from the
+    integer weights of its distribution (``_integer_weights``: kept on
+    the MDP's rows, which ``induce_chain`` shares); the same weights give
+    the predecessors that decide which states reach a target.  Row ``i``
+    is then reduced against the finished rows ``k < i``, in increasing
+    ``k`` (fill-in included):
     ``row_i <- pivot_k * row_i - f * row_k``, and ``rhs_i`` alike, after
     which row and right-hand side are divided by their gcd so the entries
     do not grow.  By induction each integer row is a positive multiple of
@@ -143,11 +152,11 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
     argument above still rules out a zero one.  Back-substitution keeps
     each unknown as a reduced numerator and denominator pair.
     """
-    interior = stay - targets
     preds: dict[str, list[str]] = {q: [] for q in c.states}
-    for q in interior & c.states:
-        for r, p in c.transition[q].items():
-            if p.numerator > 0 and r in preds:
+    weighted = {q: _integer_weights(c.transition[q]) for q in (stay - targets) & c.states}
+    for q, (_, weights) in weighted.items():
+        for r, w in weights:
+            if w > 0 and r in preds:
                 preds[r].append(q)
     order = sorted(reach(preds, targets) - targets)
     idx = {q: i for i, q in enumerate(order)}
@@ -156,7 +165,7 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
     rhs: list[int] = []
     pivots: list[int] = []
     for i, q in enumerate(order):
-        scale, weights = _integer_weights(c.transition[q])
+        scale, weights = weighted[q]
         row = {i: scale}
         b = 0
         for r, w in weights:
@@ -275,28 +284,12 @@ def _rows(m: Mdp) -> tuple[list[Mapping[str, Fraction]], dict[tuple[str, str], i
             k = number[id(dist)] = len(dists)
             dists.append(dist)
             for r, p in dist.items():
-                if p > 0:
+                if p.numerator > 0:
                     back[r].append(k)
         row_of[key] = k
         back[k].append(key[0])
     reached = reach(back, m.targets)
     return dists, row_of, [k in reached for k in range(len(dists))]
-
-
-def _live_actions(m: Mdp) -> dict[str, list[str]]:
-    """Each state's live actions, sorted: those with a positive-probability
-    successor that reaches a target, read from ``_rows``.
-
-    Under every value vector either solver produces, states that reach no
-    target sit at zero, so a dead action scores exactly zero and never
-    replaces a choice; neither solver needs to look at it.
-    """
-    _, row_of, live_row = _rows(m)
-    live: dict[str, list[str]] = {q: [] for q in m.states}
-    for (q, act), k in sorted(row_of.items()):
-        if live_row[k]:
-            live[q].append(act)
-    return live
 
 
 def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
@@ -307,29 +300,41 @@ def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
     by an exact chain solve; a state switches action only on a strict
     one-step improvement (keeping the current action on ties), which makes
     the value vectors increase monotonically until the unique Bellman
-    solution is reached.  Only live actions are scored: a dead one scores
-    zero and cannot improve.  Ties between new actions break toward the
-    lexicographically smallest.  Returns the value vector and an optimal
-    memoryless strategy.
+    solution is reached.  Only live actions are scored (``_rows``): a dead
+    one scores zero and cannot improve.  Ties between new actions break
+    toward the lexicographically smallest.  Returns the value vector and
+    an optimal memoryless strategy.
 
-    Scoring runs on integers.  Each live action is a list of integer
-    weights over the lcm ``L`` of its probabilities' denominators, and each
-    round brings the values to one common denominator ``D``; an action's
-    score times ``L * D`` is then the sum of its weights times the value
-    numerators, and scores are compared by cross-multiplying with ``L``.
+    Scoring runs on one integer row table, built once per call: each
+    distinct distribution of a live action (``_rows``) is kept once, with
+    its integer weights over the lcm ``L`` of its denominators
+    (``_integer_weights``).  Each round brings the values to one common
+    denominator ``D``; a row's score times ``L * D`` is the sum of its
+    weights times the value numerators, computed once per row however
+    many actions share it.  Each choosing state then compares its rows'
+    scores in sorted action order, cross-multiplying with ``L``.  A state
+    with a single live action keeps it and is not compared: in the chain
+    that uses it, that action's score is the state's value, never more.
     """
-    live = _live_actions(m)
+    dists, row_of, live_row = _rows(m)
     sigma: dict[str, str] = {}
-    for (q, act) in sorted(m.transition):
+    # each state's live actions, sorted, with their row numbers
+    live: dict[str, list[tuple[str, int]]] = {}
+    for (q, act), k in sorted(row_of.items()):
         sigma.setdefault(q, act)
-    sigma.update((q, acts[0]) for q, acts in live.items() if acts)
-    # the states that choose, sorted, each with its live actions in sorted
-    # order as (action, L, [(successor, weight)])
-    weighted = [
-        (q, [(act, *_integer_weights(m.transition[(q, act)])) for act in live[q]])
-        for q in sorted(sigma)
-        if q not in m.targets and live[q]
+        if live_row[k]:
+            live.setdefault(q, []).append((act, k))
+    sigma.update((q, acts[0][0]) for q, acts in live.items())
+    # the non-target states with a choice, sorted, each with its live
+    # actions as (action, number of the row in ``table``)
+    used: dict[int, int] = {}
+    choosers = [
+        (q, [(act, used.setdefault(k, len(used))) for act, k in acts])
+        for q, acts in live.items()
+        if len(acts) > 1 and q not in m.targets
     ]
+    table = [_integer_weights(dists[k]) for k in used]
+    scales = [scale for scale, _ in table]
 
     guard = 0
     while True:
@@ -339,11 +344,12 @@ def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
         values = reach_prob_vector(induce_chain(m, sigma), m.targets)
         common = lcm(*{v.denominator for v in values.values()})
         num = {q: v.numerator * (common // v.denominator) for q, v in values.items()}
+        scores = [sum(w * num[r] for r, w in weights) for _, weights in table]
         changed = False
-        for q, scored in weighted:
+        for q, acts in choosers:
             best_act, best_scale, best = None, 1, 0
-            for act, scale, weights in scored:
-                s = sum(w * num[r] for r, w in weights)
+            for act, k in acts:
+                s, scale = scores[k], scales[k]
                 if best_act is None or s * best_scale > best * scale:
                     best_act, best_scale, best = act, scale, s
             if best > num[q] * best_scale:
@@ -417,11 +423,24 @@ def vertex_values(a: TargetArena, mu: DistributionFamily) -> ValueVector:
 
     Protagonist values come from the induced MDP, whose states are exactly
     the Protagonist vertices; each Nature vertex gets the expectation of
-    its successors' values.
+    its successors' values.  That expectation is one integer sum: with the
+    Protagonist values over their common denominator ``D``, and the
+    vertex's distribution as integer weights over ``L``
+    (``_integer_weights``), it is ``Fraction(sum(w * N), L * D)`` for the
+    value numerators ``N``.  A Nature vertex that some action enters reads
+    its weights from the MDP's row; any other converts its distribution.
     """
-    vv, _ = max_reach_values_exact(instantiate_mdp(a, mu))
+    m = instantiate_mdp(a, mu)
+    vv, _ = max_reach_values_exact(m)
     vals: dict[str, Fraction] = dict(vv.values)
-    succ = successor_map(a)
+    common = lcm(*{v.denominator for v in vals.values()})
+    num = {q: v.numerator * (common // v.denominator) for q, v in vals.items()}
+    # instantiate_mdp names each action after the Nature vertex it enters
+    rows = {n: dist for (_, n), dist in m.transition.items()}
     for u in sorted(a.nature):
-        vals[u] = sum((Fraction(mu[u][v]) * vals[v] for v in succ[u]), Fraction(0))
+        dist = rows.get(u)
+        if dist is None:
+            dist = {v: Fraction(p) for v, p in mu[u].items()}
+        scale, weights = _integer_weights(dist)
+        vals[u] = Fraction(sum(w * num[v] for v, w in weights), scale * common)
     return ValueVector(vals, "exact")

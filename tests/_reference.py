@@ -18,7 +18,9 @@ before it moved onto ``bit_graph`` masks.  ``reference_trim_edges`` is the trim 
 restarted from the first edge after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
 are the chain solve and the strategy improvement over ``Fraction`` objects
-that the integer versions in ``nwr.solve`` replaced, and
+that the integer versions in ``nwr.solve`` replaced,
+``reference_vertex_values`` the vertex values with ``Fraction`` sums at
+Nature vertices, and
 ``reference_live_actions`` the search for live actions that scanned the
 support of every action rather than of each distinct distribution once.
 ``reference_successor_map`` is the string adjacency ``successor_map``
@@ -53,6 +55,7 @@ from nwr import (
     decide_nwr,
     essential_order,
     induce_chain,
+    instantiate_mdp,
     mec_decomposition,
     reach,
     saturate,
@@ -208,6 +211,18 @@ def reference_max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str
                 changed = True
         if not changed:
             return ValueVector(values, "exact"), sigma, rounds
+
+
+def reference_vertex_values(a: TargetArena, mu) -> ValueVector:
+    """``nwr.solve.vertex_values`` with each Nature value a sum of
+    ``Fraction`` products, over the Protagonist values of
+    ``reference_max_reach_values_exact``."""
+    vv, _, _ = reference_max_reach_values_exact(instantiate_mdp(a, mu))
+    vals: dict[str, Fraction] = dict(vv.values)
+    succ = successor_map(a)
+    for u in sorted(a.nature):
+        vals[u] = sum((Fraction(mu[u][v]) * vals[v] for v in succ[u]), Fraction(0))
+    return ValueVector(vals, "exact")
 
 
 class ReferenceRelation:

@@ -9,7 +9,9 @@ a change that alters any of them changes what ``nwr relate`` or
 ``certify`` digests were recorded before exact decision moved onto the
 bit kernel and ``relate --exact`` began to skip the paths its relation
 rules out.  The ``solve`` digests were recorded before value iteration
-began to sum each distinct distribution once per sweep.
+began to sum each distinct distribution once per sweep, the reduced-arena
+and unentered-Nature ones before strategy improvement moved onto one
+integer row table and Nature values onto integer sums.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import pytest
 
 import nwr.reduce
 from nwr import (
+    lift_family,
     make_arena,
     random_arena,
     random_family,
@@ -146,8 +149,9 @@ def test_certify_2dp_is_byte_identical(seed, tmp_path, capsys):
     assert (_sha(capsys.readouterr().out), *files) == CERTIFY_GOLDEN[seed]
 
 
-# (random_arena arguments), solved under random_family(a, 64, 0), or the
-# coin: (``solve --iterate --out``, ``solve --exact --out``)
+# (random_arena arguments), solved under random_family(a, 64, 0), or a
+# named case of ``_solve_case``: (``solve --iterate --out``,
+# ``solve --exact --out``)
 SOLVE_GOLDEN = {
     (100, 100, 0.025, 3, 2): (
         "d05baa9b1a4ceb33be559f46b2a8d6a101dbe72d57d7c0102ac8f37a98864e3e",
@@ -161,17 +165,47 @@ SOLVE_GOLDEN = {
         "3a840f27ede325f538bc632f95c743c2cc266251c64ab7bf08bbb35a3af30872",
         "2c8a90c8634703c1f0fc11d3ca4a38fba8678400adbc9a933a39e8be610685d0",
     ),
+    "reduced (40, 40, 0.05, 1, 3)": (
+        "bffa52e7b4b7e25f3e25a7a5dee99778a45bfa7fe579842e2bce485effe7d07b",
+        "6d8d0d6fb8ebf9f684045933301201546954011315fe08928d9e4a8c6c61458d",
+    ),
+    "unentered nature": (
+        "53e60f97b1e7703f32cebbfc26617ecbeba30d4c55f3a34eed029510f3e7ab12",
+        "62c07cadce8195cf44195d9ab07e311e5d737fb1c8f2658968d47df9e2152c53",
+    ),
 }
+
+
+def _solve_case(case):
+    """The arena and family of a ``SOLVE_GOLDEN`` case."""
+    if case == "coin":
+        arena = make_arena(["v0", "t", "f"], ["n0"], [("v0", "n0"), ("n0", "t"), ("n0", "f")], ["t"])
+        return arena, {"n0": {"t": Fraction(1, 3), "f": Fraction(2, 3)}}
+    if case == "reduced (40, 40, 0.05, 1, 3)":
+        # the reduction of the 80-vertex sparse arena, under the lifted family
+        original = random_arena(40, 40, 0.05, 1, 3)
+        arena, report = reduce_fixpoint(original)
+        return arena, lift_family(arena, random_family(original, 64, 0), report.class_map)
+    if case == "unentered nature":
+        # no action enters n1, and n2's row is dead: it leads only to z,
+        # which has no successor
+        edges = [("v0", "n0"), ("v0", "n2"), ("v1", "n0"), ("v1", "n2"), ("n0", "t"), ("n0", "v1")]
+        edges += [("n0", "z"), ("n1", "t"), ("n1", "v0"), ("n2", "z")]
+        arena = make_arena(["v0", "v1", "t", "z"], ["n0", "n1", "n2"], edges, ["t"])
+        third = Fraction(1, 3)
+        family = {
+            "n0": {"t": third, "v1": third, "z": third},
+            "n1": {"t": Fraction(1, 5), "v0": Fraction(4, 5)},
+            "n2": {"z": Fraction(1)},
+        }
+        return arena, family
+    arena = random_arena(*case)
+    return arena, random_family(arena, 64, 0)
 
 
 @pytest.mark.parametrize("case", list(SOLVE_GOLDEN), ids=str)
 def test_solve_is_byte_identical(case, tmp_path, capsys):
-    if case == "coin":
-        arena = make_arena(["v0", "t", "f"], ["n0"], [("v0", "n0"), ("n0", "t"), ("n0", "f")], ["t"])
-        family = {"n0": {"t": Fraction(1, 3), "f": Fraction(2, 3)}}
-    else:
-        arena = random_arena(*case)
-        family = random_family(arena, 64, 0)
+    arena, family = _solve_case(case)
     arena_path, family_path, out = tmp_path / "a.json", tmp_path / "mu.json", tmp_path / "v.json"
     arena_path.write_text(serialize_arena(arena))
     family_path.write_text(serialize_family(family))

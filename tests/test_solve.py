@@ -565,7 +565,7 @@ def arenas_with_wide_families(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(mdps_with_ties(), arenas_with_wide_families()))
+@given(st.one_of(mdps_with_ties(), arenas_with_wide_families(), mdps_sharing_distributions()))
 def test_integer_strategy_improvement_matches_fraction_reference(m):
     with mock.patch.object(solve, "reach_prob_vector", wraps=solve.reach_prob_vector) as solves:
         vv, sigma = max_reach_values_exact(m)
@@ -574,6 +574,38 @@ def test_integer_strategy_improvement_matches_fraction_reference(m):
     assert all(type(v) is Fraction for v in vv.values.values())
     assert sigma == want_sigma
     assert solves.call_count == rounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(arenas_with_families())
+def test_vertex_values_match_fraction_reference(case):
+    # the arenas include Nature vertices that no action enters, and
+    # Protagonist vertices without successors
+    got = vertex_values(*case)
+    want = _reference.reference_vertex_values(*case)
+    assert got.values == want.values
+    assert all(type(v) is Fraction for v in got.values.values())
+
+
+def _snapshot(m: Mdp) -> dict:
+    """Each row of ``m`` with its type and contents, and the integer form a
+    ``_family_rows`` row keeps."""
+    return {
+        key: (type(dist), list(dist.items()), getattr(dist, "scale", None), getattr(dist, "weights", None))
+        for key, dist in m.transition.items()
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_mdps(), mdps_with_ties(), mdps_sharing_distributions()))
+def test_solving_leaves_every_row_unchanged(m):
+    before = _snapshot(m)
+    _, sigma = max_reach_values_exact(m)
+    value_iteration(m, max_iters=50)
+    chain = induce_chain(m, sigma)
+    assert _snapshot(m) == before
+    # the chain holds the MDP's own rows, not copies of them
+    assert all(chain.transition[q] is m.transition[(q, act)] for q, act in sigma.items())
 
 
 @pytest.mark.parametrize("max_iters", [1, 2, 10, 10**6])
@@ -608,6 +640,16 @@ def test_shared_and_copied_distributions_iterate_alike(max_iters):
     assert got.converged is want.converged
 
 
+def live_actions_of_rows(m: Mdp) -> dict[str, list[str]]:
+    """Each state's live actions, sorted, read from ``_rows``' live flags."""
+    _, row_of, live_row = solve._rows(m)
+    live: dict[str, list[str]] = {q: [] for q in m.states}
+    for (q, act), k in sorted(row_of.items()):
+        if live_row[k]:
+            live[q].append(act)
+    return live
+
+
 def test_one_label_on_two_distributions_keeps_both():
     # p and q each have an action "a", on different distributions: rows
     # shared by label would give q p's row
@@ -625,13 +667,13 @@ def test_one_label_on_two_distributions_keeps_both():
     for max_iters in (1, 2, 10**6):
         _assert_iteration_matches_reference(m, 1e-12, max_iters)
     assert value_iteration(m).values == {"p": 0.5, "q": 0.625, "t": 1.0, "z": 0.0}
-    assert solve._live_actions(m) == _reference.reference_live_actions(m)
+    assert live_actions_of_rows(m) == _reference.reference_live_actions(m)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(random_mdps(), mdps_with_ties(), mdps_sharing_distributions()))
 def test_live_actions_match_reference(m):
-    assert solve._live_actions(m) == _reference.reference_live_actions(m)
+    assert live_actions_of_rows(m) == _reference.reference_live_actions(m)
 
 
 DENSE_SINK = "__sink__"
