@@ -35,9 +35,7 @@ from .solve import (
     ValueVector,
     almost_sure_set,
     max_reach_values_exact,
-    reach_prob,
     reach_prob_vector,
-    until_prob,
     value_iteration,
     vertex_values,
     zero_set,

@@ -12,6 +12,19 @@ other set both are the union of the columns of the known sets inside it.
 ``pairs`` reports, per known set, the vertices of its column that no known
 proper subset's column has: the inclusion-minimal pairs.
 
+The known sets are numbered in the order they became known, singleton
+``{i}`` as ``i``, and a transposed index over those numbers is kept up to
+date with the columns: per vertex ``i``, ``cm[i]`` masks the sets holding
+``i``, and ``rows[i]`` the sets whose column holds ``i``.  The known
+supersets of ``W`` are then ``AND(cm[i] for i in W)``, and the sets whose
+column holds all of ``W`` are ``AND(rows[i] for i in W)``, which is what
+``close`` matches premises with.  Two bounds keep the index cheap.  The
+floor is the vertices below every set (the zero-value seed): they are in
+every column, so their rows are ``-1`` and no push carries them.  The
+ceiling is sets with full columns: each set holding a vertex every vertex
+is below (the almost-surely-winning seed), and each set full when it
+became known.  No row records them and no push goes to them.
+
 Vertex sets are represented as integer bitmasks internally; the public
 surface speaks plain strings and frozensets.
 """
@@ -66,17 +79,37 @@ def _universe(
 class NwrRelation:
     """Mutable pair store, reflexive by construction, subset-queryable."""
 
-    __slots__ = ("_order", "_index", "_cols", "_containing", "_closed")
+    __slots__ = (
+        "_order", "_index", "_cols", "_sets", "_num", "_cm", "_rows",
+        "_floor", "_ceiling", "_dirty", "_merged", "_seen", "_targets",
+    )
 
     def __init__(self, vertices: Iterable[str]):
         self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
         self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
+        n = len(self._order)
         # known set -> its column; every singleton is known and below itself
-        self._cols: dict[int, int] = {1 << i: 1 << i for i in range(len(self._order))}
-        # vertex index -> the known sets holding it
-        self._containing: list[list[int]] = [[1 << i] for i in range(len(self._order))]
-        # the columns as the last ``close`` left them, and the sets it closed
-        self._closed: tuple[dict[int, int], frozenset[int]] = ({}, frozenset())
+        self._cols: dict[int, int] = {1 << i: 1 << i for i in range(n)}
+        # set number -> known set, and back; singleton {i} is set number i
+        self._sets: list[int] = list(self._cols)
+        self._num: dict[int, int] = {1 << i: i for i in range(n)}
+        # vertex index -> the numbers of the known sets holding it
+        self._cm: list[int] = self._sets[:]
+        # vertex index -> the numbers of the sets whose column holds it:
+        # -1 for a floor vertex, and never a set of the ceiling
+        self._rows: list[int] = self._sets[:]
+        # the vertices below every set, and the numbers of sets known to
+        # have full columns
+        self._floor = 0
+        self._ceiling = 0
+        # the numbers of the sets the next ``close`` visits
+        self._dirty = (1 << n) - 1
+        # set number -> the numbers of the sets that merged its column,
+        # and its column as they merged it
+        self._merged: list[int] = [0] * n
+        self._seen: list[int] = [0] * n
+        # the numbers of the sets the last ``close`` closed
+        self._targets = 0
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -91,29 +124,33 @@ class NwrRelation:
     def unmask(self, m: int) -> frozenset[str]:
         return frozenset(self._order[i] for i in _bits(m))
 
-    def _subsets(self, m: int) -> Iterator[int]:
-        """The known subsets of ``m``, ``m`` itself included."""
+    def _supersets(self, m: int) -> int:
+        """The numbers of the known supersets of ``m``, as a mask."""
+        cm = self._cm
+        out = -1
         for i in _bits(m):
-            low = 1 << i
-            for y in self._containing[i]:
-                if y & -y == low and y & ~m == 0:
-                    yield y
-
-    def _supersets(self, m: int) -> Iterator[int]:
-        """The known supersets of ``m``, ``m`` itself included."""
-        for y in self._containing[(m & -m).bit_length() - 1]:
-            if m & ~y == 0:
-                yield y
+            out &= cm[i]
+        return out
 
     def _learn(self, m: int) -> int:
         """Make ``m`` a known set; return its column, the union of the
         columns of the known sets inside it."""
-        col = 0
-        for y in self._subsets(m):
-            col |= self._cols[y]
-        for i in _bits(m):
-            self._containing[i].append(m)
+        col = self.column(m)
+        k = len(self._sets)
+        self._sets.append(m)
+        self._num[m] = k
         self._cols[m] = col
+        self._merged.append(0)
+        self._seen.append(0)
+        bit = 1 << k
+        cm, rows = self._cm, self._rows
+        for i in _bits(m):
+            cm[i] |= bit
+        if col == (1 << len(self._order)) - 1:
+            self._ceiling |= bit
+        else:
+            for v in _bits(col & ~self._floor):
+                rows[v] |= bit
         return col
 
     def add(self, v: str, w: Iterable[str]) -> bool:
@@ -126,23 +163,59 @@ class NwrRelation:
         col = self._cols.get(m)
         if col is None:
             col = self._learn(m)
-        bit = 1 << self._index[v]
-        if col & bit:
+        i = self._index[v]
+        if col >> i & 1:
             return False
-        cols = self._cols
-        for x in self._supersets(m):
-            cols[x] |= bit
+        self._dirty |= self._spread(1 << i, self._supersets(m) & ~self._ceiling)
         return True
+
+    def _spread(self, bits: int, nums: int) -> int:
+        """Put the vertices of ``bits`` into the columns of the sets
+        numbered in ``nums``, none of them in the ceiling.  Return the
+        numbers of the sets to visit again: each whose column grew, and
+        each holding a vertex whose row grew.  Loops over the vertices or
+        over the sets, whichever are fewer."""
+        cols, sets, rows, cm = self._cols, self._sets, self._rows, self._cm
+        dirty = 0
+        if bits.bit_count() <= nums.bit_count():
+            for v in _bits(bits):
+                need = nums & ~rows[v]
+                if need:
+                    rows[v] |= need
+                    dirty |= need | cm[v]
+                    bit = 1 << v
+                    for x in _bits(need):
+                        cols[sets[x]] |= bit
+        else:
+            for x in _bits(nums):
+                y = sets[x]
+                need = bits & ~cols[y]
+                if need:
+                    cols[y] |= need
+                    bit = 1 << x
+                    dirty |= bit
+                    for v in _bits(need):
+                        rows[v] |= bit
+                        dirty |= cm[v]
+        return dirty
 
     def add_extremal(self, bottom: int, top: int) -> None:
         """Record ``z <= {w}`` for every ``z`` in ``bottom`` and every
         vertex ``w``, and ``w <= {t}`` for every vertex ``w`` and every
         ``t`` in ``top``, all at once: every known set's column gains
-        ``bottom``, and one that holds a vertex of ``top`` becomes full."""
+        ``bottom``, and one that holds a vertex of ``top`` becomes full.
+        ``bottom`` joins the floor, and the sets holding a vertex of
+        ``top`` join the ceiling."""
         full = (1 << len(self._order)) - 1
-        cols = self._cols
+        cm, rows, cols = self._cm, self._rows, self._cols
+        for z in _bits(bottom):
+            rows[z] = -1
+        self._floor |= bottom
+        for t in _bits(top):
+            self._ceiling |= cm[t]
         for y, col in cols.items():
             cols[y] = full if y & top else col | bottom
+        self._dirty = (1 << len(self._sets)) - 1
 
     def holds(self, v: str, w: Iterable[str]) -> bool:
         return self.holds_mask(v, self.mask(w))
@@ -154,9 +227,18 @@ class NwrRelation:
         """Bitmask of the vertices v with ``v <= W``, for the set W
         encoded by ``m``."""
         col = self._cols.get(m)
-        if col is None:
-            col = 0
-            for y in self._subsets(m):
+        if col is not None:
+            return col
+        # singleton {i} is set number i, so this finds a member whose
+        # singleton is in the ceiling
+        if m & self._ceiling:
+            return (1 << len(self._order)) - 1
+        touching = col = 0
+        for i in _bits(m):
+            touching |= self._cm[i]
+        for k in _bits(touching):
+            y = self._sets[k]
+            if y & ~m == 0:
                 col |= self._cols[y]
         return col
 
@@ -167,19 +249,20 @@ class NwrRelation:
     def _minimal_rows(self) -> list[list[int]]:
         """Per vertex index, the known sets where its column bit is not
         inherited from a known proper subset."""
+        sets, cols = self._sets, self._cols
+        inherited = [0] * len(sets)
+        for z, y in enumerate(sets):
+            for x in _bits(self._supersets(y) & ~(1 << z)):
+                inherited[x] |= cols[y]
         rows: list[list[int]] = [[] for _ in self._order]
-        cols = self._cols
-        for y, col in cols.items():
-            for z in self._subsets(y):
-                if z != y:
-                    col &= ~cols[z]
-            for i in _bits(col):
+        for y, below in zip(sets, inherited):
+            for i in _bits(cols[y] & ~below):
                 rows[i].append(y)
         return rows
 
     def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
         """Stored (inclusion-minimal) pairs in canonical order."""
-        sets = {y: self.unmask(y) for y in self._cols}
+        sets = {y: self.unmask(y) for y in self._sets}
         keys = {y: (y.bit_count(), sorted(w)) for y, w in sets.items()}
         for v, row in zip(self._order, self._minimal_rows()):
             row.sort(key=keys.__getitem__)
@@ -191,9 +274,12 @@ class NwrRelation:
 
     def copy(self) -> "NwrRelation":
         dup = NwrRelation.__new__(NwrRelation)
-        dup._order, dup._index, dup._closed = self._order, self._index, self._closed
-        dup._cols = dict(self._cols)
-        dup._containing = [ys[:] for ys in self._containing]
+        dup._order, dup._index = self._order, self._index
+        dup._cols, dup._num = dict(self._cols), dict(self._num)
+        dup._sets, dup._cm, dup._rows = self._sets[:], self._cm[:], self._rows[:]
+        dup._merged, dup._seen = self._merged[:], self._seen[:]
+        dup._floor, dup._ceiling = self._floor, self._ceiling
+        dup._dirty, dup._targets = self._dirty, self._targets
         return dup
 
     def close(self, universe_masks: Iterable[int]) -> bool:
@@ -203,45 +289,56 @@ class NwrRelation:
         ``v <= Y`` has every member of ``Y`` already below ``X``.
         Idempotent; returns whether anything was added.
 
-        The closed column of ``X`` is the least superset of its column that
-        holds the column of every known set inside it, so each one is grown
-        on its own, testing only the premises ``Y`` that could add to it:
-        those holding a vertex the column gained, and, for a set the last
-        call left closed, those whose column grew since.
+        This is Horn inference (Dowling & Gallier, 1984) on the transposed
+        index, following the bits that enter columns.  The universe sets
+        ``X`` with ``Y`` inside ``B[X]`` are ``AND(rows[i] for i in Y)``,
+        and each must hold ``B[Y]``; any other known set must hold the
+        column of each known set inside it.  Only the dirty sets ``Y`` are
+        visited: those whose column grew, or a row of one of whose members
+        grew, since their last visit.  A visit pushes only the new bits of
+        ``B[Y]`` to the sets that merged it before, and all of it to the
+        sets that merge it for the first time; a set that gains a vertex
+        becomes dirty, and so does every set holding that vertex.  Floor
+        vertices are in every row and are never pushed, ceiling sets are
+        full and are never pushed to, and a set new to the targets makes
+        every set dirty.
         """
-        targets = list(universe_masks)
-        cols, containing = self._cols, self._containing
-        for x in targets:
+        cols, num = self._cols, self._num
+        targets = 0
+        for x in universe_masks:
             if x not in cols:
                 self._learn(x)
-        before, was_closed = self._closed
-        grown = [y for y, col in cols.items() if before.get(y) != col]
-        full = (1 << len(self._order)) - 1
+            targets |= 1 << num[x]
+        sets, cm, rows = self._sets, self._cm, self._rows
+        merged, seen = self._merged, self._seen
+        known = (1 << len(sets)) - 1
+        dirty = known if targets & ~self._targets else self._dirty
+        self._targets = targets
+        others = known & ~targets
+        ceiling, floor = self._ceiling, self._floor
         changed = False
-        for x in targets:
-            start = b = cols[x]
-            if b == full:
-                continue
-            gained, delta = 0, b
-            if x in was_closed:
-                for y in grown:
-                    if y & ~b == 0:
-                        gained |= cols[y]
-                delta = b & ~before[x]
-            while True:
-                for i in _bits(delta):
-                    for y in containing[i]:
-                        if y & ~b == 0:
-                            gained |= cols[y]
-                delta = gained & ~b
-                b |= delta
-                if not delta or b == full:
-                    break
-            if b != start:
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            k = low.bit_length() - 1
+            y = sets[k]
+            below = inside = -1
+            for i in _bits(y):
+                below &= rows[i]
+                if others:
+                    inside &= cm[i]
+            fresh = (below & targets | inside & others) & ~ceiling & ~low
+            col = cols[y]
+            first = fresh & ~merged[k]
+            delta = col & ~seen[k]
+            merged[k], seen[k] = fresh, col
+            grew = self._spread(col & ~floor, first) if first else 0
+            if delta and fresh != first:
+                grew |= self._spread(delta, fresh & ~first)
+            if grew:
                 changed = True
-                for s in self._supersets(x):
-                    cols[s] |= b
-        self._closed = (dict(cols), frozenset(targets))
+                dirty |= grew
+        self._dirty = 0
         return changed
 
     def to_json(self) -> str:

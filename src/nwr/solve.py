@@ -233,23 +233,6 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
     return out
 
 
-def until_prob(c: MarkovChain, q0: str, stay: Iterable[str], targets: Iterable[str]) -> Fraction:
-    """Probability of reaching ``targets`` from ``q0`` while staying in ``stay``.
-
-    Definitionally one when ``q0`` is already a target, and zero when no
-    run of the required shape exists.
-    """
-    t = frozenset(targets)
-    if q0 in t:
-        return Fraction(1)
-    return _until_vector(c, frozenset(stay), t)[q0]
-
-
-def reach_prob(c: MarkovChain, q0: str, targets: Iterable[str]) -> Fraction:
-    """Probability of eventually reaching ``targets`` from ``q0``."""
-    return until_prob(c, q0, c.states, targets)
-
-
 def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fraction]:
     """Reachability probability for every state at once."""
     return _until_vector(c, frozenset(c.states), frozenset(targets))

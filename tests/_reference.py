@@ -1,7 +1,10 @@
 """Slow references for the pair store, the seeds, the rules and saturation.
 
 ``ReferenceRelation`` is the row store the column store of
-``nwr.relation.NwrRelation`` replaced, ``reference_seed_relation`` the seed
+``nwr.relation.NwrRelation`` replaced, ``reference_close`` the closure as
+first written over it, and ``RescanRelation`` the column store whose
+closure re-tested premises set by set before it moved onto the transposed
+set index.  ``reference_seed_relation`` is the seed
 that also added end-component and forced-visit pairs by hand, and
 ``reference_saturate`` the saturation that ran every rule over every
 argument in every round.  ``reference_zero_set``,
@@ -20,7 +23,8 @@ restarted from the first edge after each removal.
 are the chain solve and the strategy improvement over ``Fraction`` objects
 that the integer versions in ``nwr.solve`` replaced,
 ``reference_vertex_values`` the vertex values with ``Fraction`` sums at
-Nature vertices, and
+Nature vertices, ``until_prob`` and ``reach_prob`` the single-state chain
+probabilities that nothing in the package called, and
 ``reference_live_actions`` the search for live actions that scanned the
 support of every action rather than of each distinct distribution once.
 ``reference_successor_map`` is the string adjacency ``successor_map``
@@ -41,7 +45,7 @@ import json
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from nwr import (
     MarkovChain,
@@ -64,6 +68,7 @@ from nwr import (
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.relation import _bits
+from nwr.solve import _until_vector
 
 
 def reference_successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
@@ -160,6 +165,23 @@ def reference_sparse_until_vector(
         else:
             out[q] = Fraction(0)
     return out
+
+
+def until_prob(c: MarkovChain, q0: str, stay: Iterable[str], targets: Iterable[str]) -> Fraction:
+    """Probability of reaching ``targets`` from ``q0`` while staying in ``stay``.
+
+    Definitionally one when ``q0`` is already a target, and zero when no
+    run of the required shape exists.
+    """
+    t = frozenset(targets)
+    if q0 in t:
+        return Fraction(1)
+    return _until_vector(c, frozenset(stay), t)[q0]
+
+
+def reach_prob(c: MarkovChain, q0: str, targets: Iterable[str]) -> Fraction:
+    """Probability of eventually reaching ``targets`` from ``q0``."""
+    return until_prob(c, q0, c.states, targets)
 
 
 def reference_live_actions(m: Mdp) -> dict[str, list[str]]:
@@ -267,6 +289,17 @@ class ReferenceRelation:
         row.append(m)
         return True
 
+    def add_extremal(self, bottom: int, top: int) -> None:
+        """``NwrRelation.add_extremal`` one pair at a time: ``z <= {w}``
+        for every ``z`` in ``bottom`` and ``w <= {t}`` for every ``t`` in
+        ``top``, over every vertex ``w``."""
+        for z in _bits(bottom):
+            for i in range(len(self._order)):
+                self.add_mask(self._order[z], 1 << i)
+        for t in _bits(top):
+            for w in self._order:
+                self.add_mask(w, 1 << t)
+
     def holds(self, v: str, w: Iterable[str]) -> bool:
         return self.holds_mask(v, self.mask(w))
 
@@ -364,6 +397,226 @@ class ReferenceRelation:
         for entry in json.loads(text):
             rel.add(entry["v"], entry["W"])
         return rel
+
+
+class RescanRelation:
+    """The column store as it was before its closure moved onto the
+    transposed set index: one closed column per known set, a per-vertex
+    list of the known sets holding it, and a ``close`` that grows each
+    universe column on its own, re-testing the premises that hold a
+    vertex it gained and, for a set the last call left closed, the
+    premises whose column grew since (a snapshot of every column)."""
+
+    __slots__ = ("_order", "_index", "_cols", "_containing", "_closed")
+
+    def __init__(self, vertices: Iterable[str]):
+        self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
+        self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
+        # known set -> its column; every singleton is known and below itself
+        self._cols: dict[int, int] = {1 << i: 1 << i for i in range(len(self._order))}
+        # vertex index -> the known sets holding it
+        self._containing: list[list[int]] = [[1 << i] for i in range(len(self._order))]
+        # the columns as the last ``close`` left them, and the sets it closed
+        self._closed: tuple[dict[int, int], frozenset[int]] = ({}, frozenset())
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self._order
+
+    def mask(self, vs: Iterable[str]) -> int:
+        m = 0
+        for v in vs:
+            m |= 1 << self._index[v]
+        return m
+
+    def unmask(self, m: int) -> frozenset[str]:
+        return frozenset(self._order[i] for i in _bits(m))
+
+    def _subsets(self, m: int) -> Iterator[int]:
+        """The known subsets of ``m``, ``m`` itself included."""
+        for i in _bits(m):
+            low = 1 << i
+            for y in self._containing[i]:
+                if y & -y == low and y & ~m == 0:
+                    yield y
+
+    def _supersets(self, m: int) -> Iterator[int]:
+        """The known supersets of ``m``, ``m`` itself included."""
+        for y in self._containing[(m & -m).bit_length() - 1]:
+            if m & ~y == 0:
+                yield y
+
+    def _learn(self, m: int) -> int:
+        """Make ``m`` a known set; return its column, the union of the
+        columns of the known sets inside it."""
+        col = 0
+        for y in self._subsets(m):
+            col |= self._cols[y]
+        for i in _bits(m):
+            self._containing[i].append(m)
+        self._cols[m] = col
+        return col
+
+    def add(self, v: str, w: Iterable[str]) -> bool:
+        """Record ``v <= W``; returns False when already implied."""
+        return self.add_mask(v, self.mask(w))
+
+    def add_mask(self, v: str, m: int) -> bool:
+        if m == 0:
+            raise ValueError("the right-hand set of a pair must be non-empty")
+        col = self._cols.get(m)
+        if col is None:
+            col = self._learn(m)
+        bit = 1 << self._index[v]
+        if col & bit:
+            return False
+        cols = self._cols
+        for x in self._supersets(m):
+            cols[x] |= bit
+        return True
+
+    def add_extremal(self, bottom: int, top: int) -> None:
+        """Record ``z <= {w}`` for every ``z`` in ``bottom`` and every
+        vertex ``w``, and ``w <= {t}`` for every vertex ``w`` and every
+        ``t`` in ``top``, all at once: every known set's column gains
+        ``bottom``, and one that holds a vertex of ``top`` becomes full."""
+        full = (1 << len(self._order)) - 1
+        cols = self._cols
+        for y, col in cols.items():
+            cols[y] = full if y & top else col | bottom
+
+    def holds(self, v: str, w: Iterable[str]) -> bool:
+        return self.holds_mask(v, self.mask(w))
+
+    def holds_mask(self, v: str, m: int) -> bool:
+        return bool(self.column(m) >> self._index[v] & 1)
+
+    def column(self, m: int) -> int:
+        """Bitmask of the vertices v with ``v <= W``, for the set W
+        encoded by ``m``."""
+        col = self._cols.get(m)
+        if col is None:
+            col = 0
+            for y in self._subsets(m):
+                col |= self._cols[y]
+        return col
+
+    def snapshot(self) -> Mapping[int, int]:
+        """The column of every known set, as it is now."""
+        return dict(self._cols)
+
+    def _minimal_rows(self) -> list[list[int]]:
+        """Per vertex index, the known sets where its column bit is not
+        inherited from a known proper subset."""
+        rows: list[list[int]] = [[] for _ in self._order]
+        cols = self._cols
+        for y, col in cols.items():
+            for z in self._subsets(y):
+                if z != y:
+                    col &= ~cols[z]
+            for i in _bits(col):
+                rows[i].append(y)
+        return rows
+
+    def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
+        """Stored (inclusion-minimal) pairs in canonical order."""
+        sets = {y: self.unmask(y) for y in self._cols}
+        keys = {y: (y.bit_count(), sorted(w)) for y, w in sets.items()}
+        for v, row in zip(self._order, self._minimal_rows()):
+            row.sort(key=keys.__getitem__)
+            for y in row:
+                yield v, sets[y]
+
+    def pair_count(self) -> int:
+        return sum(len(row) for row in self._minimal_rows())
+
+    def copy(self) -> "RescanRelation":
+        dup = RescanRelation.__new__(RescanRelation)
+        dup._order, dup._index, dup._closed = self._order, self._index, self._closed
+        dup._cols = dict(self._cols)
+        dup._containing = [ys[:] for ys in self._containing]
+        return dup
+
+    def close(self, universe_masks: Iterable[int]) -> bool:
+        """Pseudo transitive closure, restricted to the candidate universe.
+
+        Adds ``v <= X`` for each universe set ``X`` whenever some known
+        ``v <= Y`` has every member of ``Y`` already below ``X``.
+        Idempotent; returns whether anything was added.
+
+        The closed column of ``X`` is the least superset of its column that
+        holds the column of every known set inside it, so each one is grown
+        on its own, testing only the premises ``Y`` that could add to it:
+        those holding a vertex the column gained, and, for a set the last
+        call left closed, those whose column grew since.
+        """
+        targets = list(universe_masks)
+        cols, containing = self._cols, self._containing
+        for x in targets:
+            if x not in cols:
+                self._learn(x)
+        before, was_closed = self._closed
+        grown = [y for y, col in cols.items() if before.get(y) != col]
+        full = (1 << len(self._order)) - 1
+        changed = False
+        for x in targets:
+            start = b = cols[x]
+            if b == full:
+                continue
+            gained, delta = 0, b
+            if x in was_closed:
+                for y in grown:
+                    if y & ~b == 0:
+                        gained |= cols[y]
+                delta = b & ~before[x]
+            while True:
+                for i in _bits(delta):
+                    for y in containing[i]:
+                        if y & ~b == 0:
+                            gained |= cols[y]
+                delta = gained & ~b
+                b |= delta
+                if not delta or b == full:
+                    break
+            if b != start:
+                changed = True
+                for s in self._supersets(x):
+                    cols[s] |= b
+        self._closed = (dict(cols), frozenset(targets))
+        return changed
+
+    def to_json(self) -> str:
+        doc = [{"v": v, "W": sorted(w)} for v, w in self.pairs()]
+        return json.dumps(doc, indent=2)
+
+    @classmethod
+    def from_json(cls, text: str, vertices: Iterable[str]) -> "RescanRelation":
+        rel = cls(vertices)
+        for entry in json.loads(text):
+            rel.add(entry["v"], entry["W"])
+        return rel
+
+
+def reference_close(rel, universe_masks):
+    """The closure as first written, the reference for ``NwrRelation.close``
+    on a ``ReferenceRelation``: sweep every (v, X) not yet implied and test
+    each stored row of v member by member with ``holds_mask``, until a
+    sweep adds nothing."""
+    masks = list(universe_masks)
+    changed_any = False
+    changed = True
+    while changed:
+        changed = False
+        for v in rel.vertices:
+            for x in masks:
+                if rel.holds_mask(v, x):
+                    continue
+                for y in list(rel._rows[v]):
+                    if all(rel.holds_mask(u, x) for u in rel.unmask(y)):
+                        rel.add_mask(v, x)
+                        changed = changed_any = True
+                        break
+    return changed_any
 
 
 def reference_seed_relation(a):

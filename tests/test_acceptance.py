@@ -26,21 +26,19 @@ from nwr import (
     max_reach_values_exact,
     normalize_2dp,
     quotient,
-    reach_prob,
     reduce_2dp,
     reduce_fixpoint,
     saturate,
     solve_2dp_oracle,
     successor_map,
     trim_edges,
-    until_prob,
     value_iteration,
     vertex_values,
     zero_set,
 )
 from _corpus import arena_suite, family_suite, random_chain
 from conftest import build_selector
-from _reference import equivalent
+from _reference import equivalent, reach_prob, until_prob
 
 
 HALF = Fraction(1, 2)

@@ -15,11 +15,13 @@ from nwr import (
     seed_relation,
     vertex_values,
 )
+import nwr.analysis
 import nwr.engine
 from nwr.engine import RULES, Since
 from _corpus import arena_suite, family_suite
 from _reference import (
     FOUR_RULES,
+    RescanRelation,
     equivalent,
     reference_rule_bar_reach,
     reference_rule_bar_win,
@@ -178,16 +180,18 @@ class TestSaturate:
                 assert decide_nwr(a, v, w_set, limit=8).holds, (v, sorted(w_set))
 
 
-def _saturate_counting_rounds(a):
+def _saturate_counting_rounds(a, store=NwrRelation):
+    """Saturate ``a`` on a ``store`` built by the seed; return the relation
+    and the number of rounds, counted as calls of ``store.close``."""
     closes = 0
-    close = NwrRelation.close
+    close = store.close
 
     def counting(rel, masks):
         nonlocal closes
         closes += 1
         return close(rel, masks)
 
-    with mock.patch.object(NwrRelation, "close", counting):
+    with mock.patch.object(store, "close", counting), mock.patch.object(nwr.analysis, "NwrRelation", store):
         rel = saturate(a)
     return rel, closes - 1  # the seed relation's close is no round
 
@@ -209,6 +213,26 @@ def test_saturate_matches_full_sweeps(p, n, density, targets, seed):
     want, want_rounds = reference_saturate(a, RULES)
     assert list(got.pairs()) == list(want.pairs())
     assert rounds == want_rounds
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(4, 14),
+    st.integers(2, 14),
+    st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3]),
+    st.integers(1, 3),
+    st.integers(0, 10_000),
+)
+def test_closure_keeps_the_rounds(p, n, density, targets, seed):
+    """Saturation closes the store as often, and reaches the same columns,
+    with the closure on the transposed set index as with the closure that
+    rescanned premises."""
+    a = random_arena(p, n, density, min(targets, p), seed)
+    got, rounds = _saturate_counting_rounds(a)
+    want, want_rounds = _saturate_counting_rounds(a, RescanRelation)
+    assert rounds == want_rounds
+    assert got.snapshot() == want.snapshot()
+    assert list(got.pairs()) == list(want.pairs())
 
 
 @settings(max_examples=50, deadline=None)

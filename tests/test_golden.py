@@ -3,9 +3,10 @@
 The first four digests were recorded before saturation was rewritten as a
 loop over the rule functions, the 60- and 80-vertex sparse arenas (the
 benchmark's ``sparse-reduce`` inputs) before the closure moved to bitmask
-columns, and the 120-vertex one before the columns became the pair store;
-a change that alters any of them changes what ``nwr relate`` or
-``nwr reduce`` writes, and must say why.  The ``relate --exact`` and
+columns, the 120-vertex one before the columns became the pair store,
+and the 160- and 240-vertex ones before the closure moved onto the
+transposed set index; a change that alters any of them changes what
+``nwr relate`` or ``nwr reduce`` writes, and must say why.  The ``relate --exact`` and
 ``certify`` digests were recorded before exact decision moved onto the
 bit kernel and ``relate --exact`` began to skip the paths its relation
 rules out.  The ``solve`` digests were recorded before value iteration
@@ -75,6 +76,16 @@ GOLDEN = {
         "544c34bca5a8b3ea2156a91539a63398568481cce1741a4ea938f95f35c3b79f",
         "a2bcdf7b62605f8fcc16676cf01d7bd99c59ee65506e0bd31a6531b4845af625",
         "744b0eea39f5bad125778b44684b1f6caf0aa040497784ad5574af83761cea99",
+    ),
+    (80, 80, 3 / 100, 1, 3): (
+        "4d35e4cc1800b867a8b8702a658b288c57c13f8604daf0c9114938aabcf885de",
+        "1238466081526e3cfdcd537927e719b9dedf5b04edeae82dc4d52458536c5932",
+        "dd01b6986cc6e5b30502f1bfef9e4c5df4c2a3965cd6dc49232c0c1e68de02a1",
+    ),
+    (120, 120, 1 / 50, 1, 3): (
+        "19a5fc0ebccd596494ea3bf80c023d742ce9d197a4861e2e9fd813b778c15534",
+        "29ca1e0d7655c55c0791bedc4061ed915770a2dc129b932ae87f8b4c486656cc",
+        "e36cfcd0c6597f66a66cecfd44340e79003b57dbb1bd8588117c2836437e0afd",
     ),
 }
 

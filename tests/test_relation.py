@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nwr import ArenaFormatError, NwrRelation, TargetArena, candidate_universe, random_arena
 from nwr.arena import _dumps
-from _reference import ReferenceRelation
+from _reference import ReferenceRelation, RescanRelation, reference_close
 
 
 def closed(rel, universe):
@@ -37,28 +37,6 @@ def brute_close(pairs, universe, vertices):
                         changed = True
                         break
     return {(v, w) for (v, w) in holds}
-
-
-def reference_close(rel, universe_masks):
-    """The closure as first written, the reference for ``NwrRelation.close``
-    on a ``ReferenceRelation``: sweep every (v, X) not yet implied and test
-    each stored row of v member by member with ``holds_mask``, until a
-    sweep adds nothing."""
-    masks = list(universe_masks)
-    changed_any = False
-    changed = True
-    while changed:
-        changed = False
-        for v in rel.vertices:
-            for x in masks:
-                if rel.holds_mask(v, x):
-                    continue
-                for y in list(rel._rows[v]):
-                    if all(rel.holds_mask(u, x) for u in rel.unmask(y)):
-                        rel.add_mask(v, x)
-                        changed = changed_any = True
-                        break
-    return changed_any
 
 
 class TestStore:
@@ -114,6 +92,37 @@ class TestPtc:
         rel.add("a", {"b"})
         assert rel.close(masks) is True
         assert rel.holds("a", {"c"})
+
+    def test_column_growth_makes_a_premise_fit(self):
+        # {c} gains b after the last close, so {b} now fits inside its
+        # column, though {b}'s own column did not grow
+        rel = NwrRelation(["a", "b", "c"])
+        masks = [rel.mask({x}) for x in "abc"]
+        rel.add("a", {"b"})
+        assert rel.close(masks) is False
+        rel.add("b", {"c"})
+        assert rel.close(masks) is True
+        assert rel.holds("a", {"c"})
+
+    def test_new_target_merges_every_premise(self):
+        # {c} is closed for the first time by the second call, and must
+        # merge {b}, which nothing changed since the first
+        rel = NwrRelation(["a", "b", "c"])
+        rel.add("b", {"c"})
+        rel.add("a", {"b"})
+        assert rel.close([rel.mask({"a"})]) is False
+        assert rel.close([rel.mask({x}) for x in "ac"]) is True
+        assert rel.holds("a", {"c"})
+
+    def test_set_outside_the_universe_takes_its_subsets_growth(self):
+        # {c, d} is known but never closed; {c} gains a inside the closure,
+        # so the column of {c, d} must gain it too
+        rel = NwrRelation(["a", "b", "c", "d"])
+        rel.add("d", {"c", "d"})
+        rel.add("a", {"b"})
+        rel.add("b", {"c"})
+        assert rel.close([rel.mask({x}) for x in "abcd"]) is True
+        assert rel.column(rel.mask({"c", "d"})) == rel.mask({"a", "b", "c", "d"})
 
     def test_idempotent_and_matches_brute_force(self):
         rng = random.Random(5)
@@ -200,9 +209,36 @@ def test_column_close_matches_reference(p, n, density, seed, picks):
     assert list(again.pairs()) == list(got.pairs())
 
 
+def assert_index_matches(rel):
+    """``rel``'s set numbering and transposed index agree with its columns:
+    rebuilt from them, ``cm`` and ``rows`` come out as stored.  A floor
+    vertex is in every column and its row is -1; a ceiling set's column is
+    full, and no row needs to hold it."""
+    n = len(rel.vertices)
+    full = (1 << n) - 1
+    assert list(rel._cols) == rel._sets
+    assert rel._num == {y: k for k, y in enumerate(rel._sets)}
+    cm, rows = [0] * n, [0] * n
+    for k, y in enumerate(rel._sets):
+        col = rel._cols[y]
+        for i in range(n):
+            cm[i] |= (y >> i & 1) << k
+            rows[i] |= (col >> i & 1) << k
+        if rel._ceiling >> k & 1:
+            assert col == full
+    assert rel._cm == cm
+    known = (1 << len(rel._sets)) - 1
+    for i in range(n):
+        if rel._floor >> i & 1:
+            assert rel._rows[i] == -1 and rows[i] == known
+        else:
+            assert rel._rows[i] & ~rel._ceiling == rows[i] & ~rel._ceiling
+            assert rel._rows[i] & ~known == 0
+
+
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["add"] * 4 + ["close"] * 2 + ["holds", "column", "copy", "json"]),
+        st.sampled_from(["add"] * 4 + ["close"] * 2 + ["holds", "column", "copy", "json", "extremal"]),
         st.integers(0, 99),
         st.integers(0, 2**12),
         st.booleans(),
@@ -216,36 +252,50 @@ _OPS = st.lists(
 @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 10_000), _OPS)
 def test_column_store_matches_row_store(p, n, density, seed, ops):
     """Any sequence of operations gives the same answers, ``pairs()`` and
-    ``pair_count()`` on the column store and on the row store it replaced.
-    ``close`` runs on the whole universe or a prefix of it, so a set left
-    closed by one call can be outside the next one's targets."""
+    ``pair_count()`` on the column store, on the row store it replaced and
+    on the column store whose closure rescanned premises, and the same
+    columns on both column stores.  ``close`` runs on the whole universe
+    or a prefix of it, so a set left closed by one call can be outside the
+    next one's targets; ``add_extremal`` takes any bottom mask and, half
+    the time, a top mask."""
     a = random_arena(p, n, density, 1, seed)
     universe = candidate_universe(a)
-    got, want = NwrRelation(a.vertices), ReferenceRelation(a.vertices)
+    got, want, rescan = NwrRelation(a.vertices), ReferenceRelation(a.vertices), RescanRelation(a.vertices)
     verts = got.vertices
+    full = (1 << len(verts)) - 1
     kept = []  # copies taken along the way, which later operations must not touch
     for op, i, j, inside in ops:
         v, w = verts[i % len(verts)], _pick_set(verts, universe, j, inside)
         if op == "add":
-            assert got.add(v, w) == want.add(v, w)
+            assert got.add(v, w) == want.add(v, w) == rescan.add(v, w)
         elif op == "holds":
-            assert got.holds(v, w) == want.holds(v, w)
+            assert got.holds(v, w) == want.holds(v, w) == rescan.holds(v, w)
         elif op == "column":
-            assert got.column(got.mask(w)) == want.column(want.mask(w))
+            m = got.mask(w)
+            assert got.column(m) == want.column(m) == rescan.column(m)
         elif op == "close":
             masks = [got.mask(x) for x in universe[: j % len(universe) + 1 if inside else None]]
-            assert got.close(masks) == want.close(masks)
+            assert got.close(masks) == want.close(masks) == rescan.close(masks)
+            assert got._dirty == 0
+        elif op == "extremal":
+            bottom, top = j & full, (i & full if inside else 0)
+            for rel in (got, want, rescan):
+                rel.add_extremal(bottom, top)
         elif op == "copy":
             kept.append((got, list(want.pairs())))
-            got, want = got.copy(), want.copy()
+            got, want, rescan = got.copy(), want.copy(), rescan.copy()
         else:
             text = got.to_json()
-            assert text == want.to_json()
+            assert text == want.to_json() == rescan.to_json()
             got = NwrRelation.from_json(text, verts)
             want = ReferenceRelation.from_json(text, verts)
+            rescan = RescanRelation.from_json(text, verts)
+        assert_index_matches(got)
+        assert got.snapshot() == rescan.snapshot()
         assert list(got.pairs()) == list(want.pairs())
         assert got.pair_count() == want.pair_count()
     for rel, pairs in kept:
+        assert_index_matches(rel)
         assert list(rel.pairs()) == pairs
 
 

