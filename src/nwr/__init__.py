@@ -59,7 +59,6 @@ from .exact import (
     decide_nwr,
     default_epsilon,
     epsilon_witness,
-    sample_falsify,
     verify_certificate,
     verify_drift_partition,
 )

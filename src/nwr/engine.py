@@ -120,15 +120,16 @@ def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] =
 
     Pruning the successors of ``u`` that are below the rest would add
     nothing the closure does not.  The pairs yielded grow no successor
-    set's column, so each is read once.  ``since`` is unused.
+    set's column, and ``u <= {v}`` sets only the bit of ``{v}``'s column
+    that its test reads, so each column is read once.  ``since`` is unused.
     """
     g = bit_graph(a)
     choices = g.protagonist & ~g.mask(a.targets)
-    columns = [(v, r.column(g.succ[v])) for v in _bits(choices)]
+    columns = [(v, r.column(g.succ[v]), r.column(1 << v)) for v in _bits(choices)]
     for u in _bits(choices):
         um, bit = g.succ[u], 1 << u
-        for v, col in columns:
-            if um & ~col == 0 and not r.column(1 << v) & bit:
+        for v, col, single in columns:
+            if um & ~col == 0 and not single & bit:
                 yield g.order[u], frozenset((g.order[v],))
 
 

@@ -21,7 +21,6 @@ certificate stay the same.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -34,12 +33,10 @@ from .arena import (
     _load_document,
     _parse_ids,
     bit_graph,
-    random_family,
     reach_bits,
     successor_map,
 )
 from .relation import NwrRelation
-from .solve import vertex_values
 
 
 class SizeLimitError(RuntimeError):
@@ -245,7 +242,7 @@ def check_size(a: TargetArena, limit: int) -> None:
     if len(a.vertices) > limit:
         raise SizeLimitError(
             f"arena has {len(a.vertices)} vertices, over the limit of {limit}; "
-            "use saturate() or sample_falsify() for larger instances"
+            "use saturate() for larger instances"
         )
 
 
@@ -396,28 +393,3 @@ def epsilon_witness(
             family[u] = {s: Fraction(1, len(options)) for s in options}
     return family
 
-
-def sample_falsify(
-    a: TargetArena,
-    v: str,
-    w: Iterable[str],
-    trials: int = 500,
-    max_denominator: int = 32,
-    seed: int = 0,
-) -> Optional[dict[str, dict[str, Fraction]]]:
-    """Randomized one-sided refutation check.
-
-    Samples full-support rational families and returns the first one whose
-    exact values put ``v`` strictly above all of ``W``; ``None`` means no
-    refutation was found (the relation may still fail).
-    """
-    wset = frozenset(w)
-    if not wset:
-        raise ValueError("W must be non-empty")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        fam = random_family(a, max_denominator, rng.randrange(2**32))
-        vals = vertex_values(a, fam).values
-        if all(vals[v] > vals[x] for x in wset):
-            return fam
-    return None

@@ -155,9 +155,7 @@ class NwrRelation:
 
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
-        return self.add_mask(v, self.mask(w))
-
-    def add_mask(self, v: str, m: int) -> bool:
+        m = self.mask(w)
         if m == 0:
             raise ValueError("the right-hand set of a pair must be non-empty")
         col = self._cols.get(m)
@@ -218,10 +216,7 @@ class NwrRelation:
         self._dirty = (1 << len(self._sets)) - 1
 
     def holds(self, v: str, w: Iterable[str]) -> bool:
-        return self.holds_mask(v, self.mask(w))
-
-    def holds_mask(self, v: str, m: int) -> bool:
-        return bool(self.column(m) >> self._index[v] & 1)
+        return bool(self.column(self.mask(w)) >> self._index[v] & 1)
 
     def column(self, m: int) -> int:
         """Bitmask of the vertices v with ``v <= W``, for the set W

@@ -127,13 +127,12 @@ def _integer_weights(dist: Mapping[str, Fraction]) -> tuple[int, Sequence[tuple[
     return scale, [(r, p.numerator * (scale // p.denominator)) for r, p in dist.items() if p]
 
 
-def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str]) -> dict[str, Fraction]:
-    """Probability, per state, of reaching ``targets`` while staying in ``stay``.
+def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fraction]:
+    """Reachability probability of ``targets`` for every state at once.
 
-    States outside ``stay | targets`` are absorbing failures.  The linear
-    system ``(I - P) x = b`` is restricted to the states that can actually
-    reach a target inside ``stay``; all other interior states are pinned to
-    zero.  Restricted that way, ``I - P`` is a nonsingular M-matrix, so
+    The linear system ``(I - P) x = b`` is restricted to the states that
+    can actually reach a target; all other non-target states are pinned
+    to zero.  Restricted that way, ``I - P`` is a nonsingular M-matrix, so
     sparse elimination with the diagonal pivots, taken in sorted order,
     never meets a zero pivot.  Each row holds only its non-zero entries.
 
@@ -152,8 +151,9 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
     argument above still rules out a zero one.  Back-substitution keeps
     each unknown as a reduced numerator and denominator pair.
     """
+    targets = frozenset(targets)
     preds: dict[str, list[str]] = {q: [] for q in c.states}
-    weighted = {q: _integer_weights(c.transition[q]) for q in (stay - targets) & c.states}
+    weighted = {q: _integer_weights(c.transition[q]) for q in c.states - targets}
     for q, (_, weights) in weighted.items():
         for r, w in weights:
             if w > 0 and r in preds:
@@ -231,11 +231,6 @@ def _until_vector(c: MarkovChain, stay: frozenset[str], targets: frozenset[str])
         else:
             out[q] = Fraction(0)
     return out
-
-
-def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fraction]:
-    """Reachability probability for every state at once."""
-    return _until_vector(c, frozenset(c.states), frozenset(targets))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ are the chain solve and the strategy improvement over ``Fraction`` objects
 that the integer versions in ``nwr.solve`` replaced,
 ``reference_vertex_values`` the vertex values with ``Fraction`` sums at
 Nature vertices, ``until_prob`` and ``reach_prob`` the single-state chain
-probabilities that nothing in the package called, and
+probabilities that nothing in the package called, ``sample_falsify`` the
+randomized refutation search that only the tests called, and
 ``reference_live_actions`` the search for live actions that scanned the
 support of every action rather than of each distinct distribution once.
 ``reference_successor_map`` is the string adjacency ``successor_map``
@@ -42,6 +43,7 @@ differential tests hold the fast paths to them.
 from __future__ import annotations
 
 import json
+import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -61,14 +63,16 @@ from nwr import (
     induce_chain,
     instantiate_mdp,
     mec_decomposition,
+    random_family,
     reach,
+    reach_prob_vector,
     saturate,
     successor_map,
+    vertex_values,
 )
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.relation import _bits
-from nwr.solve import _until_vector
 
 
 def reference_successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
@@ -101,9 +105,10 @@ def predecessor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
 def reference_sparse_until_vector(
     c: MarkovChain, stay: frozenset[str], targets: frozenset[str]
 ) -> dict[str, Fraction]:
-    """``nwr.solve._until_vector`` over ``Fraction`` rows: the same
-    restriction to the states that reach a target inside ``stay`` and the
-    same sorted diagonal pivots, each row normalised by its pivot."""
+    """``nwr.solve.reach_prob_vector`` over ``Fraction`` rows, on the chain
+    ``until_prob`` solves: the same restriction to the states that reach a
+    target inside ``stay`` and the same sorted diagonal pivots, each row
+    normalised by its pivot."""
     interior = stay - targets
     preds: dict[str, list[str]] = {q: [] for q in c.states}
     for q in interior & c.states:
@@ -171,12 +176,15 @@ def until_prob(c: MarkovChain, q0: str, stay: Iterable[str], targets: Iterable[s
     """Probability of reaching ``targets`` from ``q0`` while staying in ``stay``.
 
     Definitionally one when ``q0`` is already a target, and zero when no
-    run of the required shape exists.
+    run of the required shape exists.  Solved by ``reach_prob_vector`` on
+    the chain whose states outside ``stay`` and ``targets`` are absorbing.
     """
     t = frozenset(targets)
     if q0 in t:
         return Fraction(1)
-    return _until_vector(c, frozenset(stay), t)[q0]
+    keep = frozenset(stay) | t
+    absorbing = {q: c.transition[q] if q in keep else {q: Fraction(1)} for q in c.states}
+    return reach_prob_vector(MarkovChain(c.states, absorbing), t)[q0]
 
 
 def reach_prob(c: MarkovChain, q0: str, targets: Iterable[str]) -> Fraction:
@@ -776,7 +784,7 @@ def reference_rule_prot_dominance(a, r):
             if not ve and survivors:
                 continue
             ve_mask = r.mask(ve)
-            if all(r.holds_mask(w, ve_mask) for w in survivors):
+            if r.mask(survivors) & ~r.column(ve_mask) == 0:
                 yield u, frozenset((v,))
 
 
@@ -957,6 +965,32 @@ def reference_default_epsilon(n_vertices: int) -> Fraction:
         else:
             lo = mid
     return (1 - hi) / 2
+
+
+def sample_falsify(
+    a: TargetArena,
+    v: str,
+    w: Iterable[str],
+    trials: int = 500,
+    max_denominator: int = 32,
+    seed: int = 0,
+) -> dict[str, dict[str, Fraction]] | None:
+    """Randomized one-sided refutation check.
+
+    Samples full-support rational families and returns the first one whose
+    exact values put ``v`` strictly above all of ``W``; ``None`` means no
+    refutation was found (the relation may still fail).
+    """
+    wset = frozenset(w)
+    if not wset:
+        raise ValueError("W must be non-empty")
+    rng = random.Random(seed)
+    for _ in range(trials):
+        fam = random_family(a, max_denominator, rng.randrange(2**32))
+        vals = vertex_values(a, fam).values
+        if all(vals[v] > vals[x] for x in wset):
+            return fam
+    return None
 
 
 class _UnionFind:

@@ -133,6 +133,17 @@ class TestProtDominance:
         assert not rel.holds("u", {"loser"})
         assert ("u", frozenset({"loser"})) not in list(rule_prot_dominance(a, rel))
 
+    def test_reads_two_columns_per_choice(self):
+        # each non-target Protagonist vertex's successor set and singleton,
+        # once per sweep, however many pairs pass the successor test
+        for a in (random_arena(12, 12, 0.15, 1, 0), random_arena(30, 30, 0.07, 1, 3)):
+            rel = seed_relation(a)
+            with mock.patch.object(
+                NwrRelation, "column", autospec=True, side_effect=NwrRelation.column
+            ) as column:
+                _drive(rule_prot_dominance, a, rel, None)
+            assert column.call_count == 2 * len(a.protagonist - a.targets)
+
 
 class TestSaturate:
     def test_funnel_equivalence(self, funnel):

@@ -16,7 +16,6 @@ from nwr import (
     make_arena,
     random_arena,
     reduce_2dp,
-    sample_falsify,
     saturate,
     successor_map,
     verify_certificate,
@@ -32,6 +31,7 @@ from _reference import (
     reference_greedy_layers,
     reference_relate_exact,
     reference_simple_target_paths,
+    sample_falsify,
 )
 
 

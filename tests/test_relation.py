@@ -59,6 +59,12 @@ class TestStore:
         assert frozenset({"b", "c"}) not in stored
         assert not rel.add("a", {"b", "c"})  # already implied
 
+    def test_empty_right_hand_set_rejected(self):
+        rel = NwrRelation(["a"])
+        with pytest.raises(ValueError, match="non-empty"):
+            rel.add("a", [])
+        assert list(rel.pairs()) == [("a", frozenset({"a"}))]
+
     def test_json_round_trip(self):
         rel = NwrRelation(["a", "b"])
         rel.add("a", {"b"})
