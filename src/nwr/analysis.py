@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .arena import TargetArena, bit_graph, successor_map
-from .relation import NwrRelation, candidate_universe
+from .relation import NwrRelation, universe_masks
 from .solve import almost_sure_bits, zero_bits, zero_set
 
 
@@ -147,15 +147,16 @@ def essential_order(a: TargetArena) -> frozenset[tuple[str, str]]:
 def seed_relation(a: TargetArena) -> NwrRelation:
     """Initial sound under-approximation from the extremal-value sets.
 
-    Seeds every zero-valued vertex below every singleton and every vertex
-    below each almost-surely-winning vertex, in one bulk update of the
-    store, then takes the pseudo transitive closure.  End-component and
-    forced-visit pairs need no seed: ``rule_bar_win`` and
-    ``rule_bar_reach`` derive them.
+    Every zero-valued vertex below every singleton and every vertex below
+    each almost-surely-winning vertex, closed over the candidate universe.
+    The store is written down in closed form (``NwrRelation.extremal``):
+    a universe set's column is full when it holds an almost-surely-winning
+    vertex, and is the set plus the zero-valued vertices otherwise.
+    End-component and forced-visit pairs need no seed: ``rule_bar_win``
+    and ``rule_bar_reach`` derive them.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
-    rel = NwrRelation(a.vertices)
-    rel.add_extremal(zero_bits(g, targets), almost_sure_bits(g, targets))
-    rel.close([rel.mask(w) for w in candidate_universe(a)])
-    return rel
+    return NwrRelation.extremal(
+        g.order, universe_masks(a), zero_bits(g, targets), almost_sure_bits(g, targets)
+    )

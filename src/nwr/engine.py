@@ -10,16 +10,22 @@ own: bar-reach and the closure put it below each successor, and bar-win
 puts each successor below it.
 
 Each rule has the signature ``rule_*(a, r, since=None)`` and yields the
-pairs it derives over the whole arena.  The rules are generators and read
-``r`` as they go, so a pair the caller adds before asking for the next one
-can already serve as a premise within the same sweep; a rule reads a
-column ahead only when the pairs it yields in between cannot change it.
+pairs it derives over the whole arena, each as ``(i, m)``: the number of
+the vertex ``v`` and the mask of the set ``W`` in ``v <= W``.  The rules
+are generators and read ``r`` as they go, so a pair the caller adds (with
+``r.add_bits(i, m)``) before asking for the next one can already serve as
+a premise within the same sweep; a rule reads a column ahead only when the
+pairs it yields in between cannot change it.
 
-All three rules read masks: ``bit_graph(a)`` numbers the vertices in
-sorted order, as the store does, so a column is a set of vertices the
-kernel ``reach_bits`` can avoid or start from as it is, a successor mask is
-a right-hand set the store can look up, and the vertices a rule yields are
-the set bits of one mask, lowest first.
+The rules work on masks from end to end: ``bit_graph(a)`` numbers the
+vertices in sorted order, as the store does, so a column is a set of
+vertices the kernel ``reach_bits`` can avoid or start from as it is, a
+successor mask or a mask of ``universe_masks(a)`` is a right-hand set the
+store can look up, and a rule hands the store the numbers and masks it
+computed without naming a vertex.
+
+The seed is the extremal-value store of ``seed_relation``, written down in
+closed form, so the closure first runs at the end of the first round.
 
 Saturation is semi-naive: from the second round on, a rule skips each
 argument whose premise columns still equal the columns at the start of the
@@ -35,10 +41,12 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .analysis import seed_relation
 from .arena import TargetArena, _bits, bit_graph, reach_bits
-from .relation import NwrRelation, candidate_universe
+from .relation import NwrRelation, universe_masks
 from .solve import almost_sure_bits
 
-Pair = tuple[str, frozenset[str]]
+#: a pair ``v <= W`` as the rules yield it: the number of ``v`` and the
+#: mask of ``W``, both over ``bit_graph(a)``
+Pair = tuple[int, int]
 
 
 class Since(NamedTuple):
@@ -63,18 +71,18 @@ def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None
     A target reaches the targets by the length-zero path, outside any cut.
     Skips each ``W`` whose column did not grow since ``since``, and each
     ``v0`` already in the cut.  ``r`` is a store over the arena's
-    vertices, so its masks are those of ``bit_graph(a)``.
+    vertices, so its masks are those of ``bit_graph(a)``, and ``W``
+    ranges over ``universe_masks(a)``.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
     prev = None if since is None else since.columns
-    for wset in candidate_universe(a):
-        m = r.mask(wset)
+    for m in universe_masks(a):
         below = r.column(m)
         if prev is not None and prev.get(m) == below:
             continue
         for i in _bits(g.full & ~reach_bits(g.pred, targets, below) & ~below):
-            yield g.order[i], wset
+            yield i, m
 
 
 def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
@@ -111,7 +119,7 @@ def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) 
             winners = winners_of[key] = almost_sure_bits(g, key)
         for v0 in _bits(winners):
             if not singles[v0] & bit:
-                yield g.order[w], frozenset((g.order[v0],))
+                yield w, 1 << v0
 
 
 def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
@@ -130,7 +138,7 @@ def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] =
         um, bit = g.succ[u], 1 << u
         for v, col, single in columns:
             if um & ~col == 0 and not single & bit:
-                yield g.order[u], frozenset((g.order[v],))
+                yield u, 1 << v
 
 
 RULES = (rule_bar_reach, rule_bar_win, rule_prot_dominance)
@@ -140,18 +148,19 @@ def saturate(a: TargetArena) -> "NwrRelation":
     """Run the rules to their joint fixpoint starting from the seeds.
 
     Deterministic: rules fire in a fixed order over sorted arguments and
-    the closure runs after each round.  Pairs are only ever added and the
-    candidate universe is finite, so termination is immediate.
+    the closure runs after each round, and only then: the seed needs none.
+    Pairs are only ever added and the candidate universe is finite, so
+    termination is immediate.
     """
     rel = seed_relation(a)
-    umasks = [rel.mask(w) for w in candidate_universe(a)]
+    umasks = universe_masks(a)
     since = Since(None, {})
     for _ in range(len(a.vertices) * len(umasks) + 2):
         start = rel.snapshot()
         changed = False
         for rule in RULES:
-            for v, w in rule(a, rel, since):
-                changed |= rel.add(v, w)
+            for i, m in rule(a, rel, since):
+                changed |= rel.add_bits(i, m)
         changed |= rel.close(umasks)
         if not changed:
             return rel

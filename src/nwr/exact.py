@@ -242,7 +242,7 @@ def check_size(a: TargetArena, limit: int) -> None:
     if len(a.vertices) > limit:
         raise SizeLimitError(
             f"arena has {len(a.vertices)} vertices, over the limit of {limit}; "
-            "use saturate() for larger instances"
+            "for larger arenas, `nwr relate` without --exact proves pairs in polynomial time"
         )
 
 

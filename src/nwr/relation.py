@@ -13,7 +13,8 @@ other set both are the union of the columns of the known sets inside it.
 proper subset's column has: the inclusion-minimal pairs.
 
 The known sets are numbered in the order they became known, singleton
-``{i}`` as ``i``, and a transposed index over those numbers is kept up to
+``{i}`` as ``i`` (a seeded store knows the candidate universe, numbered
+in its order), and a transposed index over those numbers is kept up to
 date with the columns: per vertex ``i``, ``cm[i]`` masks the sets holding
 ``i``, and ``rows[i]`` the sets whose column holds ``i``.  The known
 supersets of ``W`` are then ``AND(cm[i] for i in W)``, and the sets whose
@@ -21,18 +22,22 @@ column holds all of ``W`` are ``AND(rows[i] for i in W)``, which is what
 ``close`` matches premises with.  Two bounds keep the index cheap.  The
 floor is the vertices below every set (the zero-value seed): they are in
 every column, so their rows are ``-1`` and no push carries them.  The
-ceiling is sets with full columns: each set holding a vertex every vertex
-is below (the almost-surely-winning seed), and each set full when it
-became known.  No row records them and no push goes to them.
+ceiling is sets with full columns: each set full in the seed (one holding
+a vertex every vertex is below, the almost-surely-winning seed), and each
+set full when it became known.  No row records them and no push goes to
+them.
 
-Vertex sets are represented as integer bitmasks internally; the public
-surface speaks plain strings and frozensets.
+Vertex sets are integer bitmasks over the vertices in sorted order, the
+order of ``bit_graph``.  ``add``, ``holds`` and ``pairs`` speak plain
+strings and frozensets; saturation speaks masks, through ``extremal``,
+``add_bits`` and ``column``.  ``add`` masks its arguments and calls
+``add_bits``, so a pair enters the store one way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arena import (
     ArenaFormatError,
@@ -51,9 +56,18 @@ def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
     Singletons, full successor sets, and successor sets with one element
     deleted: exactly what the rules and the reduction steps consume, which
     keeps saturation polynomial instead of ranging over all subsets.
-    Cached for the last arena asked, keyed without the targets like
-    ``successor_map``: it and its retargeted copies get the same tuple.
+    ``universe_masks`` unmasked, in its order: by size, then by sorted
+    members.  Cached for the last arena asked, keyed without the targets
+    like ``successor_map``: it and its retargeted copies get the same
+    tuple.
     """
+    return _named_universe(a.protagonist, a.nature, a.edges)
+
+
+def universe_masks(a: TargetArena) -> tuple[int, ...]:
+    """``candidate_universe`` as masks over ``bit_graph(a)``, built once
+    per arena and shared by its retargeted copies.  The singletons come
+    first, singleton ``{i}`` as number ``i``."""
     return _universe(a.protagonist, a.nature, a.edges)
 
 
@@ -62,18 +76,25 @@ def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
 @lru_cache(maxsize=1)
 def _universe(
     protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
-) -> tuple[frozenset[str], ...]:
-    succ = _bit_adjacency(protagonist, nature, edges).names
-    sets: set[frozenset[str]] = {frozenset((v,)) for v in succ}
-    for v, ws in succ.items():
-        sv = frozenset(ws)
+) -> tuple[int, ...]:
+    sets: set[int] = set()
+    for i, sv in enumerate(_bit_adjacency(protagonist, nature, edges).succ):
+        sets.add(1 << i)
         if sv:
             sets.add(sv)
-        for x in ws:
-            rest = sv - {x}
+        for x in _bits(sv):
+            rest = sv & ~(1 << x)
             if rest:
                 sets.add(rest)
-    return tuple(sorted(sets, key=lambda w: (len(w), tuple(sorted(w)))))
+    return tuple(sorted(sets, key=lambda m: (m.bit_count(), list(_bits(m)))))
+
+
+@lru_cache(maxsize=1)
+def _named_universe(
+    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
+) -> tuple[frozenset[str], ...]:
+    g = _bit_adjacency(protagonist, nature, edges)
+    return tuple(g.unmask(m) for m in _universe(protagonist, nature, edges))
 
 
 class NwrRelation:
@@ -110,6 +131,60 @@ class NwrRelation:
         self._seen: list[int] = [0] * n
         # the numbers of the sets the last ``close`` closed
         self._targets = 0
+
+    @classmethod
+    def extremal(
+        cls, vertices: Iterable[str], universe: Sequence[int], zero: int, winning: int
+    ) -> "NwrRelation":
+        """The store that ``z <= {w}`` for every ``z`` in ``zero`` and
+        ``w <= {t}`` for every ``t`` in ``winning``, over every vertex
+        ``w``, then ``close(universe)``, leave: written down, not derived.
+
+        ``universe`` starts with the singletons in vertex order, and
+        ``zero`` shares no vertex with ``winning``.  The universe sets are
+        the known sets, numbered in its order.  A set holding a vertex of
+        ``winning`` has a full column, and any other set ``X`` the column
+        ``X | zero``.  These columns are closed: a set ``Y`` inside
+        ``X | zero`` holds no vertex of ``winning`` either, none being in
+        ``zero``, so its column ``Y | zero`` is inside ``X | zero`` too.
+        ``zero`` is the floor and the sets with full columns the ceiling.
+        Each set is left as the closure's one visit to it leaves it:
+        merged by every other open set holding its members outside the
+        floor, its column seen.
+        """
+        rel = cls(vertices)
+        n = len(rel._order)
+        full = (1 << n) - 1
+        sets = list(universe)
+        cols: dict[int, int] = {}
+        cm, rows = [0] * n, [0] * n
+        ceiling = 0
+        for k, y in enumerate(sets):
+            bit = 1 << k
+            for i in _bits(y):
+                cm[i] |= bit
+            col = cols[y] = full if y & winning else y | zero
+            if col == full:
+                ceiling |= bit
+            else:
+                for i in _bits(y & ~zero):
+                    rows[i] |= bit
+        for i in _bits(zero):
+            rows[i] = -1
+        known = (1 << len(sets)) - 1
+        open_sets = known & ~ceiling
+        merged = []
+        for k, y in enumerate(sets):
+            below = open_sets & ~(1 << k)
+            for i in _bits(y & ~zero):
+                below &= rows[i]
+            merged.append(below)
+        rel._cols, rel._sets, rel._num = cols, sets, {y: k for k, y in enumerate(sets)}
+        rel._cm, rel._rows = cm, rows
+        rel._floor, rel._ceiling = zero, ceiling
+        rel._merged, rel._seen = merged, list(cols.values())
+        rel._dirty, rel._targets = 0, known
+        return rel
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -155,13 +230,16 @@ class NwrRelation:
 
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
-        m = self.mask(w)
+        return self.add_bits(self._index[v], self.mask(w))
+
+    def add_bits(self, i: int, m: int) -> bool:
+        """``add`` for the vertex numbered ``i`` and the set encoded by
+        ``m``."""
         if m == 0:
             raise ValueError("the right-hand set of a pair must be non-empty")
         col = self._cols.get(m)
         if col is None:
             col = self._learn(m)
-        i = self._index[v]
         if col >> i & 1:
             return False
         self._dirty |= self._spread(1 << i, self._supersets(m) & ~self._ceiling)
@@ -196,24 +274,6 @@ class NwrRelation:
                         rows[v] |= bit
                         dirty |= cm[v]
         return dirty
-
-    def add_extremal(self, bottom: int, top: int) -> None:
-        """Record ``z <= {w}`` for every ``z`` in ``bottom`` and every
-        vertex ``w``, and ``w <= {t}`` for every vertex ``w`` and every
-        ``t`` in ``top``, all at once: every known set's column gains
-        ``bottom``, and one that holds a vertex of ``top`` becomes full.
-        ``bottom`` joins the floor, and the sets holding a vertex of
-        ``top`` join the ceiling."""
-        full = (1 << len(self._order)) - 1
-        cm, rows, cols = self._cm, self._rows, self._cols
-        for z in _bits(bottom):
-            rows[z] = -1
-        self._floor |= bottom
-        for t in _bits(top):
-            self._ceiling |= cm[t]
-        for y, col in cols.items():
-            cols[y] = full if y & top else col | bottom
-        self._dirty = (1 << len(self._sets)) - 1
 
     def holds(self, v: str, w: Iterable[str]) -> bool:
         return bool(self.column(self.mask(w)) >> self._index[v] & 1)

@@ -150,8 +150,13 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
     pivot is a positive multiple of a ``Fraction`` pivot, and the M-matrix
     argument above still rules out a zero one.  Back-substitution keeps
     each unknown as a reduced numerator and denominator pair.
+
+    Raises ``ValueError`` when a target is not a state of ``c``.
     """
     targets = frozenset(targets)
+    missing = targets - c.states
+    if missing:
+        raise ValueError(f"targets outside the chain: {', '.join(sorted(missing))}")
     preds: dict[str, list[str]] = {q: [] for q in c.states}
     weighted = {q: _integer_weights(c.transition[q]) for q in c.states - targets}
     for q, (_, weights) in weighted.items():

@@ -7,7 +7,11 @@ closure re-tested premises set by set before it moved onto the transposed
 set index.  ``reference_seed_relation`` is the seed
 that also added end-component and forced-visit pairs by hand, and
 ``reference_saturate`` the saturation that ran every rule over every
-argument in every round.  ``reference_zero_set``,
+argument in every round.  ``reference_bulk_seed`` is the extremal seed
+as one bulk update of the store and a closure, before ``seed_relation``
+wrote it in closed form, and ``named`` maps the pairs a rule yields to
+names, as the rules yielded them before they handed the store masks.
+``reference_zero_set``,
 ``reference_almost_sure_set``, ``reference_extremal_seed``,
 ``reference_rule_bar_reach`` and ``reference_rule_bar_win`` are the
 searches over string vertex sets that the bitmask kernel of
@@ -46,7 +50,7 @@ import json
 import random
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Iterator, Mapping
 
 from nwr import (
@@ -70,9 +74,11 @@ from nwr import (
     successor_map,
     vertex_values,
 )
+from nwr.arena import bit_graph
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.relation import _bits
+from nwr.solve import almost_sure_bits, zero_bits
 
 
 def reference_successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
@@ -298,9 +304,9 @@ class ReferenceRelation:
         return True
 
     def add_extremal(self, bottom: int, top: int) -> None:
-        """``NwrRelation.add_extremal`` one pair at a time: ``z <= {w}``
-        for every ``z`` in ``bottom`` and ``w <= {t}`` for every ``t`` in
-        ``top``, over every vertex ``w``."""
+        """The bulk update of ``reference_bulk_seed`` one pair at a time:
+        ``z <= {w}`` for every ``z`` in ``bottom`` and ``w <= {t}`` for
+        every ``t`` in ``top``, over every vertex ``w``."""
         for z in _bits(bottom):
             for i in range(len(self._order)):
                 self.add_mask(self._order[z], 1 << i)
@@ -467,15 +473,15 @@ class RescanRelation:
 
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
-        return self.add_mask(v, self.mask(w))
+        return self.add_bits(self._index[v], self.mask(w))
 
-    def add_mask(self, v: str, m: int) -> bool:
+    def add_bits(self, i: int, m: int) -> bool:
         if m == 0:
             raise ValueError("the right-hand set of a pair must be non-empty")
         col = self._cols.get(m)
         if col is None:
             col = self._learn(m)
-        bit = 1 << self._index[v]
+        bit = 1 << i
         if col & bit:
             return False
         cols = self._cols
@@ -683,6 +689,29 @@ def reference_extremal_seed(a, store=ReferenceRelation):
     return _add_extremal_and_close(store(a.vertices), a)
 
 
+def reference_bulk_seed(a):
+    """``seed_relation`` before it was written in closed form: a fresh
+    ``NwrRelation`` gains every zero-valued vertex below every singleton
+    and every vertex below each almost-surely-winning vertex in one bulk
+    update (``NwrRelation.add_extremal`` as it was), then is closed over
+    the candidate universe."""
+    g = bit_graph(a)
+    targets = g.mask(a.targets)
+    rel = NwrRelation(a.vertices)
+    bottom, top = zero_bits(g, targets), almost_sure_bits(g, targets)
+    full = (1 << len(rel.vertices)) - 1
+    for z in _bits(bottom):
+        rel._rows[z] = -1
+    rel._floor |= bottom
+    for t in _bits(top):
+        rel._ceiling |= rel._cm[t]
+    for y, col in rel._cols.items():
+        rel._cols[y] = full if y & top else col | bottom
+    rel._dirty = (1 << len(rel._sets)) - 1
+    rel.close([rel.mask(w) for w in candidate_universe(a)])
+    return rel
+
+
 def _add_extremal_and_close(rel, a):
     everything = sorted(a.vertices)
     for z in sorted(reference_zero_set(a)):
@@ -801,9 +830,23 @@ def reference_rule_prot_dominance_unpruned(a, r, since=None):
                 yield u, frozenset((v,))
 
 
+def named(rule):
+    """``rule`` yielding names: each pair ``(vertex number, set mask)`` it
+    yields is mapped through ``bit_graph(a)`` to ``(vertex, vertex set)``
+    as it comes, so a pair the caller adds still reaches the rule."""
+
+    @wraps(rule)
+    def call(a, r, since=None):
+        g = bit_graph(a)
+        for i, m in rule(a, r, since):
+            yield g.order[i], g.unmask(m)
+
+    return call
+
+
 FOUR_RULES = (
-    rule_bar_reach,
-    rule_bar_win,
+    named(rule_bar_reach),
+    named(rule_bar_win),
     reference_rule_nature_equiv,
     reference_rule_prot_dominance,
 )

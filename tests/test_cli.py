@@ -258,6 +258,20 @@ def test_certify_size_limit(tmp_path, selector):
     assert main(["certify", str(path), "--source", "p", "--against", "q"]) == 3
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["relate", "--exact", "--limit", "5"], ["certify", "--source", "p", "--against", "q"]],
+)
+def test_size_limit_points_to_relate(tmp_path, selector, capsys, command):
+    path = tmp_path / "selector.json"
+    path.write_text(serialize_arena(selector))
+    assert main([command[0], str(path), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert "over the limit of" in err
+    assert "`nwr relate` without --exact" in err
+    assert "saturate()" not in err
+
+
 def test_gen_deterministic(tmp_path):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     args = ["gen", "--protagonist", "4", "--nature", "3", "--density", "1/2", "--targets", "1", "--seed", "7"]

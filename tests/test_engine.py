@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nwr import (
     NwrRelation,
+    almost_sure_set,
     decide_nwr,
     make_arena,
     random_arena,
@@ -15,7 +16,6 @@ from nwr import (
     seed_relation,
     vertex_values,
 )
-import nwr.analysis
 import nwr.engine
 from nwr.engine import RULES, Since
 from _corpus import arena_suite, family_suite
@@ -23,28 +23,33 @@ from _reference import (
     FOUR_RULES,
     RescanRelation,
     equivalent,
+    named,
     reference_rule_bar_reach,
     reference_rule_bar_win,
     reference_rule_prot_dominance_unpruned,
+    reference_bulk_seed,
+    reference_extremal_seed,
     reference_saturate,
     reference_seed_relation,
 )
 
+NAMED_RULES = tuple(named(rule) for rule in RULES)
+
 
 class TestBarReach:
     def test_funnel_cut_through_t(self, funnel):
-        pairs = list(rule_bar_reach(funnel, seed_relation(funnel)))
+        pairs = list(named(rule_bar_reach)(funnel, seed_relation(funnel)))
         assert ("p", frozenset({"t"})) in pairs
         assert ("q", frozenset({"t"})) in pairs
 
     def test_target_start_blocks_emission(self, coin):
         # t is a target: the length-zero path reaches T outside any cut
-        pairs = list(rule_bar_reach(coin, seed_relation(coin)))
+        pairs = list(named(rule_bar_reach)(coin, seed_relation(coin)))
         assert ("t", frozenset({"v0"})) not in pairs
 
     def test_dead_vertex_below_everything(self, coin):
         # from the bare store: the seed already holds f below everything
-        pairs = list(rule_bar_reach(coin, NwrRelation(coin.vertices)))
+        pairs = list(named(rule_bar_reach)(coin, NwrRelation(coin.vertices)))
         assert ("f", frozenset({"v0"})) in pairs
 
     def test_skips_vertices_already_in_the_cut(self, funnel):
@@ -55,10 +60,11 @@ class TestBarReach:
 
 class TestBarWin:
     def test_relay_t_below_p(self, relay):
-        assert ("t", frozenset({"p"})) in list(rule_bar_win(relay, NwrRelation(relay.vertices)))
+        pairs = list(named(rule_bar_win)(relay, NwrRelation(relay.vertices)))
+        assert ("t", frozenset({"p"})) in pairs
 
     def test_funnel_t_below_p_and_q(self, funnel):
-        pairs = list(rule_bar_win(funnel, NwrRelation(funnel.vertices)))
+        pairs = list(named(rule_bar_win)(funnel, NwrRelation(funnel.vertices)))
         assert ("t", frozenset({"p"})) in pairs
         assert ("t", frozenset({"q"})) in pairs
 
@@ -68,7 +74,8 @@ class TestBarWin:
             assert list(rule_bar_win(a, saturate(a))) == []
 
     def test_no_winning_route(self, coin):
-        assert ("t", frozenset({"v0"})) not in list(rule_bar_win(coin, NwrRelation(coin.vertices)))
+        pairs = list(named(rule_bar_win)(coin, NwrRelation(coin.vertices)))
+        assert ("t", frozenset({"v0"})) not in pairs
 
 
 class TestNatureEquiv:
@@ -98,7 +105,7 @@ class TestProtDominance:
     def test_reflexive(self, funnel):
         # the reflexive pair is a property of the store, never yielded
         bare = NwrRelation(funnel.vertices)
-        assert ("p", frozenset({"p"})) not in list(rule_prot_dominance(funnel, bare))
+        assert ("p", frozenset({"p"})) not in list(named(rule_prot_dominance)(funnel, bare))
         for a in [funnel, *arena_suite(6, seed=47, max_p=4, max_n=4)]:
             assert list(rule_prot_dominance(a, saturate(a))) == []
 
@@ -107,13 +114,13 @@ class TestProtDominance:
         # below q's successor set
         rel = NwrRelation(spare_left.vertices)
         rel.add("u", {"v", "z"})
-        pairs = list(rule_prot_dominance(spare_left, rel))
+        pairs = list(named(rule_prot_dominance)(spare_left, rel))
         assert ("p", frozenset({"q"})) in pairs
         assert ("q", frozenset({"p"})) in pairs
 
     def test_dead_protagonist_below_anything(self):
         a = make_arena(["p", "dead", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
-        pairs = list(rule_prot_dominance(a, NwrRelation(a.vertices)))
+        pairs = list(named(rule_prot_dominance)(a, NwrRelation(a.vertices)))
         assert ("dead", frozenset({"p"})) in pairs
 
     def test_mutually_equivalent_successors_stay_guarded(self):
@@ -131,7 +138,7 @@ class TestProtDominance:
         rel = saturate(a)
         assert equivalent(rel, "n1", "n2")
         assert not rel.holds("u", {"loser"})
-        assert ("u", frozenset({"loser"})) not in list(rule_prot_dominance(a, rel))
+        assert ("u", frozenset({"loser"})) not in list(named(rule_prot_dominance)(a, rel))
 
     def test_reads_two_columns_per_choice(self):
         # each non-target Protagonist vertex's successor set and singleton,
@@ -141,7 +148,7 @@ class TestProtDominance:
             with mock.patch.object(
                 NwrRelation, "column", autospec=True, side_effect=NwrRelation.column
             ) as column:
-                _drive(rule_prot_dominance, a, rel, None)
+                _drive(named(rule_prot_dominance), a, rel, None)
             assert column.call_count == 2 * len(a.protagonist - a.targets)
 
 
@@ -165,7 +172,7 @@ class TestSaturate:
     def test_fixpoint_of_every_rule(self, funnel, spare_left):
         for a in [funnel, spare_left, *arena_suite(6, seed=44, max_p=4, max_n=4)]:
             rel = saturate(a)
-            for rule in RULES:
+            for rule in NAMED_RULES:
                 assert all(rel.holds(v, w) for v, w in rule(a, rel)), rule.__name__
 
     def test_deterministic(self, funnel):
@@ -191,9 +198,11 @@ class TestSaturate:
                 assert decide_nwr(a, v, w_set, limit=8).holds, (v, sorted(w_set))
 
 
-def _saturate_counting_rounds(a, store=NwrRelation):
-    """Saturate ``a`` on a ``store`` built by the seed; return the relation
-    and the number of rounds, counted as calls of ``store.close``."""
+def _saturate_counting_rounds(a, seeded=None):
+    """Saturate ``a`` from ``seed_relation``, or from the store ``seeded``
+    if given; return the relation and the number of rounds, counted as the
+    calls of ``close`` on the store's class while ``saturate`` runs."""
+    store = NwrRelation if seeded is None else type(seeded)
     closes = 0
     close = store.close
 
@@ -202,9 +211,11 @@ def _saturate_counting_rounds(a, store=NwrRelation):
         closes += 1
         return close(rel, masks)
 
-    with mock.patch.object(store, "close", counting), mock.patch.object(nwr.analysis, "NwrRelation", store):
-        rel = saturate(a)
-    return rel, closes - 1  # the seed relation's close is no round
+    seed = nwr.engine.seed_relation if seeded is None else lambda _: seeded
+    with mock.patch.object(store, "close", counting):
+        with mock.patch.object(nwr.engine, "seed_relation", seed):
+            rel = saturate(a)
+    return rel, closes
 
 
 @settings(max_examples=50, deadline=None)
@@ -221,7 +232,7 @@ def test_saturate_matches_full_sweeps(p, n, density, targets, seed):
     fixpoint nor the number of rounds."""
     a = random_arena(p, n, density, min(targets, p), seed)
     got, rounds = _saturate_counting_rounds(a)
-    want, want_rounds = reference_saturate(a, RULES)
+    want, want_rounds = reference_saturate(a, NAMED_RULES)
     assert list(got.pairs()) == list(want.pairs())
     assert rounds == want_rounds
 
@@ -240,10 +251,69 @@ def test_closure_keeps_the_rounds(p, n, density, targets, seed):
     rescanned premises."""
     a = random_arena(p, n, density, min(targets, p), seed)
     got, rounds = _saturate_counting_rounds(a)
-    want, want_rounds = _saturate_counting_rounds(a, RescanRelation)
+    want, want_rounds = _saturate_counting_rounds(a, reference_extremal_seed(a, RescanRelation))
     assert rounds == want_rounds
     assert got.snapshot() == want.snapshot()
     assert list(got.pairs()) == list(want.pairs())
+
+
+def _assert_seeds_agree(a):
+    """The closed-form seed is the store the bulk update and closure left:
+    the same columns and pairs, the same set numbering, index and floor,
+    the same merges and seen columns outside its ceiling, which holds the
+    old one and only full columns, and nothing left dirty.  Saturation
+    from either reaches the same pairs with the same closes."""
+    got, want = seed_relation(a), reference_bulk_seed(a)
+    assert got.snapshot() == want.snapshot()
+    assert list(got.pairs()) == list(want.pairs())
+    assert got._sets == want._sets and got._num == want._num and got._cm == want._cm
+    assert got._floor == want._floor
+    full = (1 << len(got.vertices)) - 1
+    assert got._ceiling & want._ceiling == want._ceiling
+    assert all(got._cols[y] == full for k, y in enumerate(got._sets) if got._ceiling >> k & 1)
+    ceiling = got._ceiling
+    assert [r & ~ceiling for r in got._rows] == [r & ~ceiling for r in want._rows]
+    assert got._merged == [m & ~ceiling for m in want._merged]
+    assert got._seen == want._seen
+    assert (got._dirty, got._targets) == (want._dirty, want._targets)
+    pairs, rounds = _saturate_counting_rounds(a)
+    want_pairs, want_rounds = _saturate_counting_rounds(a, reference_bulk_seed(a))
+    assert list(pairs.pairs()) == list(want_pairs.pairs())
+    assert rounds == want_rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+)
+def test_closed_form_seed_matches_bulk_seed(p, n, density, targets, seed):
+    _assert_seeds_agree(random_arena(p, n, density, min(targets, p), seed))
+
+
+def test_closed_form_seed_without_reachable_target():
+    # no targets: every vertex has value zero, so the floor is everything
+    a = make_arena(["p", "q"], ["n"], [("p", "n"), ("n", "q"), ("q", "n")], [])
+    assert seed_relation(a)._floor == 0b111
+    _assert_seeds_agree(a)
+
+
+def test_closed_form_seed_with_almost_sure_vertices():
+    # p wins almost surely through n, so every vertex is below {p}
+    a = make_arena(["p", "t", "z"], ["n"], [("p", "n"), ("n", "t")], ["t"])
+    assert almost_sure_set(a) == {"p", "n", "t"}
+    rel = seed_relation(a)
+    assert all(rel.holds(v, {"p"}) for v in a.vertices)
+    assert not rel.holds("p", {"z"})
+    _assert_seeds_agree(a)
+
+
+def test_closed_form_seed_on_one_vertex():
+    for targets in ([], ["t"]):
+        _assert_seeds_agree(make_arena(["t"], [], [], targets))
 
 
 @settings(max_examples=50, deadline=None)
@@ -259,7 +329,7 @@ def test_extremal_seed_reaches_the_old_fixpoint(p, n, density, targets, seed):
     """Seeding only the extremal sets leaves the end-component and
     forced-visit pairs to the rules, and the fixpoint stays the same."""
     a = random_arena(p, n, density, min(targets, p), seed)
-    want, _ = reference_saturate(a, RULES, reference_seed_relation)
+    want, _ = reference_saturate(a, NAMED_RULES, reference_seed_relation)
     assert list(saturate(a).pairs()) == list(want.pairs())
 
 
@@ -335,7 +405,7 @@ def test_bit_rules_match_string_rules(p, n, density, targets, seed):
     for rule, rel, since in _rule_calls(a):
         reference = REFERENCE_RULES[rule]
         want = _drive(reference, a, rel.copy(), None)
-        assert _drive(rule, a, rel.copy(), None) == want
+        assert _drive(named(rule), a, rel.copy(), None) == want
         if since.columns is not None:
             want = _drive(reference, a, rel.copy(), Since(since.columns, {}))
-            assert _drive(rule, a, rel.copy(), since) == want
+            assert _drive(named(rule), a, rel.copy(), since) == want

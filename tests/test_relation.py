@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nwr import ArenaFormatError, NwrRelation, TargetArena, candidate_universe, random_arena
+from nwr import (
+    ArenaFormatError,
+    NwrRelation,
+    TargetArena,
+    candidate_universe,
+    random_arena,
+    seed_relation,
+)
 from nwr.arena import _dumps
-from _reference import ReferenceRelation, RescanRelation, reference_close
+from _reference import ReferenceRelation, RescanRelation, reference_close, reference_extremal_seed
 
 
 def closed(rel, universe):
@@ -244,7 +251,7 @@ def assert_index_matches(rel):
 
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["add"] * 4 + ["close"] * 2 + ["holds", "column", "copy", "json", "extremal"]),
+        st.sampled_from(["add"] * 4 + ["close"] * 2 + ["holds", "column", "copy", "json"]),
         st.integers(0, 99),
         st.integers(0, 2**12),
         st.booleans(),
@@ -255,20 +262,31 @@ _OPS = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([0.25, 0.4, 0.6]), st.integers(0, 10_000), _OPS)
-def test_column_store_matches_row_store(p, n, density, seed, ops):
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([0.25, 0.4, 0.6]),
+    st.integers(0, 10_000),
+    st.booleans(),
+    _OPS,
+)
+def test_column_store_matches_row_store(p, n, density, seed, seeded, ops):
     """Any sequence of operations gives the same answers, ``pairs()`` and
     ``pair_count()`` on the column store, on the row store it replaced and
     on the column store whose closure rescanned premises, and the same
     columns on both column stores.  ``close`` runs on the whole universe
     or a prefix of it, so a set left closed by one call can be outside the
-    next one's targets; ``add_extremal`` takes any bottom mask and, half
-    the time, a top mask."""
+    next one's targets.  Half the time the stores start from the extremal
+    seed, the column store from ``seed_relation`` and the other two one
+    pair at a time; otherwise they start empty."""
     a = random_arena(p, n, density, 1, seed)
     universe = candidate_universe(a)
-    got, want, rescan = NwrRelation(a.vertices), ReferenceRelation(a.vertices), RescanRelation(a.vertices)
+    if seeded:
+        got = seed_relation(a)
+        want, rescan = reference_extremal_seed(a), reference_extremal_seed(a, RescanRelation)
+    else:
+        got, want, rescan = NwrRelation(a.vertices), ReferenceRelation(a.vertices), RescanRelation(a.vertices)
     verts = got.vertices
-    full = (1 << len(verts)) - 1
     kept = []  # copies taken along the way, which later operations must not touch
     for op, i, j, inside in ops:
         v, w = verts[i % len(verts)], _pick_set(verts, universe, j, inside)
@@ -283,10 +301,6 @@ def test_column_store_matches_row_store(p, n, density, seed, ops):
             masks = [got.mask(x) for x in universe[: j % len(universe) + 1 if inside else None]]
             assert got.close(masks) == want.close(masks) == rescan.close(masks)
             assert got._dirty == 0
-        elif op == "extremal":
-            bottom, top = j & full, (i & full if inside else 0)
-            for rel in (got, want, rescan):
-                rel.add_extremal(bottom, top)
         elif op == "copy":
             kept.append((got, list(want.pairs())))
             got, want, rescan = got.copy(), want.copy(), rescan.copy()

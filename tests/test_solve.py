@@ -252,6 +252,12 @@ def chains_with_goals(draw):
     return chain, frozenset(targets), frozenset(stay)
 
 
+def test_chain_solver_rejects_targets_outside_the_chain():
+    chain = MarkovChain(frozenset({"a", "b"}), {"a": {"b": 1}, "b": {"b": 1}})
+    with pytest.raises(ValueError, match="targets outside the chain: yy, zz"):
+        reach_prob_vector(chain, {"zz", "b", "yy"})
+
+
 @settings(max_examples=200, deadline=None)
 @given(chains_with_goals())
 def test_chain_solver_matches_dense_reference(case):
