@@ -40,7 +40,7 @@ from .solve import (
     vertex_values,
     zero_set,
 )
-from .relation import NwrRelation, candidate_universe
+from .relation import NwrRelation
 from .analysis import (
     essential_order,
     mec_decomposition,

@@ -153,15 +153,14 @@ def saturate(a: TargetArena) -> "NwrRelation":
     termination is immediate.
     """
     rel = seed_relation(a)
-    umasks = universe_masks(a)
     since = Since(None, {})
-    for _ in range(len(a.vertices) * len(umasks) + 2):
+    for _ in range(len(a.vertices) * len(universe_masks(a)) + 2):
         start = rel.snapshot()
         changed = False
         for rule in RULES:
             for i, m in rule(a, rel, since):
                 changed |= rel.add_bits(i, m)
-        changed |= rel.close(umasks)
+        changed |= rel.close()
         if not changed:
             return rel
         since = Since(start, since.winners)

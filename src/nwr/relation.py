@@ -5,12 +5,14 @@ vertex of ``W`` has a maximal reachability value at least that of ``v``.
 The claim is monotone in ``W``.
 
 The store keeps one closed column ``B[Y] = {v : v <= Y}`` per known set
-``Y``: every singleton, every right-hand set ever added, and every set
-passed to ``close``.  Each column is upward closed over the known sets, so
-on a known set ``holds`` is a bit test and ``column`` a lookup; on any
-other set both are the union of the columns of the known sets inside it.
-``pairs`` reports, per known set, the vertices of its column that no known
-proper subset's column has: the inclusion-minimal pairs.
+``Y``: every singleton (in a seeded store, every set of the candidate
+universe) and every right-hand set ever added.  The known sets are what
+``close`` closes over, so a set that ``add`` learns is a closure target at
+once.  Each column is upward closed over the known sets, so on a known
+set ``holds`` is a bit test and ``column`` a lookup; on any other set both
+are the union of the columns of the known sets inside it.  ``pairs``
+reports, per known set, the vertices of its column that no known proper
+subset's column has: the inclusion-minimal pairs.
 
 The known sets are numbered in the order they became known, singleton
 ``{i}`` as ``i`` (a seeded store knows the candidate universe, numbered
@@ -22,10 +24,9 @@ column holds all of ``W`` are ``AND(rows[i] for i in W)``, which is what
 ``close`` matches premises with.  Two bounds keep the index cheap.  The
 floor is the vertices below every set (the zero-value seed): they are in
 every column, so their rows are ``-1`` and no push carries them.  The
-ceiling is sets with full columns: each set full in the seed (one holding
-a vertex every vertex is below, the almost-surely-winning seed), and each
-set full when it became known.  No row records them and no push goes to
-them.
+ceiling is the sets full in the seed, those holding a vertex every vertex
+is below (the almost-surely-winning seed): no row records them and no
+push goes to them.
 
 Vertex sets are integer bitmasks over the vertices in sorted order, the
 order of ``bit_graph``.  ``add``, ``holds`` and ``pairs`` speak plain
@@ -50,24 +51,18 @@ from .arena import (
 )
 
 
-def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
-    """The right-hand sets the inference rules range over.
+def universe_masks(a: TargetArena) -> tuple[int, ...]:
+    """The right-hand sets the inference rules range over, as masks over
+    ``bit_graph(a)``.
 
     Singletons, full successor sets, and successor sets with one element
     deleted: exactly what the rules and the reduction steps consume, which
     keeps saturation polynomial instead of ranging over all subsets.
-    ``universe_masks`` unmasked, in its order: by size, then by sorted
-    members.  Cached for the last arena asked, keyed without the targets
-    like ``successor_map``: it and its retargeted copies get the same
-    tuple.
+    Ordered by size, then by sorted members, so singleton ``{i}`` is
+    number ``i``.  Built once per arena and cached for the last arena
+    asked, keyed without the targets like ``successor_map``: it and its
+    retargeted copies get the same tuple.
     """
-    return _named_universe(a.protagonist, a.nature, a.edges)
-
-
-def universe_masks(a: TargetArena) -> tuple[int, ...]:
-    """``candidate_universe`` as masks over ``bit_graph(a)``, built once
-    per arena and shared by its retargeted copies.  The singletons come
-    first, singleton ``{i}`` as number ``i``."""
     return _universe(a.protagonist, a.nature, a.edges)
 
 
@@ -89,56 +84,24 @@ def _universe(
     return tuple(sorted(sets, key=lambda m: (m.bit_count(), list(_bits(m)))))
 
 
-@lru_cache(maxsize=1)
-def _named_universe(
-    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
-) -> tuple[frozenset[str], ...]:
-    g = _bit_adjacency(protagonist, nature, edges)
-    return tuple(g.unmask(m) for m in _universe(protagonist, nature, edges))
-
-
 class NwrRelation:
     """Mutable pair store, reflexive by construction, subset-queryable."""
 
     __slots__ = (
-        "_order", "_index", "_cols", "_sets", "_num", "_cm", "_rows",
-        "_floor", "_ceiling", "_dirty", "_merged", "_seen", "_targets",
+        "_order", "_index", "_cols", "_sets", "_cm", "_rows",
+        "_floor", "_ceiling", "_dirty", "_merged", "_seen",
     )
 
     def __init__(self, vertices: Iterable[str]):
-        self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
-        self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
-        n = len(self._order)
-        # known set -> its column; every singleton is known and below itself
-        self._cols: dict[int, int] = {1 << i: 1 << i for i in range(n)}
-        # set number -> known set, and back; singleton {i} is set number i
-        self._sets: list[int] = list(self._cols)
-        self._num: dict[int, int] = {1 << i: i for i in range(n)}
-        # vertex index -> the numbers of the known sets holding it
-        self._cm: list[int] = self._sets[:]
-        # vertex index -> the numbers of the sets whose column holds it:
-        # -1 for a floor vertex, and never a set of the ceiling
-        self._rows: list[int] = self._sets[:]
-        # the vertices below every set, and the numbers of sets known to
-        # have full columns
-        self._floor = 0
-        self._ceiling = 0
-        # the numbers of the sets the next ``close`` visits
-        self._dirty = (1 << n) - 1
-        # set number -> the numbers of the sets that merged its column,
-        # and its column as they merged it
-        self._merged: list[int] = [0] * n
-        self._seen: list[int] = [0] * n
-        # the numbers of the sets the last ``close`` closed
-        self._targets = 0
+        self._build(vertices, None, 0, 0)
 
     @classmethod
     def extremal(
         cls, vertices: Iterable[str], universe: Sequence[int], zero: int, winning: int
     ) -> "NwrRelation":
-        """The store that ``z <= {w}`` for every ``z`` in ``zero`` and
-        ``w <= {t}`` for every ``t`` in ``winning``, over every vertex
-        ``w``, then ``close(universe)``, leave: written down, not derived.
+        """The closed store over the sets of ``universe`` in which ``z <=
+        {w}`` for every ``z`` in ``zero`` and ``w <= {t}`` for every ``t``
+        in ``winning``, over every vertex ``w``: written down, not derived.
 
         ``universe`` starts with the singletons in vertex order, and
         ``zero`` shares no vertex with ``winning``.  The universe sets are
@@ -152,12 +115,28 @@ class NwrRelation:
         merged by every other open set holding its members outside the
         floor, its column seen.
         """
-        rel = cls(vertices)
-        n = len(rel._order)
+        rel = cls.__new__(cls)
+        rel._build(vertices, universe, zero, winning)
+        return rel
+
+    def _build(
+        self, vertices: Iterable[str], universe: Sequence[int] | None, zero: int, winning: int
+    ) -> None:
+        """Index the store ``extremal`` describes; a bare store knows the
+        singletons only, with no zero or winning vertex."""
+        self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
+        self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
+        n = len(self._order)
         full = (1 << n) - 1
-        sets = list(universe)
+        # set number -> known set; singleton {i} is set number i
+        sets = [1 << i for i in range(n)] if universe is None else list(universe)
+        # known set -> its column
         cols: dict[int, int] = {}
+        # vertex index -> the numbers of the known sets holding it, and the
+        # numbers of the sets whose column holds it: -1 for a floor vertex,
+        # and never a set of the ceiling
         cm, rows = [0] * n, [0] * n
+        # the numbers of the sets with full columns
         ceiling = 0
         for k, y in enumerate(sets):
             bit = 1 << k
@@ -171,20 +150,21 @@ class NwrRelation:
                     rows[i] |= bit
         for i in _bits(zero):
             rows[i] = -1
-        known = (1 << len(sets)) - 1
-        open_sets = known & ~ceiling
+        # set number -> the numbers of the sets that merged its column,
+        # and its column as they merged it
+        open_sets = ((1 << len(sets)) - 1) & ~ceiling
         merged = []
         for k, y in enumerate(sets):
             below = open_sets & ~(1 << k)
             for i in _bits(y & ~zero):
                 below &= rows[i]
             merged.append(below)
-        rel._cols, rel._sets, rel._num = cols, sets, {y: k for k, y in enumerate(sets)}
-        rel._cm, rel._rows = cm, rows
-        rel._floor, rel._ceiling = zero, ceiling
-        rel._merged, rel._seen = merged, list(cols.values())
-        rel._dirty, rel._targets = 0, known
-        return rel
+        self._cols, self._sets, self._cm, self._rows = cols, sets, cm, rows
+        # the vertices below every set
+        self._floor, self._ceiling = zero, ceiling
+        self._merged, self._seen = merged, list(cols.values())
+        # the numbers of the sets the next ``close`` visits
+        self._dirty = 0
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -208,24 +188,22 @@ class NwrRelation:
         return out
 
     def _learn(self, m: int) -> int:
-        """Make ``m`` a known set; return its column, the union of the
-        columns of the known sets inside it."""
+        """Make ``m`` a known set, and so a closure target; return its
+        column, the union of the columns of the known sets inside it.
+        Every known set is left dirty: any of them may lie inside the new
+        column, which must then merge theirs."""
         col = self.column(m)
         k = len(self._sets)
         self._sets.append(m)
-        self._num[m] = k
         self._cols[m] = col
         self._merged.append(0)
         self._seen.append(0)
+        self._dirty = (1 << (k + 1)) - 1
         bit = 1 << k
-        cm, rows = self._cm, self._rows
         for i in _bits(m):
-            cm[i] |= bit
-        if col == (1 << len(self._order)) - 1:
-            self._ceiling |= bit
-        else:
-            for v in _bits(col & ~self._floor):
-                rows[v] |= bit
+            self._cm[i] |= bit
+        for v in _bits(col & ~self._floor):
+            self._rows[v] |= bit
         return col
 
     def add(self, v: str, w: Iterable[str]) -> bool:
@@ -327,62 +305,37 @@ class NwrRelation:
     def pair_count(self) -> int:
         return sum(len(row) for row in self._minimal_rows())
 
-    def copy(self) -> "NwrRelation":
-        dup = NwrRelation.__new__(NwrRelation)
-        dup._order, dup._index = self._order, self._index
-        dup._cols, dup._num = dict(self._cols), dict(self._num)
-        dup._sets, dup._cm, dup._rows = self._sets[:], self._cm[:], self._rows[:]
-        dup._merged, dup._seen = self._merged[:], self._seen[:]
-        dup._floor, dup._ceiling = self._floor, self._ceiling
-        dup._dirty, dup._targets = self._dirty, self._targets
-        return dup
+    def close(self) -> bool:
+        """Pseudo transitive closure over the known sets.
 
-    def close(self, universe_masks: Iterable[int]) -> bool:
-        """Pseudo transitive closure, restricted to the candidate universe.
-
-        Adds ``v <= X`` for each universe set ``X`` whenever some known
+        Adds ``v <= X`` for each known set ``X`` whenever some known
         ``v <= Y`` has every member of ``Y`` already below ``X``.
         Idempotent; returns whether anything was added.
 
         This is Horn inference (Dowling & Gallier, 1984) on the transposed
-        index, following the bits that enter columns.  The universe sets
-        ``X`` with ``Y`` inside ``B[X]`` are ``AND(rows[i] for i in Y)``,
-        and each must hold ``B[Y]``; any other known set must hold the
-        column of each known set inside it.  Only the dirty sets ``Y`` are
-        visited: those whose column grew, or a row of one of whose members
-        grew, since their last visit.  A visit pushes only the new bits of
-        ``B[Y]`` to the sets that merged it before, and all of it to the
-        sets that merge it for the first time; a set that gains a vertex
-        becomes dirty, and so does every set holding that vertex.  Floor
-        vertices are in every row and are never pushed, ceiling sets are
-        full and are never pushed to, and a set new to the targets makes
-        every set dirty.
+        index, following the bits that enter columns: the sets that must
+        hold ``B[Y]`` are ``AND(rows[i] for i in Y)``.  Only the dirty sets
+        ``Y`` are visited: those whose column grew, or a row of one of
+        whose members grew, since their last visit, and every set once a
+        set became known.  A visit pushes only the new bits of ``B[Y]`` to
+        the sets that merged it before, and all of it to the sets that
+        merge it for the first time; a set that gains a vertex becomes
+        dirty, and so does every set holding that vertex.
         """
-        cols, num = self._cols, self._num
-        targets = 0
-        for x in universe_masks:
-            if x not in cols:
-                self._learn(x)
-            targets |= 1 << num[x]
-        sets, cm, rows = self._sets, self._cm, self._rows
+        sets, cols, rows = self._sets, self._cols, self._rows
         merged, seen = self._merged, self._seen
-        known = (1 << len(sets)) - 1
-        dirty = known if targets & ~self._targets else self._dirty
-        self._targets = targets
-        others = known & ~targets
-        ceiling, floor = self._ceiling, self._floor
+        open_sets = ((1 << len(sets)) - 1) & ~self._ceiling
+        floor = self._floor
+        dirty = self._dirty
         changed = False
         while dirty:
             low = dirty & -dirty
             dirty ^= low
             k = low.bit_length() - 1
             y = sets[k]
-            below = inside = -1
+            fresh = open_sets & ~low
             for i in _bits(y):
-                below &= rows[i]
-                if others:
-                    inside &= cm[i]
-            fresh = (below & targets | inside & others) & ~ceiling & ~low
+                fresh &= rows[i]
             col = cols[y]
             first = fresh & ~merged[k]
             delta = col & ~seen[k]

@@ -11,6 +11,9 @@ argument in every round.  ``reference_bulk_seed`` is the extremal seed
 as one bulk update of the store and a closure, before ``seed_relation``
 wrote it in closed form, and ``named`` maps the pairs a rule yields to
 names, as the rules yielded them before they handed the store masks.
+``candidate_universe`` names the sets of ``universe_masks``, as ``nwr``
+did before saturation read only masks, and ``close_over`` closes a
+reference store or an ``NwrRelation`` over the sets it is given.
 ``reference_zero_set``,
 ``reference_almost_sure_set``, ``reference_extremal_seed``,
 ``reference_rule_bar_reach`` and ``reference_rule_bar_win`` are the
@@ -61,7 +64,6 @@ from nwr import (
     NwrRelation,
     TargetArena,
     ValueVector,
-    candidate_universe,
     decide_nwr,
     essential_order,
     induce_chain,
@@ -77,8 +79,27 @@ from nwr import (
 from nwr.arena import bit_graph
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
-from nwr.relation import _bits
+from nwr.relation import _bits, universe_masks
 from nwr.solve import almost_sure_bits, zero_bits
+
+
+def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
+    """``universe_masks(a)`` unmasked through ``bit_graph(a)``, in its
+    order: the candidate right-hand sets as vertex names."""
+    g = bit_graph(a)
+    return tuple(g.unmask(m) for m in universe_masks(a))
+
+
+def close_over(rel, masks) -> bool:
+    """Close ``rel`` over the sets ``masks``; return whether it grew.  A
+    reference store takes them as its close targets; ``NwrRelation``,
+    which closes over every set it knows, first learns each one from a
+    pair it already holds."""
+    if not isinstance(rel, NwrRelation):
+        return rel.close(masks)
+    for m in masks:
+        rel.add_bits((m & -m).bit_length() - 1, m)
+    return rel.close()
 
 
 def reference_successor_map(a: TargetArena) -> dict[str, tuple[str, ...]]:
@@ -303,17 +324,6 @@ class ReferenceRelation:
         row.append(m)
         return True
 
-    def add_extremal(self, bottom: int, top: int) -> None:
-        """The bulk update of ``reference_bulk_seed`` one pair at a time:
-        ``z <= {w}`` for every ``z`` in ``bottom`` and ``w <= {t}`` for
-        every ``t`` in ``top``, over every vertex ``w``."""
-        for z in _bits(bottom):
-            for i in range(len(self._order)):
-                self.add_mask(self._order[z], 1 << i)
-        for t in _bits(top):
-            for w in self._order:
-                self.add_mask(w, 1 << t)
-
     def holds(self, v: str, w: Iterable[str]) -> bool:
         return self.holds_mask(v, self.mask(w))
 
@@ -346,11 +356,6 @@ class ReferenceRelation:
 
     def pair_count(self) -> int:
         return sum(len(row) for row in self._rows.values())
-
-    def copy(self) -> "ReferenceRelation":
-        dup = ReferenceRelation(self._order)
-        dup._rows = {v: row[:] for v, row in self._rows.items()}
-        return dup
 
     def close(self, universe_masks: Iterable[int]) -> bool:
         """Pseudo transitive closure, restricted to the candidate universe.
@@ -489,16 +494,6 @@ class RescanRelation:
             cols[x] |= bit
         return True
 
-    def add_extremal(self, bottom: int, top: int) -> None:
-        """Record ``z <= {w}`` for every ``z`` in ``bottom`` and every
-        vertex ``w``, and ``w <= {t}`` for every vertex ``w`` and every
-        ``t`` in ``top``, all at once: every known set's column gains
-        ``bottom``, and one that holds a vertex of ``top`` becomes full."""
-        full = (1 << len(self._order)) - 1
-        cols = self._cols
-        for y, col in cols.items():
-            cols[y] = full if y & top else col | bottom
-
     def holds(self, v: str, w: Iterable[str]) -> bool:
         return self.holds_mask(v, self.mask(w))
 
@@ -543,13 +538,6 @@ class RescanRelation:
 
     def pair_count(self) -> int:
         return sum(len(row) for row in self._minimal_rows())
-
-    def copy(self) -> "RescanRelation":
-        dup = RescanRelation.__new__(RescanRelation)
-        dup._order, dup._index, dup._closed = self._order, self._index, self._closed
-        dup._cols = dict(self._cols)
-        dup._containing = [ys[:] for ys in self._containing]
-        return dup
 
     def close(self, universe_masks: Iterable[int]) -> bool:
         """Pseudo transitive closure, restricted to the candidate universe.
@@ -693,8 +681,8 @@ def reference_bulk_seed(a):
     """``seed_relation`` before it was written in closed form: a fresh
     ``NwrRelation`` gains every zero-valued vertex below every singleton
     and every vertex below each almost-surely-winning vertex in one bulk
-    update (``NwrRelation.add_extremal`` as it was), then is closed over
-    the candidate universe."""
+    update of its singleton columns and index, learns each set of the
+    candidate universe, and is closed."""
     g = bit_graph(a)
     targets = g.mask(a.targets)
     rel = NwrRelation(a.vertices)
@@ -708,7 +696,10 @@ def reference_bulk_seed(a):
     for y, col in rel._cols.items():
         rel._cols[y] = full if y & top else col | bottom
     rel._dirty = (1 << len(rel._sets)) - 1
-    rel.close([rel.mask(w) for w in candidate_universe(a)])
+    for m in universe_masks(a):
+        if m not in rel._cols:
+            rel._learn(m)
+    rel.close()
     return rel
 
 
@@ -720,7 +711,7 @@ def _add_extremal_and_close(rel, a):
     for v in sorted(reference_almost_sure_set(a)):
         for w in everything:
             rel.add(w, (v,))
-    rel.close([rel.mask(w) for w in candidate_universe(a)])
+    close_over(rel, universe_masks(a))
     return rel
 
 
@@ -858,7 +849,7 @@ def reference_saturate(a, rules, seed=None):
     ``reference_extremal_seed``; returns the relation and the number of
     rounds."""
     rel = (seed or reference_extremal_seed)(a)
-    umasks = [rel.mask(w) for w in candidate_universe(a)]
+    umasks = universe_masks(a)
     rounds = 0
     while True:
         rounds += 1

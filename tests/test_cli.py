@@ -1,4 +1,5 @@
 import argparse
+import copy
 import csv
 import json
 
@@ -160,7 +161,7 @@ def test_relate_exact_decides_only_unproved_pairs(tmp_path, monkeypatch, seed):
     a = random_arena(10, 8, 0.3, 1, seed)
     proved = saturate(a)
     unproved = {(v, w) for v in a.vertices for w in a.vertices if not proved.holds(v, (w,))}
-    rel = proved.copy()
+    rel = copy.deepcopy(proved)
     for v in sorted(a.vertices):
         for w in sorted(a.vertices):
             if v != w and decide_nwr(a, v, {w}, limit=18).holds:

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -9,18 +10,27 @@ from nwr import (
     ArenaFormatError,
     NwrRelation,
     TargetArena,
-    candidate_universe,
     random_arena,
     seed_relation,
 )
 from nwr.arena import _dumps
-from _reference import ReferenceRelation, RescanRelation, reference_close, reference_extremal_seed
+from nwr.relation import universe_masks
+from _reference import (
+    ReferenceRelation,
+    RescanRelation,
+    candidate_universe,
+    reference_close,
+    reference_extremal_seed,
+)
 
 
 def closed(rel, universe):
-    """A closed copy of ``rel``; ``rel`` itself is left as it was."""
-    out = rel.copy()
-    out.close([out.mask(w) for w in universe])
+    """A copy of ``rel`` that knows every set of ``universe``, closed;
+    ``rel`` itself is left as it was."""
+    out = copy.deepcopy(rel)
+    for w in universe:
+        out.add(min(w), w)  # holds already, so this only makes W known
+    out.close()
     return out
 
 
@@ -100,41 +110,44 @@ class TestPtc:
         # grows, {c}'s must take the new member, though it gained none
         rel = NwrRelation(["a", "b", "c"])
         rel.add("b", {"c"})
-        masks = [rel.mask({"c"})]
-        assert rel.close(masks) is False
+        assert rel.close() is False
         rel.add("a", {"b"})
-        assert rel.close(masks) is True
+        assert rel.close() is True
         assert rel.holds("a", {"c"})
 
     def test_column_growth_makes_a_premise_fit(self):
         # {c} gains b after the last close, so {b} now fits inside its
         # column, though {b}'s own column did not grow
         rel = NwrRelation(["a", "b", "c"])
-        masks = [rel.mask({x}) for x in "abc"]
         rel.add("a", {"b"})
-        assert rel.close(masks) is False
+        assert rel.close() is False
         rel.add("b", {"c"})
-        assert rel.close(masks) is True
+        assert rel.close() is True
         assert rel.holds("a", {"c"})
 
     def test_new_target_merges_every_premise(self):
-        # {c} is closed for the first time by the second call, and must
-        # merge {b}, which nothing changed since the first
-        rel = NwrRelation(["a", "b", "c"])
-        rel.add("b", {"c"})
-        rel.add("a", {"b"})
-        assert rel.close([rel.mask({"a"})]) is False
-        assert rel.close([rel.mask({x}) for x in "ac"]) is True
-        assert rel.holds("a", {"c"})
+        # {d, e} becomes known after the close, from a pair that adds
+        # nothing; its column holds {b, c}, though no known subset's column
+        # does, so it must merge {b, c}, which nothing changed since
+        rel = NwrRelation(["a", "b", "c", "d", "e"])
+        rel.add("a", {"b", "c"})
+        rel.add("b", {"d"})
+        rel.add("c", {"e"})
+        assert rel.close() is False
+        assert rel.add("b", {"d", "e"}) is False
+        assert not rel.holds("a", {"d", "e"})
+        assert rel.close() is True
+        assert rel.holds("a", {"d", "e"})
 
     def test_set_outside_the_universe_takes_its_subsets_growth(self):
-        # {c, d} is known but never closed; {c} gains a inside the closure,
-        # so the column of {c, d} must gain it too
+        # {c, d} is made known by an add and is closed like any known set;
+        # {c} gains a inside the closure, so the column of {c, d} must
+        # gain it too
         rel = NwrRelation(["a", "b", "c", "d"])
         rel.add("d", {"c", "d"})
         rel.add("a", {"b"})
         rel.add("b", {"c"})
-        assert rel.close([rel.mask({x}) for x in "abcd"]) is True
+        assert rel.close() is True
         assert rel.column(rel.mask({"c", "d"})) == rel.mask({"a", "b", "c", "d"})
 
     def test_idempotent_and_matches_brute_force(self):
@@ -186,7 +199,7 @@ def test_universe_shapes(seed):
 def test_universe_is_shared_by_retargeted_copies():
     a = random_arena(6, 6, 0.3, 1, seed=1)
     other = TargetArena(a.protagonist, a.nature, a.edges, frozenset())
-    assert candidate_universe(other) is candidate_universe(a)
+    assert universe_masks(other) is universe_masks(a)
 
 
 def _pick_set(verts, universe, j, inside):
@@ -214,11 +227,11 @@ def test_column_close_matches_reference(p, n, density, seed, picks):
         # a set outside the universe exercises stored rows no universe set names
         v, w = verts[i % len(verts)], _pick_set(verts, universe, j, inside)
         assert got.add(v, w) == want.add(v, w)
-    masks = [got.mask(w) for w in universe]
-    assert got.close(masks) == reference_close(want, masks)
+    masks = list(got.snapshot())
+    assert got.close() == reference_close(want, masks)
     assert list(got.pairs()) == list(want.pairs())
-    again = got.copy()
-    assert again.close(masks) is False
+    again = copy.deepcopy(got)
+    assert again.close() is False
     assert list(again.pairs()) == list(got.pairs())
 
 
@@ -230,7 +243,6 @@ def assert_index_matches(rel):
     n = len(rel.vertices)
     full = (1 << n) - 1
     assert list(rel._cols) == rel._sets
-    assert rel._num == {y: k for k, y in enumerate(rel._sets)}
     cm, rows = [0] * n, [0] * n
     for k, y in enumerate(rel._sets):
         col = rel._cols[y]
@@ -274,11 +286,11 @@ def test_column_store_matches_row_store(p, n, density, seed, seeded, ops):
     """Any sequence of operations gives the same answers, ``pairs()`` and
     ``pair_count()`` on the column store, on the row store it replaced and
     on the column store whose closure rescanned premises, and the same
-    columns on both column stores.  ``close`` runs on the whole universe
-    or a prefix of it, so a set left closed by one call can be outside the
-    next one's targets.  Half the time the stores start from the extremal
-    seed, the column store from ``seed_relation`` and the other two one
-    pair at a time; otherwise they start empty."""
+    columns on both column stores.  The column store closes over the sets
+    it knows, and the other two are closed over the same sets.  Half the
+    time the stores start from the extremal seed, the column store from
+    ``seed_relation`` and the other two one pair at a time; otherwise they
+    start empty."""
     a = random_arena(p, n, density, 1, seed)
     universe = candidate_universe(a)
     if seeded:
@@ -298,12 +310,12 @@ def test_column_store_matches_row_store(p, n, density, seed, seeded, ops):
             m = got.mask(w)
             assert got.column(m) == want.column(m) == rescan.column(m)
         elif op == "close":
-            masks = [got.mask(x) for x in universe[: j % len(universe) + 1 if inside else None]]
-            assert got.close(masks) == want.close(masks) == rescan.close(masks)
+            masks = list(got.snapshot())
+            assert got.close() == want.close(masks) == rescan.close(masks)
             assert got._dirty == 0
         elif op == "copy":
             kept.append((got, list(want.pairs())))
-            got, want, rescan = got.copy(), want.copy(), rescan.copy()
+            got, want, rescan = copy.deepcopy((got, want, rescan))
         else:
             text = got.to_json()
             assert text == want.to_json() == rescan.to_json()
