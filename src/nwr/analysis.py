@@ -149,7 +149,7 @@ def seed_relation(a: TargetArena) -> NwrRelation:
 
     Every zero-valued vertex below every singleton and every vertex below
     each almost-surely-winning vertex, closed over the candidate universe.
-    The store is written down in closed form (``NwrRelation.extremal``):
+    The store is written down in closed form by ``NwrRelation`` itself:
     a universe set's column is full when it holds an almost-surely-winning
     vertex, and is the set plus the zero-valued vertices otherwise.
     End-component and forced-visit pairs need no seed: ``rule_bar_win``
@@ -157,6 +157,6 @@ def seed_relation(a: TargetArena) -> NwrRelation:
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
-    return NwrRelation.extremal(
+    return NwrRelation(
         g.order, universe_masks(a), zero_bits(g, targets), almost_sure_bits(g, targets)
     )

@@ -27,17 +27,18 @@ computed without naming a vertex.
 The seed is the extremal-value store of ``seed_relation``, written down in
 closed form, so the closure first runs at the end of the first round.
 
-Saturation is semi-naive: from the second round on, a rule skips each
-argument whose premise columns still equal the columns at the start of the
-previous round.  Columns only grow, so the rule read those same columns
-when it ran on that argument in the previous round, and everything it
-would yield is already stored; the rounds, and the fixpoint, are those of
-a full sweep.
+Saturation is semi-naive: from the second round on, a rule is passed as
+``since`` the store's ``snapshot`` at the start of the previous round (in
+the first round None, which sweeps every argument), and skips each
+argument whose premise columns still equal the columns in it.  Columns
+only grow, so the rule read those same columns when it ran on that
+argument in the previous round, and everything it would yield is already
+stored; the rounds, and the fixpoint, are those of a full sweep.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, Optional
 
 from .analysis import seed_relation
 from .arena import TargetArena, _bits, bit_graph, reach_bits
@@ -49,20 +50,9 @@ from .solve import almost_sure_bits
 Pair = tuple[int, int]
 
 
-class Since(NamedTuple):
-    """What a saturation round passes its rules.
-
-    ``columns`` is the store's ``snapshot`` at the start of the previous
-    round, or None in the first round, which sweeps every argument;
-    ``winners`` maps each target mask met so far in this saturation to its
-    almost-sure mask, both over the arena's ``bit_graph``.
-    """
-
-    columns: Optional[Mapping[int, int]]
-    winners: dict[int, int]
-
-
-def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
+def rule_bar_reach(
+    a: TargetArena, r: NwrRelation, since: Optional[Mapping[int, int]] = None
+) -> Iterator[Pair]:
     """Yield ``v0 <= W`` for each candidate set ``W`` when every path from
     ``v0`` to the targets passes through a vertex already known to be
     below ``W``.
@@ -76,60 +66,57 @@ def rule_bar_reach(a: TargetArena, r: NwrRelation, since: Optional[Since] = None
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
-    prev = None if since is None else since.columns
     for m in universe_masks(a):
         below = r.column(m)
-        if prev is not None and prev.get(m) == below:
+        if since is not None and since.get(m) == below:
             continue
         for i in _bits(g.full & ~reach_bits(g.pred, targets, below) & ~below):
             yield i, m
 
 
-def rule_bar_win(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
+def rule_bar_win(
+    a: TargetArena, r: NwrRelation, since: Optional[Mapping[int, int]] = None
+) -> Iterator[Pair]:
     """Yield ``w <= {v0}`` when ``v0`` can reach, with probability one,
     either a target or a Protagonist vertex already known to dominate
     ``w``.
 
     Skips each ``w`` whose bit in every Protagonist singleton column is
-    what it was at ``since``, and each ``v0`` already above ``w``; reuses
-    the almost-sure masks ``since`` holds.
+    what it was at ``since``, and each ``v0`` already above ``w``.  Each
+    target set's almost-sure mask is found once per call.
     """
-    prev, winners_of = (None, {}) if since is None else since
     g = bit_graph(a)
     targets = g.mask(a.targets)
-    # The pairs yielded for ``w`` set bit ``w`` alone, in the columns of
-    # the sets holding ``v0``, so the singleton columns read here stay
-    # exact for every later ``w``.
-    singles = [r.column(1 << i) for i in range(len(g.order))]
-    prots = [(i, singles[i]) for i in _bits(g.protagonist)]
-    if prev is None:
+    if since is None:
         changed = g.full
     else:
         changed = 0
-        for i, col in prots:
-            changed |= col ^ prev[1 << i]
+        for i in _bits(g.protagonist):
+            changed |= r.column(1 << i) ^ since[1 << i]
+    winners_of: dict[int, int] = {}
     for w in _bits(changed):
-        bit = 1 << w
-        key = targets
-        for i, col in prots:
-            if col & bit:
-                key |= 1 << i
+        # The pairs yielded for ``w`` grow its own row alone, so the row
+        # read here for every later ``w`` is the one the call began with.
+        above = r.above(w)
+        key = targets | (above & g.protagonist)
         winners = winners_of.get(key)
         if winners is None:
             winners = winners_of[key] = almost_sure_bits(g, key)
-        for v0 in _bits(winners):
-            if not singles[v0] & bit:
-                yield w, 1 << v0
+        for v0 in _bits(winners & ~above):
+            yield w, 1 << v0
 
 
-def rule_prot_dominance(a: TargetArena, r: NwrRelation, since: Optional[Since] = None) -> Iterator[Pair]:
+def rule_prot_dominance(
+    a: TargetArena, r: NwrRelation, since: Optional[Mapping[int, int]] = None
+) -> Iterator[Pair]:
     """Yield ``u <= {v}``, unless already stored, when every successor of
     ``u`` is below the successor set of ``v`` (both non-target Protagonist).
 
     Pruning the successors of ``u`` that are below the rest would add
     nothing the closure does not.  The pairs yielded grow no successor
     set's column, and ``u <= {v}`` sets only the bit of ``{v}``'s column
-    that its test reads, so each column is read once.  ``since`` is unused.
+    that its test reads, so each column is read once.  It sweeps every
+    round: ``since`` is unused.
     """
     g = bit_graph(a)
     choices = g.protagonist & ~g.mask(a.targets)
@@ -153,7 +140,7 @@ def saturate(a: TargetArena) -> "NwrRelation":
     termination is immediate.
     """
     rel = seed_relation(a)
-    since = Since(None, {})
+    since = None
     for _ in range(len(a.vertices) * len(universe_masks(a)) + 2):
         start = rel.snapshot()
         changed = False
@@ -163,5 +150,5 @@ def saturate(a: TargetArena) -> "NwrRelation":
         changed |= rel.close()
         if not changed:
             return rel
-        since = Since(start, since.winners)
+        since = start
     raise AssertionError("saturation exceeded its monotone bound")

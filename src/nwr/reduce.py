@@ -77,13 +77,12 @@ def proven_classes(a: TargetArena, r: NwrRelation) -> dict[str, str]:
     g = bit_graph(a)
     if r.vertices != g.order:
         raise ValueError("the relation is over other vertices than the arena")
-    singles = [r.column(1 << i) for i in range(len(g.order))]
-    name = list(range(len(singles)))
-    home = [0] * len(singles)  # each Protagonist vertex's class
+    name = list(range(len(g.order)))
+    home = [0] * len(g.order)  # each Protagonist vertex's class
     free = g.protagonist
     while free:
         i = (free & -free).bit_length() - 1
-        cls = sum(1 << j for j in _bits(singles[i] & free) if singles[j] >> i & 1)
+        cls = r.column(1 << i) & r.above(i) & free
         free &= ~cls
         for j in _bits(cls):
             name[j], home[j] = i, cls
@@ -93,11 +92,8 @@ def proven_classes(a: TargetArena, r: NwrRelation) -> dict[str, str]:
         succ, cls = g.succ[i], 1 << i
         inside = home[(succ & -succ).bit_length() - 1] if succ else 0
         if succ and succ & ~inside == 0:
-            cls = sum(
-                1 << j
-                for j in _bits(singles[i] & free)
-                if singles[j] >> i & 1 and g.succ[j] & ~inside == 0
-            )
+            both = r.column(1 << i) & r.above(i) & free
+            cls = sum(1 << j for j in _bits(both) if g.succ[j] & ~inside == 0)
         free &= ~cls
         for j in _bits(cls):
             name[j] = i

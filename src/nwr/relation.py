@@ -30,9 +30,9 @@ push goes to them.
 
 Vertex sets are integer bitmasks over the vertices in sorted order, the
 order of ``bit_graph``.  ``add``, ``holds`` and ``pairs`` speak plain
-strings and frozensets; saturation speaks masks, through ``extremal``,
-``add_bits`` and ``column``.  ``add`` masks its arguments and calls
-``add_bits``, so a pair enters the store one way.
+strings and frozensets; saturation speaks masks, through the constructor,
+``add_bits``, ``column`` and ``above``.  ``add`` masks its arguments and
+calls ``add_bits``, so a pair enters the store one way.
 """
 
 from __future__ import annotations
@@ -92,16 +92,18 @@ class NwrRelation:
         "_floor", "_ceiling", "_dirty", "_merged", "_seen",
     )
 
-    def __init__(self, vertices: Iterable[str]):
-        self._build(vertices, None, 0, 0)
-
-    @classmethod
-    def extremal(
-        cls, vertices: Iterable[str], universe: Sequence[int], zero: int, winning: int
-    ) -> "NwrRelation":
+    def __init__(
+        self,
+        vertices: Iterable[str],
+        universe: Sequence[int] | None = None,
+        zero: int = 0,
+        winning: int = 0,
+    ):
         """The closed store over the sets of ``universe`` in which ``z <=
         {w}`` for every ``z`` in ``zero`` and ``w <= {t}`` for every ``t``
         in ``winning``, over every vertex ``w``: written down, not derived.
+        A bare store knows the singletons only, with no zero or winning
+        vertex.
 
         ``universe`` starts with the singletons in vertex order, and
         ``zero`` shares no vertex with ``winning``.  The universe sets are
@@ -115,15 +117,6 @@ class NwrRelation:
         merged by every other open set holding its members outside the
         floor, its column seen.
         """
-        rel = cls.__new__(cls)
-        rel._build(vertices, universe, zero, winning)
-        return rel
-
-    def _build(
-        self, vertices: Iterable[str], universe: Sequence[int] | None, zero: int, winning: int
-    ) -> None:
-        """Index the store ``extremal`` describes; a bare store knows the
-        singletons only, with no zero or winning vertex."""
         self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
         self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
         n = len(self._order)
@@ -274,6 +267,13 @@ class NwrRelation:
             if y & ~m == 0:
                 col |= self._cols[y]
         return col
+
+    def above(self, i: int) -> int:
+        """Bitmask of the vertices v with ``u_i <= {v}``, for the vertex
+        ``u_i`` numbered ``i``: its row over the singletons, which are set
+        numbers ``0`` to ``n - 1``.  A floor row is ``-1``, and a ceiling
+        singleton, which no row records, has a full column."""
+        return (self._rows[i] | self._ceiling) & ((1 << len(self._order)) - 1)
 
     def snapshot(self) -> Mapping[int, int]:
         """The column of every known set, as it is now."""

@@ -153,21 +153,6 @@ def solve_2dp_oracle(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> bool:
             raise ValueError(f"designated vertex {x} is not in the graph")
     succ = _succ(set(g.vertices), set(g.edges))
     for blocked in _simple_vertex_paths(g, s1, t1):
-        if s2 in blocked or t2 in blocked:
-            continue
-        seen = {s2}
-        stack = [s2]
-        found = s2 == t2
-        while stack and not found:
-            v = stack.pop()
-            for w in succ[v]:
-                if w in blocked or w in seen:
-                    continue
-                if w == t2:
-                    found = True
-                    break
-                seen.add(w)
-                stack.append(w)
-        if found:
+        if s2 not in blocked and t2 not in blocked and t2 in reach(succ, (s2,), blocked):
             return True
     return False

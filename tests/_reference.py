@@ -347,6 +347,11 @@ class ReferenceRelation:
                     break
         return out
 
+    def above(self, i: int) -> int:
+        """Bitmask of the vertices v with ``u_i <= {v}``: the singleton
+        columns holding ``i``."""
+        return sum(1 << v for v in range(len(self._order)) if self.column(1 << v) >> i & 1)
+
     def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
         """Stored (inclusion-minimal) pairs in canonical order."""
         for v in self._order:
@@ -509,6 +514,11 @@ class RescanRelation:
             for y in self._subsets(m):
                 col |= self._cols[y]
         return col
+
+    def above(self, i: int) -> int:
+        """Bitmask of the vertices v with ``u_i <= {v}``: the singleton
+        columns holding ``i``."""
+        return sum(1 << v for v in range(len(self._order)) if self.column(1 << v) >> i & 1)
 
     def snapshot(self) -> Mapping[int, int]:
         """The column of every known set, as it is now."""
@@ -721,11 +731,10 @@ def reference_rule_bar_reach(a, r, since=None):
     vertex in sorted order."""
     pred = predecessor_map(a)
     verts = sorted(a.vertices)
-    prev = None if since is None else since.columns
     for wset in candidate_universe(a):
         m = r.mask(wset)
         below = r.column(m)
-        if prev is not None and prev.get(m) == below:
+        if since is not None and since.get(m) == below:
             continue
         cut = r.unmask(below)
         reachers = reach(pred, a.targets, cut)
@@ -738,13 +747,13 @@ def reference_rule_bar_win(a, r, since=None):
     """``rule_bar_win`` over string vertex sets: each target set is the
     targets plus the Protagonist vertices whose singleton column holds
     ``w``, read as the rule goes, and its almost-sure set comes from
-    ``reference_almost_sure_set``."""
-    prev = None if since is None else since.columns
+    ``reference_almost_sure_set``.  ``since``, when given, is the store's
+    ``snapshot`` at the start of the previous round."""
     winners_of = {}
     singles = [(s, r.mask((s,))) for s in sorted(a.protagonist)]
     for w in sorted(a.vertices):
         bit = r.mask((w,))
-        if prev is not None and not any((r.column(m) ^ prev[m]) & bit for _, m in singles):
+        if since is not None and not any((r.column(m) ^ since[m]) & bit for _, m in singles):
             continue
         key = a.targets | {s for s, m in singles if r.column(m) & bit}
         if key not in winners_of:

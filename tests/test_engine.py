@@ -18,7 +18,8 @@ from nwr import (
     vertex_values,
 )
 import nwr.engine
-from nwr.engine import RULES, Since
+from nwr.engine import RULES
+import _reference
 from _corpus import arena_suite, family_suite
 from _reference import (
     FOUR_RULES,
@@ -370,7 +371,7 @@ def _rule_calls(a):
 
     def recording(rule):
         def call(a, r, since=None):
-            calls.append((rule, copy.deepcopy(r), Since(since.columns, dict(since.winners))))
+            calls.append((rule, copy.deepcopy(r), since))
             return rule(a, r, since)
 
         return call
@@ -390,6 +391,19 @@ def _drive(rule, a, rel, since):
     return pairs
 
 
+def _count_calls(module, name, run, *args):
+    """How many times ``run(*args)`` calls ``module.name``."""
+    real, calls = getattr(module, name), []
+
+    def counting(*inner):
+        calls.append(inner)
+        return real(*inner)
+
+    with mock.patch.object(module, name, counting):
+        run(*args)
+    return len(calls)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 12),
@@ -402,13 +416,22 @@ def _drive(rule, a, rel, since):
 def test_bit_rules_match_string_rules(p, n, density, targets, seed):
     """On every store state a saturation meets, each bitmask rule yields
     the pairs of its string reference in the same order: sweeping every
-    argument, and skipping against the round's ``since`` with the
-    almost-sure masks cached so far."""
+    argument, and skipping against the round's ``since``.  Bar-win runs
+    one almost-sure search per distinct target set, as its reference
+    does: a Nature vertex above ``w`` is no target and splits no set."""
     a = random_arena(p, n, density, min(targets, p), seed)
     for rule, rel, since in _rule_calls(a):
         reference = REFERENCE_RULES[rule]
         want = _drive(reference, a, copy.deepcopy(rel), None)
         assert _drive(named(rule), a, copy.deepcopy(rel), None) == want
-        if since.columns is not None:
-            want = _drive(reference, a, copy.deepcopy(rel), Since(since.columns, {}))
+        if since is not None:
+            want = _drive(reference, a, copy.deepcopy(rel), since)
             assert _drive(named(rule), a, copy.deepcopy(rel), since) == want
+        if rule is rule_bar_win:
+            ours = _count_calls(
+                nwr.engine, "almost_sure_bits", _drive, named(rule), a, copy.deepcopy(rel), since
+            )
+            theirs = _count_calls(
+                _reference, "reference_almost_sure_set", _drive, reference, a, copy.deepcopy(rel), since
+            )
+            assert ours == theirs

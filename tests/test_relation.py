@@ -239,7 +239,8 @@ def assert_index_matches(rel):
     """``rel``'s set numbering and transposed index agree with its columns:
     rebuilt from them, ``cm`` and ``rows`` come out as stored.  A floor
     vertex is in every column and its row is -1; a ceiling set's column is
-    full, and no row needs to hold it."""
+    full, and no row needs to hold it.  ``above(i)`` is the transpose of
+    the singleton columns."""
     n = len(rel.vertices)
     full = (1 << n) - 1
     assert list(rel._cols) == rel._sets
@@ -259,6 +260,8 @@ def assert_index_matches(rel):
         else:
             assert rel._rows[i] & ~rel._ceiling == rows[i] & ~rel._ceiling
             assert rel._rows[i] & ~known == 0
+        singles = sum((rel.column(1 << v) >> i & 1) << v for v in range(n))
+        assert rel.above(i) == singles
 
 
 _OPS = st.lists(
