@@ -83,7 +83,8 @@ def rule_bar_win(
 
     Skips each ``w`` whose bit in every Protagonist singleton column is
     what it was at ``since``, and each ``v0`` already above ``w``.  Each
-    target set's almost-sure mask is found once per call.
+    distinct search runs once per call: the key's ``& g.protagonist``
+    only drops Nature bits, which ``almost_sure_bits`` ignores.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)

@@ -24,9 +24,9 @@ column holds all of ``W`` are ``AND(rows[i] for i in W)``, which is what
 ``close`` matches premises with.  Two bounds keep the index cheap.  The
 floor is the vertices below every set (the zero-value seed): they are in
 every column, so their rows are ``-1`` and no push carries them.  The
-ceiling is the sets full in the seed, those holding a vertex every vertex
-is below (the almost-surely-winning seed): no row records them and no
-push goes to them.
+ceiling is the sets whose column was full when they became known, such as
+those holding a vertex every vertex is below (the almost-surely-winning
+seed): no row records them and no push goes to them.
 
 Vertex sets are integer bitmasks over the vertices in sorted order, the
 order of ``bit_graph``.  ``add``, ``holds`` and ``pairs`` speak plain
@@ -66,6 +66,11 @@ def universe_masks(a: TargetArena) -> tuple[int, ...]:
     return _universe(a.protagonist, a.nature, a.edges)
 
 
+def _canonical(m: int) -> tuple[int, list[int]]:
+    """Sort key of the set ``m``: its size, then its members in vertex order."""
+    return m.bit_count(), list(_bits(m))
+
+
 # seed_relation, saturate and each round of rule_bar_reach read the
 # universe of the arena being saturated, so one entry catches every repeat
 @lru_cache(maxsize=1)
@@ -81,7 +86,7 @@ def _universe(
             rest = sv & ~(1 << x)
             if rest:
                 sets.add(rest)
-    return tuple(sorted(sets, key=lambda m: (m.bit_count(), list(_bits(m)))))
+    return tuple(sorted(sets, key=_canonical))
 
 
 class NwrRelation:
@@ -112,50 +117,31 @@ class NwrRelation:
         ``X | zero``.  These columns are closed: a set ``Y`` inside
         ``X | zero`` holds no vertex of ``winning`` either, none being in
         ``zero``, so its column ``Y | zero`` is inside ``X | zero`` too.
-        ``zero`` is the floor and the sets with full columns the ceiling.
-        Each set is left as the closure's one visit to it leaves it:
-        merged by every other open set holding its members outside the
-        floor, its column seen.
+        So nothing is left dirty.  ``zero`` is the floor and the sets with
+        full columns the ceiling.
         """
         self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
         self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
         n = len(self._order)
         full = (1 << n) - 1
         # set number -> known set; singleton {i} is set number i
-        sets = [1 << i for i in range(n)] if universe is None else list(universe)
+        self._sets: list[int] = []
         # known set -> its column
-        cols: dict[int, int] = {}
+        self._cols: dict[int, int] = {}
         # vertex index -> the numbers of the known sets holding it, and the
         # numbers of the sets whose column holds it: -1 for a floor vertex,
         # and never a set of the ceiling
-        cm, rows = [0] * n, [0] * n
-        # the numbers of the sets with full columns
-        ceiling = 0
-        for k, y in enumerate(sets):
-            bit = 1 << k
-            for i in _bits(y):
-                cm[i] |= bit
-            col = cols[y] = full if y & winning else y | zero
-            if col == full:
-                ceiling |= bit
-            else:
-                for i in _bits(y & ~zero):
-                    rows[i] |= bit
-        for i in _bits(zero):
-            rows[i] = -1
+        self._cm, self._rows = [0] * n, [0] * n
+        # the vertices below every set, and the numbers of the sets whose
+        # column was full when they became known
+        self._floor, self._ceiling = zero, 0
         # set number -> the numbers of the sets that merged its column,
         # and its column as they merged it
-        open_sets = ((1 << len(sets)) - 1) & ~ceiling
-        merged = []
-        for k, y in enumerate(sets):
-            below = open_sets & ~(1 << k)
-            for i in _bits(y & ~zero):
-                below &= rows[i]
-            merged.append(below)
-        self._cols, self._sets, self._cm, self._rows = cols, sets, cm, rows
-        # the vertices below every set
-        self._floor, self._ceiling = zero, ceiling
-        self._merged, self._seen = merged, list(cols.values())
+        self._merged, self._seen = [], []
+        for y in (1 << i for i in range(n)) if universe is None else universe:
+            self._know(y, full if y & winning else y | zero)
+        for i in _bits(zero):
+            self._rows[i] = -1
         # the numbers of the sets the next ``close`` visits
         self._dirty = 0
 
@@ -180,24 +166,23 @@ class NwrRelation:
             out &= cm[i]
         return out
 
-    def _learn(self, m: int) -> int:
-        """Make ``m`` a known set, and so a closure target; return its
-        column, the union of the columns of the known sets inside it.
-        Every known set is left dirty: any of them may lie inside the new
-        column, which must then merge theirs."""
-        col = self.column(m)
-        k = len(self._sets)
+    def _know(self, m: int, col: int) -> None:
+        """Make ``m`` a known set, and so a closure target, with the
+        column ``col``.  Its merge record starts empty, so the closure's
+        first visit to it pushes its whole column.  A full column puts it
+        in the ceiling, which no row records."""
+        bit = 1 << len(self._sets)
         self._sets.append(m)
         self._cols[m] = col
         self._merged.append(0)
         self._seen.append(0)
-        self._dirty = (1 << (k + 1)) - 1
-        bit = 1 << k
         for i in _bits(m):
             self._cm[i] |= bit
-        for v in _bits(col & ~self._floor):
-            self._rows[v] |= bit
-        return col
+        if col == (1 << len(self._order)) - 1:
+            self._ceiling |= bit
+        else:
+            for v in _bits(col & ~self._floor):
+                self._rows[v] |= bit
 
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
@@ -210,7 +195,11 @@ class NwrRelation:
             raise ValueError("the right-hand set of a pair must be non-empty")
         col = self._cols.get(m)
         if col is None:
-            col = self._learn(m)
+            col = self.column(m)
+            self._know(m, col)
+            # any known set may lie inside the new column, which must then
+            # merge theirs
+            self._dirty = (1 << len(self._sets)) - 1
         if col >> i & 1:
             return False
         self._dirty |= self._spread(1 << i, self._supersets(m) & ~self._ceiling)
@@ -296,7 +285,8 @@ class NwrRelation:
     def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
         """Stored (inclusion-minimal) pairs in canonical order."""
         sets = {y: self.unmask(y) for y in self._sets}
-        keys = {y: (y.bit_count(), sorted(w)) for y, w in sets.items()}
+        # one key per known set, not one per pair: rows share their sets
+        keys = {y: _canonical(y) for y in self._sets}
         for v, row in zip(self._order, self._minimal_rows()):
             row.sort(key=keys.__getitem__)
             for y in row:
@@ -317,10 +307,11 @@ class NwrRelation:
         hold ``B[Y]`` are ``AND(rows[i] for i in Y)``.  Only the dirty sets
         ``Y`` are visited: those whose column grew, or a row of one of
         whose members grew, since their last visit, and every set once a
-        set became known.  A visit pushes only the new bits of ``B[Y]`` to
-        the sets that merged it before, and all of it to the sets that
-        merge it for the first time; a set that gains a vertex becomes
-        dirty, and so does every set holding that vertex.
+        set became known.  A set's first visit pushes all of ``B[Y]``;
+        later visits push only its new bits to the sets that merged it
+        before, and all of it to the sets that merge it for the first
+        time.  A set that gains a vertex becomes dirty, and so does every
+        set holding that vertex.
         """
         sets, cols, rows = self._sets, self._cols, self._rows
         merged, seen = self._merged, self._seen

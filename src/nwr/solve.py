@@ -84,6 +84,10 @@ def almost_sure_bits(g: BitGraph, targets: int) -> int:
     Nature vertex wins iff all its successors do.  A vertex once dropped
     stays dropped, so each one marks its Nature predecessors unusable
     once.
+
+    Only the Protagonist bits of ``targets`` count: a Nature vertex wins
+    only through its successors, so a Nature bit in ``targets`` changes
+    nothing.
     """
     pred, succ = g.pred, g.succ
     cand, dropped, unusable = g.protagonist, g.full & ~g.protagonist, 0

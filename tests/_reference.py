@@ -705,10 +705,10 @@ def reference_bulk_seed(a):
         rel._ceiling |= rel._cm[t]
     for y, col in rel._cols.items():
         rel._cols[y] = full if y & top else col | bottom
-    rel._dirty = (1 << len(rel._sets)) - 1
     for m in universe_masks(a):
         if m not in rel._cols:
-            rel._learn(m)
+            rel._know(m, rel.column(m))
+    rel._dirty = (1 << len(rel._sets)) - 1
     rel.close()
     return rel
 

@@ -264,9 +264,10 @@ def test_closure_keeps_the_rounds(p, n, density, targets, seed):
 def _assert_seeds_agree(a):
     """The closed-form seed is the store the bulk update and closure left:
     the same columns and pairs, the same set numbering, index and floor,
-    the same merges and seen columns outside its ceiling, which holds the
-    old one and only full columns, and nothing left dirty.  Saturation
-    from either reaches the same pairs with the same closes."""
+    and a ceiling that holds the old one and only full columns.  It is
+    closed as written: every merge record is empty, nothing is dirty, and
+    a closure that visits every set adds nothing.  Saturation from either
+    reaches the same pairs with the same closes."""
     got, want = seed_relation(a), reference_bulk_seed(a)
     assert got.snapshot() == want.snapshot()
     assert list(got.pairs()) == list(want.pairs())
@@ -277,9 +278,12 @@ def _assert_seeds_agree(a):
     assert all(got._cols[y] == full for k, y in enumerate(got._sets) if got._ceiling >> k & 1)
     ceiling = got._ceiling
     assert [r & ~ceiling for r in got._rows] == [r & ~ceiling for r in want._rows]
-    assert got._merged == [m & ~ceiling for m in want._merged]
-    assert got._seen == want._seen
-    assert got._dirty == want._dirty
+    assert not any(got._merged) and not any(got._seen)
+    assert got._dirty == 0
+    assert got.close() is False
+    got._dirty = (1 << len(got._sets)) - 1
+    assert got.close() is False
+    assert got.snapshot() == want.snapshot()
     pairs, rounds = _saturate_counting_rounds(a)
     want_pairs, want_rounds = _saturate_counting_rounds(a, reference_bulk_seed(a))
     assert list(pairs.pairs()) == list(want_pairs.pairs())

@@ -139,6 +139,24 @@ class TestPtc:
         assert rel.close() is True
         assert rel.holds("a", {"d", "e"})
 
+    def test_learned_set_with_a_full_column_joins_the_ceiling(self):
+        # w wins almost surely, so {a, w} is full when it becomes known and
+        # joins the ceiling like a seeded set; the closure still merges {b}
+        # into the open set {c}
+        verts = ["a", "b", "c", "d", "w"]
+        rel = NwrRelation(verts, [1, 2, 4, 8, 16, 6], winning=16)
+        assert rel._ceiling == 1 << 4
+        rel.add("a", {"b"})
+        assert rel.add("b", {"a", "w"}) is False
+        assert rel._ceiling == 1 << 4 | 1 << 6
+        assert rel.column(rel.mask({"a", "w"})) == rel.mask(verts)
+        assert rel.add("d", {"a", "w"}) is False
+        assert rel.add("b", {"c"}) is True
+        assert not rel.holds("a", {"c"})
+        assert rel.close() is True
+        assert rel.holds("a", {"c"}) and not rel.holds("d", {"c"})
+        assert_index_matches(rel)
+
     def test_set_outside_the_universe_takes_its_subsets_growth(self):
         # {c, d} is made known by an add and is closed like any known set;
         # {c} gains a inside the closure, so the column of {c, d} must
@@ -239,7 +257,7 @@ def assert_index_matches(rel):
     """``rel``'s set numbering and transposed index agree with its columns:
     rebuilt from them, ``cm`` and ``rows`` come out as stored.  A floor
     vertex is in every column and its row is -1; a ceiling set's column is
-    full, and no row needs to hold it.  ``above(i)`` is the transpose of
+    full, and only a floor row holds it.  ``above(i)`` is the transpose of
     the singleton columns."""
     n = len(rel.vertices)
     full = (1 << n) - 1
@@ -259,6 +277,7 @@ def assert_index_matches(rel):
             assert rel._rows[i] == -1 and rows[i] == known
         else:
             assert rel._rows[i] & ~rel._ceiling == rows[i] & ~rel._ceiling
+            assert rel._rows[i] & rel._ceiling == 0
             assert rel._rows[i] & ~known == 0
         singles = sum((rel.column(1 << v) >> i & 1) << v for v in range(n))
         assert rel.above(i) == singles

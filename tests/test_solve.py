@@ -27,6 +27,7 @@ from nwr import (
     zero_set,
 )
 from nwr import solve
+from nwr.arena import bit_graph
 from _corpus import arena_suite, family_suite, random_chain
 import _reference
 from _reference import reach_prob, until_prob
@@ -103,6 +104,12 @@ def test_almost_sure_matches_reference(n_p, n_n, density, seed, data):
     extra = data.draw(st.sets(st.sampled_from(sorted(a.protagonist))))
     retargeted = TargetArena(a.protagonist, a.nature, a.edges, a.targets | extra)
     assert almost_sure_set(retargeted) == reference_almost_sure_set(retargeted)
+    # only Protagonist targets count: a Nature vertex wins through its
+    # successors alone, so Nature bits in the target mask change nothing
+    g = bit_graph(a)
+    nature = g.mask(data.draw(st.sets(st.sampled_from(sorted(a.nature))))) if a.nature else 0
+    sure = solve.almost_sure_bits(g, g.mask(retargeted.targets) | nature)
+    assert g.unmask(sure) == reference_almost_sure_set(retargeted)
 
 
 def _assert_extremal_sets_match(a):
