@@ -366,8 +366,9 @@ def _dumps(doc: object, margin: str = "\n") -> str:
     objects, strings and scalars, through the C encoders: ``indent`` makes
     ``json.dumps`` fall back to its pure-Python encoder, which costs more
     than the saturation behind a large relation.  Every JSON output of the
-    package is written here.  ``margin`` is the line break and indentation
-    that close ``doc``."""
+    package is written here, except the relation's pair list, which
+    ``NwrRelation`` writes in one flat pass in the same layout.
+    ``margin`` is the line break and indentation that close ``doc``."""
     if isinstance(doc, str):
         return encode_basestring_ascii(doc)
     inner = margin + "  "

@@ -186,11 +186,11 @@ def _cmd_relate(args) -> int:
     classes: dict[str, list[str]] = {}
     for vertex, cls in proven_classes(arena, rel).items():
         classes.setdefault(cls, []).append(vertex)
-    doc = {
-        "pairs": [{"v": v, "W": sorted(w)} for v, w in rel.pairs()],
-        "classes": sorted(sorted(m) for m in classes.values()),
-    }
-    _emit(_dumps(doc), args.out)
+    # json.dumps({"pairs": ..., "classes": ...}, indent=2), with the pair
+    # list written by the relation's own writer one level in
+    pairs = rel._json("\n  ")
+    members = _dumps(sorted(sorted(m) for m in classes.values()), "\n  ")
+    _emit(f'{{\n  "pairs": {pairs},\n  "classes": {members}\n}}', args.out)
     if args.out:
         print(f"wrote {args.out}")
     return 0

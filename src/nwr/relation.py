@@ -38,6 +38,7 @@ calls ``add_bits``, so a pair enters the store one way.
 from __future__ import annotations
 
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arena import (
@@ -45,7 +46,6 @@ from .arena import (
     TargetArena,
     _bit_adjacency,
     _bits,
-    _dumps,
     _loads,
     _parse_ids,
 )
@@ -270,25 +270,25 @@ class NwrRelation:
 
     def _minimal_rows(self) -> list[list[int]]:
         """Per vertex index, the known sets where its column bit is not
-        inherited from a known proper subset."""
+        inherited from a known proper subset, in canonical order: the
+        order of ``pairs`` and of the relation JSON."""
         sets, cols = self._sets, self._cols
         inherited = [0] * len(sets)
         for z, y in enumerate(sets):
             for x in _bits(self._supersets(y) & ~(1 << z)):
                 inherited[x] |= cols[y]
         rows: list[list[int]] = [[] for _ in self._order]
-        for y, below in zip(sets, inherited):
-            for i in _bits(cols[y] & ~below):
+        # one sort of the known sets, not one per row: rows share their sets
+        for z in sorted(range(len(sets)), key=lambda z: _canonical(sets[z])):
+            y = sets[z]
+            for i in _bits(cols[y] & ~inherited[z]):
                 rows[i].append(y)
         return rows
 
     def pairs(self) -> Iterator[tuple[str, frozenset[str]]]:
         """Stored (inclusion-minimal) pairs in canonical order."""
         sets = {y: self.unmask(y) for y in self._sets}
-        # one key per known set, not one per pair: rows share their sets
-        keys = {y: _canonical(y) for y in self._sets}
         for v, row in zip(self._order, self._minimal_rows()):
-            row.sort(key=keys.__getitem__)
             for y in row:
                 yield v, sets[y]
 
@@ -341,7 +341,30 @@ class NwrRelation:
         return changed
 
     def to_json(self) -> str:
-        return _dumps([{"v": v, "W": sorted(w)} for v, w in self.pairs()])
+        return self._json()
+
+    def _json(self, margin: str = "\n") -> str:
+        """``json.dumps(doc, indent=2)`` of the pair list ``doc = [{"v": v,
+        "W": sorted(W)} for v, W in self.pairs()]``, closed by ``margin``
+        like ``arena._dumps``, in one flat pass: each vertex name is
+        encoded once, and each known set's member lines once, the first
+        time a row uses it."""
+        names = [encode_basestring_ascii(v) for v in self._order]
+        inner = margin + "  "
+        field, member = inner + "  ", inner + "    "
+        tail, between = f"{field}]{inner}}}", "," + member
+        blocks: dict[int, str] = {}
+        items = []
+        for name, row in zip(names, self._minimal_rows()):
+            head = f'{{{field}"v": {name},{field}"W": [{member}'
+            for y in row:
+                block = blocks.get(y)
+                if block is None:
+                    block = blocks[y] = between.join([names[i] for i in _bits(y)])
+                items.append(head + block + tail)
+        if not items:
+            return "[]"
+        return f"[{inner}{(',' + inner).join(items)}{margin}]"
 
     @classmethod
     def from_json(cls, text: str, vertices: Iterable[str]) -> "NwrRelation":

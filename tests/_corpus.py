@@ -6,7 +6,24 @@ import itertools
 import random
 from fractions import Fraction
 
-from nwr import MarkovChain, TargetArena, make_digraph, random_arena, random_family, successor_map
+from hypothesis import strategies as st
+
+from nwr import (
+    MarkovChain,
+    TargetArena,
+    make_arena,
+    make_digraph,
+    random_arena,
+    random_family,
+    successor_map,
+)
+
+# vertex ids, among them ones that JSON must escape and ones not in ASCII
+VERTEX_IDS = st.text(
+    st.sampled_from(["a", "b", '"', "\\", "\n", "\x00", "\x7f", "é", "€", "\U0001f600"]) | st.characters(),
+    min_size=1,
+    max_size=3,
+)
 
 
 def arena_suite(count: int, seed: int, max_p: int = 6, max_n: int = 6, min_p: int = 1):
@@ -26,6 +43,17 @@ def several_target_arenas(count: int):
     """Yield ``count`` small random arenas with one to three targets."""
     for s in range(count):
         yield random_arena(3 + s % 8, 2 + s % 6, [0.2, 0.3, 0.4][s % 3], 1 + s % 3, 11000 + s)
+
+
+def renamed(a: TargetArena, names: list[str]) -> TargetArena:
+    """``a`` with its ``i``-th vertex in sorted order renamed ``names[i]``."""
+    to = dict(zip(sorted(a.vertices), names))
+    return make_arena(
+        (to[v] for v in a.protagonist),
+        (to[v] for v in a.nature),
+        ((to[u], to[v]) for u, v in a.edges),
+        (to[v] for v in a.targets),
+    )
 
 
 def digraph_instance(n: int, density: float, seed: int):

@@ -43,8 +43,11 @@ package.  ``reference_simple_target_paths``,
 decision over string paths and sets that ``nwr.exact`` moved onto the bit
 kernel.  ``reference_classes`` is the union-find over pairwise
 ``equivalent`` tests that ``nwr.reduce.proven_classes`` replaced; each
-test reads both singleton pairs through the store's ``holds``.  The
-differential tests hold the fast paths to them.
+test reads both singleton pairs through the store's ``holds``.
+``reference_relation_json`` and ``reference_relate_document`` are the
+relation JSON and the ``relate`` document as written before the store got
+its own flat writer: a list of ``{"v", "W"}`` dicts through the recursive
+``nwr.arena._dumps``.  The differential tests hold the fast paths to them.
 """
 
 from __future__ import annotations
@@ -76,9 +79,10 @@ from nwr import (
     successor_map,
     vertex_values,
 )
-from nwr.arena import bit_graph
+from nwr.arena import _dumps, bit_graph
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
+from nwr.reduce import proven_classes
 from nwr.relation import _bits, universe_masks
 from nwr.solve import almost_sure_bits, zero_bits
 
@@ -1076,3 +1080,22 @@ def reference_classes(a: TargetArena, r) -> dict[str, str]:
             if all(equivalent(r, x, y) for xi, x in enumerate(members) for y in members[xi + 1 :]):
                 uf.union(u, v)
     return {v: uf.find(v) for v in sorted(a.vertices)}
+
+
+def reference_relation_json(rel) -> str:
+    """``NwrRelation.to_json`` as the pair dicts through ``_dumps``."""
+    return _dumps([{"v": v, "W": sorted(w)} for v, w in rel.pairs()])
+
+
+def reference_relate_document(a: TargetArena, rel) -> str:
+    """What ``nwr relate`` writes for the relation ``rel`` over ``a``: its
+    pairs and its proven classes, built as one dict document and written
+    through ``_dumps``."""
+    classes: dict[str, list[str]] = {}
+    for vertex, cls in proven_classes(a, rel).items():
+        classes.setdefault(cls, []).append(vertex)
+    doc = {
+        "pairs": [{"v": v, "W": sorted(w)} for v, w in rel.pairs()],
+        "classes": sorted(sorted(m) for m in classes.values()),
+    }
+    return _dumps(doc)

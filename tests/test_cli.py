@@ -2,8 +2,12 @@ import argparse
 import copy
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nwr.cli
 import nwr.exact
@@ -21,7 +25,9 @@ from nwr import (
     validate_arena,
 )
 from nwr.cli import main
-from _reference import reference_decide_nwr
+from nwr.exact import decide_singletons
+from _corpus import VERTEX_IDS, renamed
+from _reference import reference_decide_nwr, reference_relate_document
 
 
 @pytest.fixture
@@ -192,6 +198,30 @@ def test_relate_exact_decides_only_unproved_pairs(tmp_path, monkeypatch, seed):
     assert len(calls) < len(unproved) if unproved else not calls
     for v, w in sorted(unproved - called):
         assert not reference_decide_nwr(a, v, {w}, limit=18).holds
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+    st.lists(VERTEX_IDS, min_size=8, max_size=8, unique=True),
+    st.booleans(),
+)
+def test_relate_matches_reference_writer(p, n, seed, names, exact):
+    """``relate`` and ``relate --exact`` write the document the pair dicts
+    through ``_dumps`` give, on arenas with escaped and non-ASCII ids and
+    on the arena with no vertex."""
+    a = renamed(random_arena(p, n, 0.4, 1, seed), names) if p else make_arena([], [], [], [])
+    rel = saturate(a)
+    if exact:
+        decide_singletons(a, rel, 10)
+    with tempfile.TemporaryDirectory() as d:
+        path, out = Path(d) / "a.json", Path(d) / "rel.json"
+        path.write_text(serialize_arena(a), encoding="utf-8")
+        argv = ["relate", str(path), "--out", str(out)] + ["--exact"] * exact
+        assert main(argv) == 0
+        assert out.read_text(encoding="utf-8") == reference_relate_document(a, rel) + "\n"
 
 
 def test_reduce_outputs(tmp_path, funnel, capsys):

@@ -9,7 +9,8 @@ transposed set index; a change that alters any of them changes what
 ``nwr relate`` or ``nwr reduce`` writes, and must say why.  The ``relate --exact`` and
 ``certify`` digests were recorded before exact decision moved onto the
 bit kernel and ``relate --exact`` began to skip the paths its relation
-rules out.  The ``solve`` digests were recorded before value iteration
+rules out, the plain ``relate`` ones before the relation got its own flat
+JSON writer.  The ``solve`` digests were recorded before value iteration
 began to sum each distinct distribution once per sweep, the reduced-arena
 and unentered-Nature ones before strategy improvement moved onto one
 integer row table and Nature values onto integer sums.
@@ -122,6 +123,22 @@ def test_relate_exact_is_byte_identical(seed, tmp_path):
     arena_path.write_text(serialize_arena(random_arena(10, 8, 0.3, 1, seed)))
     assert main(["relate", str(arena_path), "--exact", "--limit", "18", "--out", str(out)]) == 0
     assert _sha(out.read_text()) == EXACT_GOLDEN[seed]
+
+
+# (random_arena arguments): the document plain ``relate --out`` writes
+RELATE_GOLDEN = {
+    (40, 40, 1 / 20, 1, 3): "bd263fa09bc3c9e1e3496f856b522e25f43e064c264f43ed3e2868c6402d8ef4",
+    (120, 120, 1 / 50, 1, 3): "12eb066d997ba5536a68e41bfcd76885f84e3a0e91e2bf893bfe4cc008210cc8",
+}
+
+
+@pytest.mark.parametrize("args", sorted(RELATE_GOLDEN))
+def test_relate_is_byte_identical(args, tmp_path, capsys):
+    arena_path, out = tmp_path / "a.json", tmp_path / "rel.json"
+    arena_path.write_text(serialize_arena(random_arena(*args)))
+    assert main(["relate", str(arena_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha(out.read_text()) == RELATE_GOLDEN[args]
 
 
 # digraph_instance(10, 1/4, seed): (stdout, certificate, witness family) of

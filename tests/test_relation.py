@@ -21,7 +21,9 @@ from _reference import (
     candidate_universe,
     reference_close,
     reference_extremal_seed,
+    reference_relation_json,
 )
+from _corpus import VERTEX_IDS, renamed
 
 
 def closed(rel, universe):
@@ -412,3 +414,31 @@ def test_to_json_matches_json_dumps(verts, picks):
             rel.add(order[v % len(order)], {order[x % len(order)] for x in w})
     doc = [{"v": v, "W": sorted(w)} for v, w in rel.pairs()]
     assert rel.to_json() == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10_000)),
+    st.lists(VERTEX_IDS, min_size=8, max_size=8, unique=True),
+    st.integers(0, 8),
+    st.lists(st.tuples(st.integers(0, 99), st.sets(st.integers(0, 99), min_size=1, max_size=4)), max_size=6),
+    st.booleans(),
+)
+def test_to_json_matches_reference_writer(shape, names, size, picks, reparse):
+    """The flat writer against the pair dicts through ``_dumps``: on a bare
+    store over the first ``size`` of ``names`` (none at all when ``size``
+    is 0), or on the seed of an arena whose vertices are renamed to
+    ``names``; after ``add`` learned sets outside its universe, and after
+    ``from_json`` learned them again from the written text."""
+    if shape is None:
+        rel = NwrRelation(names[:size])
+    else:
+        p, n, seed = shape
+        rel = seed_relation(renamed(random_arena(p, n, 0.4, 1, seed), names))
+    order = rel.vertices
+    for v, w in picks:
+        if order:
+            rel.add(order[v % len(order)], {order[x % len(order)] for x in w})
+    if reparse:
+        rel = NwrRelation.from_json(rel.to_json(), order)
+    assert rel.to_json() == reference_relation_json(rel)
