@@ -5,66 +5,49 @@ and the extremal-value sets all identify vertices with provably equal (or
 extremal) values for every full-support family, independent of the actual
 probabilities.  ``seed_relation`` seeds saturation from the extremal sets
 alone: the saturation rules derive the end-component and forced-visit
-pairs themselves, so the other two are standalone analyses.
+pairs themselves, so the other two are standalone analyses.  All three
+run on the masks of ``bit_graph``: end components on Kosaraju's strongly
+connected components, each component one ``reach_bits`` search, and the
+forced-visit order on a worklist per right-hand side.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .arena import TargetArena, bit_graph, successor_map
+from .arena import BitGraph, TargetArena, _bits, bit_graph, reach_bits
 from .relation import NwrRelation, universe_masks
-from .solve import almost_sure_bits, zero_bits, zero_set
+from .solve import almost_sure_bits, zero_bits
 
 
-def _tarjan_sccs(vertices: Iterable[str], succ: dict[str, Iterable[str]]) -> list[frozenset[str]]:
-    """Iterative Tarjan over a restricted vertex set."""
-    verts = sorted(vertices)
-    vset = set(verts)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[frozenset[str]] = []
-    counter = 0
-    for root in verts:
-        if root in index:
+def _sccs(g: BitGraph, alive: int) -> list[int]:
+    """Strongly connected components of the subgraph of ``g`` induced by
+    the mask ``alive``, as masks, in Kosaraju's form: one iterative
+    depth-first pass over ``g.succ`` inside ``alive`` gives the finishing
+    order; then, in reverse finishing order, every vertex not yet placed
+    takes as its component the unplaced vertices that reach it."""
+    succ = g.succ
+    finished: list[int] = []
+    seen = 0
+    for root in _bits(alive):
+        if seen >> root & 1:
             continue
-        work = [(root, iter([s for s in succ[root] if s in vset]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([s for s in succ[w] if s in vset])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-    return sccs
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            fresh = succ[stack[-1]] & alive & ~seen
+            if fresh:
+                low = fresh & -fresh
+                seen |= low
+                stack.append(low.bit_length() - 1)
+            else:
+                finished.append(stack.pop())
+    comps: list[int] = []
+    placed = g.full & ~alive
+    for v in reversed(finished):
+        if not placed >> v & 1:
+            comp = reach_bits(g.pred, 1 << v, placed)
+            comps.append(comp)
+            placed |= comp
+    return comps
 
 
 def mec_decomposition(a: TargetArena) -> tuple[frozenset[str], ...]:
@@ -76,34 +59,24 @@ def mec_decomposition(a: TargetArena) -> tuple[frozenset[str], ...]:
     SCCs are the non-singleton components; every other vertex forms its
     own class.
     """
-    succ = successor_map(a)
-    alive = set(a.vertices)
+    g = bit_graph(a)
+    alive = g.full
     while True:
-        sccs = _tarjan_sccs(alive, succ)
-        comp_of: dict[str, frozenset[str]] = {}
-        for comp in sccs:
-            for v in comp:
-                comp_of[v] = comp
-        gone: set[str] = set()
-        for u in sorted(alive & a.nature):
-            if any(t not in alive or comp_of[t] is not comp_of[u] for t in succ[u]):
-                gone.add(u)
-        for p in sorted(alive & a.protagonist):
-            if not any(n in alive and n not in gone for n in succ[p]):
-                gone.add(p)
+        comps = _sccs(g, alive)
+        comp_of = {v: comp for comp in comps for v in _bits(comp)}
+        gone = sum(1 << u for u in _bits(alive & g.nature) if g.succ[u] & ~comp_of[u])
+        gone |= sum(1 << p for p in _bits(alive & g.protagonist) if not g.succ[p] & alive & ~gone)
         if not gone:
             break
-        alive -= gone
+        alive &= ~gone
     classes: list[frozenset[str]] = []
-    covered: set[str] = set()
-    for comp in _tarjan_sccs(alive, succ):
-        if len(comp) >= 2:
-            members = frozenset(comp & a.protagonist)
-            if members:
-                classes.append(members)
-                covered |= members
-    for p in sorted(a.protagonist - covered):
-        classes.append(frozenset((p,)))
+    covered = 0
+    for comp in comps:
+        members = comp & g.protagonist
+        if comp & (comp - 1) and members:
+            classes.append(g.unmask(members))
+            covered |= members
+    classes.extend(frozenset((g.order[p],)) for p in _bits(g.protagonist & ~covered))
     return tuple(sorted(classes, key=lambda c: min(c)))
 
 
@@ -117,30 +90,32 @@ def essential_order(a: TargetArena) -> frozenset[tuple[str, str]]:
     same value.  A target is never the left side of a non-reflexive pair,
     since its value is 1 whatever follows it; it may be the right side.
     """
-    succ = successor_map(a)
-    zero = zero_set(a)
-    eligible = sorted(a.protagonist - zero)
-    movers = [u for u in eligible if u not in a.targets]
-    two_step: dict[str, frozenset[str]] = {}
-    for u in movers:
-        hops = set()
-        for n in succ[u]:
-            hops.update(succ[n])
-        two_step[u] = frozenset(hops)
-    rel: set[tuple[str, str]] = {(u, u) for u in a.protagonist}
-    changed = True
-    while changed:
-        changed = False
-        for u in movers:
-            hops = two_step[u]
-            if not hops:
-                continue
-            for v in eligible:
-                if u == v or (u, v) in rel:
-                    continue
-                if all((w, v) in rel for w in hops):
-                    rel.add((u, v))
-                    changed = True
+    g = bit_graph(a)
+    targets = g.mask(a.targets)
+    eligible = g.protagonist & ~zero_bits(g, targets)
+    movers = eligible & ~targets
+    two_step: dict[int, int] = {}
+    back = [0] * len(g.order)
+    for u in _bits(movers):
+        hops = 0
+        for n in _bits(g.succ[u]):
+            hops |= g.succ[n]
+        two_step[u] = hops
+        for w in _bits(hops):
+            back[w] |= 1 << u
+    rel = {(u, u) for u in a.protagonist}
+    # Adding (u, v) reads only pairs whose right side is v, so each v is
+    # solved on its own: back[w] holds the movers with w among their
+    # two-step successors, and they are re-tested only when w joins below.
+    for v in _bits(eligible):
+        below = 1 << v
+        work = [v]
+        while work:
+            for u in _bits(back[work.pop()] & ~below):
+                if not two_step[u] & ~below:
+                    below |= 1 << u
+                    work.append(u)
+                    rel.add((g.order[u], g.order[v]))
     return frozenset(rel)
 
 

@@ -44,6 +44,10 @@ decision over string paths and sets that ``nwr.exact`` moved onto the bit
 kernel.  ``reference_classes`` is the union-find over pairwise
 ``equivalent`` tests that ``nwr.reduce.proven_classes`` replaced; each
 test reads both singleton pairs through the store's ``holds``.
+``tarjan_sccs``, ``reference_mec_decomposition`` and
+``reference_essential_order`` are the end components over Tarjan's string
+SCCs and the forced-visit order that re-swept every pair until nothing
+changed, which ``nwr.analysis`` rewrote on the bit kernel.
 ``reference_relation_json`` and ``reference_relate_document`` are the
 relation JSON and the ``relate`` document as written before the store got
 its own flat writer: a list of ``{"v", "W"}`` dicts through the recursive
@@ -68,10 +72,8 @@ from nwr import (
     TargetArena,
     ValueVector,
     decide_nwr,
-    essential_order,
     induce_chain,
     instantiate_mdp,
-    mec_decomposition,
     random_family,
     reach,
     reach_prob_vector,
@@ -635,20 +637,148 @@ def reference_close(rel, universe_masks):
     return changed_any
 
 
+def tarjan_sccs(vertices: Iterable[str], succ: dict[str, Iterable[str]]) -> list[frozenset[str]]:
+    """Iterative Tarjan over a restricted vertex set."""
+    verts = sorted(vertices)
+    vset = set(verts)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    sccs: list[frozenset[str]] = []
+    counter = 0
+    for root in verts:
+        if root in index:
+            continue
+        work = [(root, iter([s for s in succ[root] if s in vset]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter([s for s in succ[w] if s in vset])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(frozenset(comp))
+    return sccs
+
+
+def reference_mec_decomposition(a: TargetArena) -> tuple[frozenset[str], ...]:
+    """Partition the Protagonist vertices into maximal end components.
+
+    Iterated SCC refinement: drop Nature vertices with a successor outside
+    their SCC, then Protagonist vertices left without any choice, and
+    recompute until stable.  Protagonist parts of the surviving non-trivial
+    SCCs are the non-singleton components; every other vertex forms its
+    own class.
+    """
+    succ = successor_map(a)
+    alive = set(a.vertices)
+    while True:
+        sccs = tarjan_sccs(alive, succ)
+        comp_of: dict[str, frozenset[str]] = {}
+        for comp in sccs:
+            for v in comp:
+                comp_of[v] = comp
+        gone: set[str] = set()
+        for u in sorted(alive & a.nature):
+            if any(t not in alive or comp_of[t] is not comp_of[u] for t in succ[u]):
+                gone.add(u)
+        for p in sorted(alive & a.protagonist):
+            if not any(n in alive and n not in gone for n in succ[p]):
+                gone.add(p)
+        if not gone:
+            break
+        alive -= gone
+    classes: list[frozenset[str]] = []
+    covered: set[str] = set()
+    for comp in tarjan_sccs(alive, succ):
+        if len(comp) >= 2:
+            members = frozenset(comp & a.protagonist)
+            if members:
+                classes.append(members)
+                covered |= members
+    for p in sorted(a.protagonist - covered):
+        classes.append(frozenset((p,)))
+    return tuple(sorted(classes, key=lambda c: min(c)))
+
+
+def reference_essential_order(a: TargetArena) -> frozenset[tuple[str, str]]:
+    """Least fixpoint of the forced-visit order on Protagonist vertices.
+
+    Reflexive, and ``(u, v)`` for a non-target ``u`` is added once every
+    two-step path out of ``u`` lands on a vertex already related to ``v``
+    (with at least one such path).  ``u <= v`` then means all play from
+    ``u`` must pass through ``v`` before the targets, so both have the
+    same value.  A target is never the left side of a non-reflexive pair,
+    since its value is 1 whatever follows it; it may be the right side.
+    """
+    succ = successor_map(a)
+    zero = reference_zero_set(a)
+    eligible = sorted(a.protagonist - zero)
+    movers = [u for u in eligible if u not in a.targets]
+    two_step: dict[str, frozenset[str]] = {}
+    for u in movers:
+        hops = set()
+        for n in succ[u]:
+            hops.update(succ[n])
+        two_step[u] = frozenset(hops)
+    rel: set[tuple[str, str]] = {(u, u) for u in a.protagonist}
+    changed = True
+    while changed:
+        changed = False
+        for u in movers:
+            hops = two_step[u]
+            if not hops:
+                continue
+            for v in eligible:
+                if u == v or (u, v) in rel:
+                    continue
+                if all((w, v) in rel for w in hops):
+                    rel.add((u, v))
+                    changed = True
+    return frozenset(rel)
+
+
 def reference_seed_relation(a):
     """The seed that saturation started from before it was cut down to the
     extremal sets, on a ``ReferenceRelation``: mutual pairs inside each
     maximal end component, mutual pairs ``u <= {v}`` for each forced visit
-    of ``u`` to a maximal ``v`` of ``essential_order`` (the order with
+    of ``u`` to a maximal ``v`` of the forced-visit order (the order with
     targets kept off its left side), then the zero and almost-sure pairs,
-    closed."""
+    closed.  The components and the order come from the string references
+    below, so this oracle shares no graph search with what it checks."""
     rel = ReferenceRelation(a.vertices)
-    for mec in mec_decomposition(a):
+    for mec in reference_mec_decomposition(a):
         for u in sorted(mec):
             for v in sorted(mec):
                 if u != v:
                     rel.add(u, (v,))
-    order = essential_order(a)
+    order = reference_essential_order(a)
     dominated = {u for (u, v) in order if u != v}
     for (u, v) in sorted(order):
         if u != v and v not in dominated:

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,16 @@ from nwr import (
     successor_map,
     vertex_values,
 )
+from nwr.analysis import _sccs
+from nwr.arena import bit_graph
 from _corpus import arena_suite, family_suite, several_target_arenas
-from _reference import equivalent, reference_extremal_seed
+from _reference import (
+    equivalent,
+    reference_essential_order,
+    reference_extremal_seed,
+    reference_mec_decomposition,
+    tarjan_sccs,
+)
 
 
 def is_end_component(a, members) -> bool:
@@ -193,3 +202,78 @@ class TestSaturationSubsumes:
                 assert equivalent(rel, u, v), (u, v)
                 forced_pairs += u != v
         assert mec_pairs > 0 and forced_pairs > 0
+
+
+def chain_arena(k: int, reverse: bool = False):
+    """``p_i -> n_i -> p_{i+1}`` for ``i < k - 1``, ``n_{k-1} -> p_{k-1}``,
+    target ``p_{k-1}``: every Protagonist vertex is forced down the chain
+    to the target, so the forced-visit order is total.  With ``reverse``
+    the chain runs against the sorted order of the names."""
+    idx = [k - 1 - i for i in range(k)] if reverse else list(range(k))
+    prot = [f"p{i:04d}" for i in idx]
+    nat = [f"n{i:04d}" for i in idx]
+    edges = [(prot[i], nat[i]) for i in range(k)]
+    edges += [(nat[i], prot[i + 1]) for i in range(k - 1)] + [(nat[-1], prot[-1])]
+    return make_arena(prot, nat, edges, [prot[-1]])
+
+
+def with_isolated(a, isolated: int):
+    """``a`` plus ``isolated`` Protagonist vertices with no edge."""
+    extra = [f"z{i}" for i in range(isolated)]
+    return make_arena(a.protagonist | set(extra), a.nature, a.edges, a.targets)
+
+
+arenas = st.builds(
+    lambda p, n, density, targets, isolated, seed: with_isolated(
+        random_arena(p, n, density, min(targets, p), seed), isolated
+    ),
+    st.integers(1, 24),
+    st.integers(0, 24),
+    st.sampled_from([0.0, 0.03, 0.1, 0.2, 0.4, 0.8]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+)
+
+
+def assert_matches_reference(a) -> None:
+    assert mec_decomposition(a) == reference_mec_decomposition(a)
+    assert essential_order(a) == reference_essential_order(a)
+
+
+class TestMatchesStringReference:
+    """The analyses on ``bit_graph`` masks return exactly what Tarjan's
+    string SCCs and the pass-until-stable forced-visit loop returned."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(arenas)
+    def test_random_arenas(self, a):
+        assert_matches_reference(a)
+
+    @pytest.mark.parametrize("name", ["coin", "mixer_arena", "funnel", "target_into_coin"])
+    def test_fixtures(self, name, request):
+        assert_matches_reference(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_chains(self, reverse):
+        for k in range(1, 31):
+            a = chain_arena(k, reverse)
+            assert_matches_reference(a)
+            assert len(essential_order(a)) == k * (k + 1) // 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(arenas, st.integers(0, 2**60))
+def test_sccs_partition_alive_as_tarjan_does(a, bits):
+    """``_sccs`` splits a random ``alive`` mask into exactly the
+    components Tarjan's string search finds on the induced subgraph."""
+    g = bit_graph(a)
+    alive = bits & g.full
+    comps = _sccs(g, alive)
+    assert sum(c.bit_count() for c in comps) == alive.bit_count()
+    union = 0
+    for c in comps:
+        union |= c
+    assert union == alive
+    expected = tarjan_sccs(g.unmask(alive), g.names)
+    assert sorted(comps) == sorted(g.mask(c) for c in expected)
