@@ -14,7 +14,7 @@ forced-visit order on a worklist per right-hand side.
 from __future__ import annotations
 
 from .arena import BitGraph, TargetArena, _bits, bit_graph, reach_bits
-from .relation import NwrRelation, universe_masks
+from .relation import NwrRelation
 from .solve import almost_sure_bits, zero_bits
 
 
@@ -123,7 +123,8 @@ def seed_relation(a: TargetArena) -> NwrRelation:
     """Initial sound under-approximation from the extremal-value sets.
 
     Every zero-valued vertex below every singleton and every vertex below
-    each almost-surely-winning vertex, closed over the candidate universe.
+    each almost-surely-winning vertex, closed over the candidate universe
+    ``bit_graph(a).universe``, whose sets the store knows in its order.
     The store is written down in closed form by ``NwrRelation`` itself:
     a universe set's column is full when it holds an almost-surely-winning
     vertex, and is the set plus the zero-valued vertices otherwise.
@@ -133,5 +134,5 @@ def seed_relation(a: TargetArena) -> NwrRelation:
     g = bit_graph(a)
     targets = g.mask(a.targets)
     return NwrRelation(
-        g.order, universe_masks(a), zero_bits(g, targets), almost_sure_bits(g, targets)
+        g.order, g.universe, zero_bits(g, targets), almost_sure_bits(g, targets)
     )

@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Container, Iterable, Iterator, Mapping, Sequence
@@ -75,6 +75,11 @@ def _bits(m: int) -> Iterator[int]:
         yield b.bit_length() - 1
 
 
+def _canonical(m: int) -> tuple[int, list[int]]:
+    """Sort key of the set ``m``: its size, then its members in vertex order."""
+    return m.bit_count(), list(_bits(m))
+
+
 @dataclass(frozen=True)
 class BitGraph:
     """An arena's graph on bitmasks.  Vertex ``i`` is the ``i``-th in
@@ -103,6 +108,26 @@ class BitGraph:
 
     def unmask(self, m: int) -> frozenset[str]:
         return frozenset(self.order[i] for i in _bits(m))
+
+    @cached_property
+    def universe(self) -> tuple[int, ...]:
+        """The right-hand sets the inference rules range over: singletons,
+        full successor sets, and successor sets with one member deleted.
+        That is exactly what the rules and the reduction steps consume,
+        which keeps saturation polynomial instead of ranging over all
+        subsets.  Ordered by size, then by members, so singleton ``{i}``
+        is number ``i``.  Built on first use and kept with the graph, so
+        an arena and its retargeted copies share one tuple."""
+        sets: set[int] = set()
+        for i, sv in enumerate(self.succ):
+            sets.add(1 << i)
+            if sv:
+                sets.add(sv)
+            for x in _bits(sv):
+                rest = sv & ~(1 << x)
+                if rest:
+                    sets.add(rest)
+        return tuple(sorted(sets, key=_canonical))
 
 
 @lru_cache(maxsize=512)

@@ -20,8 +20,9 @@ pairs it yields in between cannot change it.
 The rules work on masks from end to end: ``bit_graph(a)`` numbers the
 vertices in sorted order, as the store does, so a column is a set of
 vertices the kernel ``reach_bits`` can avoid or start from as it is, a
-successor mask or a mask of ``universe_masks(a)`` is a right-hand set the
-store can look up, and a rule hands the store the numbers and masks it
+successor mask or a set of ``bit_graph(a).universe`` is a right-hand set
+the store can look up (in a seeded store, the universe's positions are
+its set numbers), and a rule hands the store the numbers and masks it
 computed without naming a vertex.
 
 The seed is the extremal-value store of ``seed_relation``, written down in
@@ -42,7 +43,7 @@ from typing import Iterator, Mapping, Optional
 
 from .analysis import seed_relation
 from .arena import TargetArena, _bits, bit_graph, reach_bits
-from .relation import NwrRelation, universe_masks
+from .relation import NwrRelation
 from .solve import almost_sure_bits
 
 #: a pair ``v <= W`` as the rules yield it: the number of ``v`` and the
@@ -62,11 +63,11 @@ def rule_bar_reach(
     Skips each ``W`` whose column did not grow since ``since``, and each
     ``v0`` already in the cut.  ``r`` is a store over the arena's
     vertices, so its masks are those of ``bit_graph(a)``, and ``W``
-    ranges over ``universe_masks(a)``.
+    ranges over ``bit_graph(a).universe``.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
-    for m in universe_masks(a):
+    for m in g.universe:
         below = r.column(m)
         if since is not None and since.get(m) == below:
             continue
@@ -140,9 +141,10 @@ def saturate(a: TargetArena) -> "NwrRelation":
     Pairs are only ever added and the candidate universe is finite, so
     termination is immediate.
     """
+    g = bit_graph(a)
     rel = seed_relation(a)
     since = None
-    for _ in range(len(a.vertices) * len(universe_masks(a)) + 2):
+    for _ in range(len(g.order) * len(g.universe) + 2):
         start = rel.snapshot()
         changed = False
         for rule in RULES:

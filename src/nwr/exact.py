@@ -304,7 +304,8 @@ def decide_nwr(
 def decide_singletons(a: TargetArena, relation: NwrRelation, limit: int = 10) -> None:
     """Decide every singleton pair ``v <= {w}`` open in ``relation``, in
     sorted order, and add each one that holds.  Each ``decide_nwr`` call
-    gets the relation as it stands, for the decision cut.
+    gets the relation as it stands, for the decision cut.  A relation over
+    other vertices than the arena raises ``ValueError``, as there.
 
     One refutation refutes many pairs.  Its certificate's top layer ``T``
     holds the targets, and every vertex ``u`` of ``T`` that reaches a
@@ -315,15 +316,17 @@ def decide_singletons(a: TargetArena, relation: NwrRelation, limit: int = 10) ->
     the verdicts and the relation stay the same.
     """
     g = bit_graph(a)
+    if relation.vertices != g.order:
+        raise ValueError("the relation is over other vertices than the arena")
     targets = g.mask(a.targets)
     refuted = [0] * len(g.order)  # refuted[u]: the x with u <= {x} known false
     for i, v in enumerate(g.order):
         for j, w in enumerate(g.order):
-            if i == j or refuted[i] >> j & 1 or relation.holds(v, (w,)):
+            if i == j or refuted[i] >> j & 1 or relation.column(1 << j) >> i & 1:
                 continue
             decision = decide_nwr(a, v, {w}, limit=limit, relation=relation)
             if decision.holds:
-                relation.add(v, (w,))
+                relation.add_bits(i, 1 << j)
                 continue
             below = g.full & ~g.mask(decision.certificate.layers[-1])
             for u in _bits(reach_bits(g.pred, targets, below)):

@@ -6,13 +6,13 @@ The claim is monotone in ``W``.
 
 The store keeps one closed column ``B[Y] = {v : v <= Y}`` per known set
 ``Y``: every singleton (in a seeded store, every set of the candidate
-universe) and every right-hand set ever added.  The known sets are what
-``close`` closes over, so a set that ``add`` learns is a closure target at
-once.  Each column is upward closed over the known sets, so on a known
-set ``holds`` is a bit test and ``column`` a lookup; on any other set both
-are the union of the columns of the known sets inside it.  ``pairs``
-reports, per known set, the vertices of its column that no known proper
-subset's column has: the inclusion-minimal pairs.
+universe ``BitGraph.universe``) and every right-hand set ever added.  The
+known sets are what ``close`` closes over, so a set that ``add`` learns is
+a closure target at once.  Each column is upward closed over the known
+sets, so on a known set ``holds`` is a bit test and ``column`` a lookup;
+on any other set both are the union of the columns of the known sets
+inside it.  ``pairs`` reports, per known set, the vertices of its column
+that no known proper subset's column has: the inclusion-minimal pairs.
 
 The known sets are numbered in the order they became known, singleton
 ``{i}`` as ``i`` (a seeded store knows the candidate universe, numbered
@@ -29,7 +29,8 @@ those holding a vertex every vertex is below (the almost-surely-winning
 seed): no row records them and no push goes to them.
 
 Vertex sets are integer bitmasks over the vertices in sorted order, the
-order of ``bit_graph``.  ``add``, ``holds`` and ``pairs`` speak plain
+order of ``bit_graph``; the store knows masks and sets, not arenas, and
+is handed its universe.  ``add``, ``holds`` and ``pairs`` speak plain
 strings and frozensets; saturation speaks masks, through the constructor,
 ``add_bits``, ``column`` and ``above``.  ``add`` masks its arguments and
 calls ``add_bits``, so a pair enters the store one way.
@@ -37,56 +38,10 @@ calls ``add_bits``, so a pair enters the store one way.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .arena import (
-    ArenaFormatError,
-    TargetArena,
-    _bit_adjacency,
-    _bits,
-    _loads,
-    _parse_ids,
-)
-
-
-def universe_masks(a: TargetArena) -> tuple[int, ...]:
-    """The right-hand sets the inference rules range over, as masks over
-    ``bit_graph(a)``.
-
-    Singletons, full successor sets, and successor sets with one element
-    deleted: exactly what the rules and the reduction steps consume, which
-    keeps saturation polynomial instead of ranging over all subsets.
-    Ordered by size, then by sorted members, so singleton ``{i}`` is
-    number ``i``.  Built once per arena and cached for the last arena
-    asked, keyed without the targets like ``successor_map``: it and its
-    retargeted copies get the same tuple.
-    """
-    return _universe(a.protagonist, a.nature, a.edges)
-
-
-def _canonical(m: int) -> tuple[int, list[int]]:
-    """Sort key of the set ``m``: its size, then its members in vertex order."""
-    return m.bit_count(), list(_bits(m))
-
-
-# seed_relation, saturate and each round of rule_bar_reach read the
-# universe of the arena being saturated, so one entry catches every repeat
-@lru_cache(maxsize=1)
-def _universe(
-    protagonist: frozenset[str], nature: frozenset[str], edges: frozenset[tuple[str, str]]
-) -> tuple[int, ...]:
-    sets: set[int] = set()
-    for i, sv in enumerate(_bit_adjacency(protagonist, nature, edges).succ):
-        sets.add(1 << i)
-        if sv:
-            sets.add(sv)
-        for x in _bits(sv):
-            rest = sv & ~(1 << x)
-            if rest:
-                sets.add(rest)
-    return tuple(sorted(sets, key=_canonical))
+from .arena import ArenaFormatError, _bits, _canonical, _loads, _parse_ids
 
 
 class NwrRelation:
@@ -244,10 +199,6 @@ class NwrRelation:
         col = self._cols.get(m)
         if col is not None:
             return col
-        # singleton {i} is set number i, so this finds a member whose
-        # singleton is in the ceiling
-        if m & self._ceiling:
-            return (1 << len(self._order)) - 1
         touching = col = 0
         for i in _bits(m):
             touching |= self._cm[i]

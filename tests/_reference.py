@@ -11,9 +11,10 @@ argument in every round.  ``reference_bulk_seed`` is the extremal seed
 as one bulk update of the store and a closure, before ``seed_relation``
 wrote it in closed form, and ``named`` maps the pairs a rule yields to
 names, as the rules yielded them before they handed the store masks.
-``candidate_universe`` names the sets of ``universe_masks``, as ``nwr``
-did before saturation read only masks, and ``close_over`` closes a
-reference store or an ``NwrRelation`` over the sets it is given.
+``candidate_universe`` builds the candidate right-hand sets from
+``reference_successor_map`` names, independently of ``BitGraph.universe``,
+and ``close_over`` closes a reference store or an ``NwrRelation`` over the
+sets it is given.
 ``reference_zero_set``,
 ``reference_almost_sure_set``, ``reference_extremal_seed``,
 ``reference_rule_bar_reach`` and ``reference_rule_bar_win`` are the
@@ -81,19 +82,25 @@ from nwr import (
     successor_map,
     vertex_values,
 )
-from nwr.arena import _dumps, bit_graph
+from nwr.arena import _bits, _dumps, bit_graph
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.reduce import proven_classes
-from nwr.relation import _bits, universe_masks
 from nwr.solve import almost_sure_bits, zero_bits
 
 
 def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
-    """``universe_masks(a)`` unmasked through ``bit_graph(a)``, in its
-    order: the candidate right-hand sets as vertex names."""
-    g = bit_graph(a)
-    return tuple(g.unmask(m) for m in universe_masks(a))
+    """The candidate right-hand sets as vertex names: every singleton,
+    every non-empty successor set, and every successor set with one member
+    deleted, if non-empty.  Ordered by size, then by sorted names."""
+    sets = set()
+    for v, ws in reference_successor_map(a).items():
+        succ = frozenset(ws)
+        sets.add(frozenset((v,)))
+        sets.add(succ)
+        sets.update(succ - {x} for x in ws)
+    sets.discard(frozenset())
+    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
 
 
 def close_over(rel, masks) -> bool:
@@ -839,7 +846,7 @@ def reference_bulk_seed(a):
         rel._ceiling |= rel._cm[t]
     for y, col in rel._cols.items():
         rel._cols[y] = full if y & top else col | bottom
-    for m in universe_masks(a):
+    for m in map(rel.mask, candidate_universe(a)):
         if m not in rel._cols:
             rel._know(m, rel.column(m))
     rel._dirty = (1 << len(rel._sets)) - 1
@@ -855,7 +862,7 @@ def _add_extremal_and_close(rel, a):
     for v in sorted(reference_almost_sure_set(a)):
         for w in everything:
             rel.add(w, (v,))
-    close_over(rel, universe_masks(a))
+    close_over(rel, [rel.mask(w) for w in candidate_universe(a)])
     return rel
 
 
@@ -992,7 +999,7 @@ def reference_saturate(a, rules, seed=None):
     ``reference_extremal_seed``; returns the relation and the number of
     rounds."""
     rel = (seed or reference_extremal_seed)(a)
-    umasks = universe_masks(a)
+    umasks = [rel.mask(w) for w in candidate_universe(a)]
     rounds = 0
     while True:
         rounds += 1

@@ -317,6 +317,23 @@ def test_relation_over_other_vertices_is_refused(coin):
     assert not decide_nwr(coin, "t", {"v0"}, relation=saturate(coin)).holds
 
 
+def test_singletons_refuse_a_relation_over_other_vertices(coin):
+    """``decide_singletons`` refuses a foreign relation as ``decide_nwr``
+    does, before it reads or adds a pair: also on an arena with no open
+    pair, where no ``decide_nwr`` call would refuse it."""
+    single = make_arena(["t"], [], [], ["t"])
+    for a, verts in [
+        (coin, ["a", "b"]),
+        (coin, ["t", "v0", "f"]),
+        (coin, coin.vertices | {"x"}),
+        (single, ["x"]),
+    ]:
+        rel = NwrRelation(verts)
+        with pytest.raises(ValueError, match="other vertices than the arena"):
+            decide_singletons(a, rel)
+        assert list(rel.pairs()) == list(NwrRelation(verts).pairs())
+
+
 class TestEpsilonWitness:
     def test_coin_explicit_eps(self, coin):
         cert = decide_nwr(coin, "t", {"v0"}).certificate

@@ -13,8 +13,7 @@ from nwr import (
     random_arena,
     seed_relation,
 )
-from nwr.arena import _dumps
-from nwr.relation import universe_masks
+from nwr.arena import _dumps, bit_graph
 from _reference import (
     ReferenceRelation,
     RescanRelation,
@@ -197,29 +196,42 @@ class TestPtc:
                     assert once.holds(v, x) == want, (v, x)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_universe_shapes(seed):
-    from nwr import random_arena, successor_map
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(0, 8),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+)
+def test_universe_shapes(p, n, density, isolated, seed):
+    """``BitGraph.universe`` is the reference universe, members and order,
+    with singleton ``{i}`` at number ``i``, also on arenas with isolated
+    vertices and vertices without successors."""
+    a = random_arena(p, n, density, 1, seed=seed)
+    a = TargetArena(a.protagonist | {f"z{k}" for k in range(isolated)}, a.nature, a.edges, a.targets)
+    g = bit_graph(a)
+    assert tuple(g.unmask(m) for m in g.universe) == candidate_universe(a)
+    assert g.universe[: len(g.order)] == tuple(1 << i for i in range(len(g.order)))
 
-    a = random_arena(3, 3, 0.5, 1, seed=seed)
-    succ = successor_map(a)
-    universe = set(candidate_universe(a))
-    for v in a.vertices:
-        assert frozenset({v}) in universe
-        s = frozenset(succ[v])
-        if s:
-            assert s in universe
-        for x in succ[v]:
-            if s - {x}:
-                assert s - {x} in universe
-    assert frozenset() not in universe
+
+def test_universe_of_a_small_arena():
+    """``b`` and ``z`` have no successor; ``n`` has three."""
+    a = TargetArena(
+        frozenset({"a", "b", "z"}),
+        frozenset({"n"}),
+        frozenset({("a", "n"), ("n", "a"), ("n", "b"), ("n", "z")}),
+        frozenset({"a"}),
+    )
+    want = [{"a"}, {"b"}, {"n"}, {"z"}, {"a", "b"}, {"a", "z"}, {"b", "z"}, {"a", "b", "z"}]
+    assert candidate_universe(a) == tuple(map(frozenset, want))
+    assert bit_graph(a).universe == (0b1, 0b10, 0b100, 0b1000, 0b11, 0b1001, 0b1010, 0b1011)
 
 
 def test_universe_is_shared_by_retargeted_copies():
     a = random_arena(6, 6, 0.3, 1, seed=1)
     other = TargetArena(a.protagonist, a.nature, a.edges, frozenset())
-    assert universe_masks(other) is universe_masks(a)
+    assert bit_graph(other).universe is bit_graph(a).universe
 
 
 def _pick_set(verts, universe, j, inside):
