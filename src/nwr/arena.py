@@ -112,12 +112,14 @@ class BitGraph:
     @cached_property
     def universe(self) -> tuple[int, ...]:
         """The right-hand sets the inference rules range over: singletons,
-        full successor sets, and successor sets with one member deleted.
-        That is exactly what the rules and the reduction steps consume,
-        which keeps saturation polynomial instead of ranging over all
-        subsets.  Ordered by size, then by members, so singleton ``{i}``
-        is number ``i``.  Built on first use and kept with the graph, so
-        an arena and its retargeted copies share one tuple."""
+        full successor sets, and successor sets with one member deleted,
+        which keeps saturation polynomial.  Bar-win, ``proven_classes`` and
+        ``decide_singletons`` read the singletons, the dominance rule each
+        non-target Protagonist's successor set, ``_trim`` Protagonist
+        successor sets less a member, and only the relation JSON the Nature
+        vertices' sets, which bar-reach and the closure write.  By size,
+        then members, so singleton ``{i}`` is number ``i``.  Kept with the
+        graph, so an arena and its retargeted copies share one tuple."""
         sets: set[int] = set()
         for i, sv in enumerate(self.succ):
             sets.add(1 << i)

@@ -111,23 +111,20 @@ def rule_bar_win(
 def rule_prot_dominance(
     a: TargetArena, r: NwrRelation, since: Optional[Mapping[int, int]] = None
 ) -> Iterator[Pair]:
-    """Yield ``u <= {v}``, unless already stored, when every successor of
-    ``u`` is below the successor set of ``v`` (both non-target Protagonist).
-
-    Pruning the successors of ``u`` that are below the rest would add
-    nothing the closure does not.  The pairs yielded grow no successor
-    set's column, and ``u <= {v}`` sets only the bit of ``{v}``'s column
-    that its test reads, so each column is read once.  It sweeps every
-    round: ``since`` is unused.
+    """Yield ``u <= {v}``, unless already stored, for each ``u`` below the
+    successor set of ``v`` (both non-target Protagonist): the value of
+    ``v`` is the largest of its successors' values.  Its fixpoint is that of
+    testing every successor of ``u`` against that set, for every pair:
+    bar-reach puts each ``u`` passing the test below the set, and in a valid
+    (bipartite) arena the test derives all this rule does (CHANGES.md has
+    the proof).  A pair yielded for ``v`` sets a bit that ``{v}``'s column
+    was read without, so each column is read once.  ``since`` is unused.
     """
     g = bit_graph(a)
     choices = g.protagonist & ~g.mask(a.targets)
-    columns = [(v, r.column(g.succ[v]), r.column(1 << v)) for v in _bits(choices)]
-    for u in _bits(choices):
-        um, bit = g.succ[u], 1 << u
-        for v, col, single in columns:
-            if um & ~col == 0 and not single & bit:
-                yield u, 1 << v
+    for v in _bits(choices):
+        for u in _bits(r.column(g.succ[v]) & choices & ~r.column(1 << v)):
+            yield u, 1 << v
 
 
 RULES = (rule_bar_reach, rule_bar_win, rule_prot_dominance)

@@ -247,36 +247,44 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
 # ---------------------------------------------------------------------------
 
 
-def _rows(m: Mdp) -> tuple[list[Mapping[str, Fraction]], dict[tuple[str, str], int], list[bool]]:
-    """``m``'s distinct distributions as rows, the row of each action, and
-    whether each row is live: whether it puts positive probability on a
-    state that reaches a target.
+def _rows(
+    m: Mdp,
+) -> tuple[dict[str, str], dict[str, list[tuple[str, int]]], list[Mapping[str, Fraction]]]:
+    """Each state's first action and its live actions, in sorted order,
+    the latter with their row numbers, and the live rows: ``m``'s distinct
+    distributions that put positive probability on a state that reaches a
+    target, numbered in the order the sorted actions first use them.
 
     Rows are keyed by object identity, so actions that share one
     distribution object, as ``instantiate_mdp``'s actions into one Nature
     vertex do, share its row; equal distributions held as separate
     objects just get more rows.  Liveness is one backward search from the
-    targets over states and row numbers, which scans each row's support
+    targets over states and row keys, which scans each row's support
     once: from a state to the rows with it in their support, and from a
-    row to the states with an action on it.  States are strings and rows
-    ints, so the two never share a key.
+    row to the states with an action on it.  States are strings and row
+    keys ints, so the two never share a key.
     """
-    number: dict[int, int] = {}
-    dists: list[Mapping[str, Fraction]] = []
+    dists: dict[int, Mapping[str, Fraction]] = {}
     row_of: dict[tuple[str, str], int] = {}
     back: dict[str | int, list[str | int]] = defaultdict(list)
     for key, dist in m.transition.items():
-        k = number.get(id(dist))
-        if k is None:
-            k = number[id(dist)] = len(dists)
-            dists.append(dist)
+        k = id(dist)
+        if k not in dists:
+            dists[k] = dist
             for r, p in dist.items():
                 if p.numerator > 0:
                     back[r].append(k)
         row_of[key] = k
         back[k].append(key[0])
     reached = reach(back, m.targets)
-    return dists, row_of, [k in reached for k in range(len(dists))]
+    first: dict[str, str] = {}
+    live: dict[str, list[tuple[str, int]]] = {}
+    used: dict[int, int] = {}
+    for (q, act), k in sorted(row_of.items()):
+        first.setdefault(q, act)
+        if k in reached:
+            live.setdefault(q, []).append((act, used.setdefault(k, len(used))))
+    return first, live, [dists[k] for k in used]
 
 
 def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
@@ -303,24 +311,12 @@ def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:
     with a single live action keeps it and is not compared: in the chain
     that uses it, that action's score is the state's value, never more.
     """
-    dists, row_of, live_row = _rows(m)
-    sigma: dict[str, str] = {}
-    # each state's live actions, sorted, with their row numbers
-    live: dict[str, list[tuple[str, int]]] = {}
-    for (q, act), k in sorted(row_of.items()):
-        sigma.setdefault(q, act)
-        if live_row[k]:
-            live.setdefault(q, []).append((act, k))
+    first, live, rows = _rows(m)
+    sigma = dict(first)
     sigma.update((q, acts[0][0]) for q, acts in live.items())
-    # the non-target states with a choice, sorted, each with its live
-    # actions as (action, number of the row in ``table``)
-    used: dict[int, int] = {}
-    choosers = [
-        (q, [(act, used.setdefault(k, len(used))) for act, k in acts])
-        for q, acts in live.items()
-        if len(acts) > 1 and q not in m.targets
-    ]
-    table = [_integer_weights(dists[k]) for k in used]
+    # the non-target states with a choice, sorted, with their live actions
+    choosers = [(q, acts) for q, acts in live.items() if len(acts) > 1 and q not in m.targets]
+    table = [_integer_weights(dist) for dist in rows]
     scales = [scale for scale, _ in table]
 
     guard = 0
@@ -362,22 +358,17 @@ def value_iteration(m: Mdp, tol: float = 1e-10, max_iters: int = 10**6) -> Value
     its live rows' sums, starting from 0.0.  Those are the float
     operations of a sweep over every live action, in the same order, so
     the values, the sweep count and ``converged`` are bit-identical to
-    it; only the repeated sums of a shared distribution are gone.
+    it; only the repeated sums of a shared distribution are gone, and a
+    row that only targets use is summed but never read.
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    dists, row_of, live_row = _rows(m)
+    _, live, dists = _rows(m)
     states = list(m.states)
     index = {q: i for i, q in enumerate(states)}
-    # each non-target state with a live action: its number and its rows,
-    # renumbered over the rows some such state uses
-    used: dict[int, int] = {}
-    choices: dict[int, list[int]] = {}
-    for (q, _), k in sorted(row_of.items()):
-        if live_row[k] and q not in m.targets:
-            choices.setdefault(index[q], []).append(used.setdefault(k, len(used)))
-    rows = [tuple((index[r], float(p)) for r, p in dists[k].items()) for k in used]
-    choosers = list(choices.items())
+    rows = [tuple((index[r], float(p)) for r, p in dist.items()) for dist in dists]
+    # each non-target state with a live action: its number and its rows
+    choosers = [(index[q], [k for _, k in acts]) for q, acts in live.items() if q not in m.targets]
     x = [1.0 if q in m.targets else 0.0 for q in states]
     sums = [0.0] * len(rows)
     converged = False

@@ -56,6 +56,12 @@ def renamed(a: TargetArena, names: list[str]) -> TargetArena:
     )
 
 
+def with_isolated(a: TargetArena, isolated: int) -> TargetArena:
+    """``a`` plus ``isolated`` Protagonist vertices with no edge."""
+    extra = [f"z{i}" for i in range(isolated)]
+    return make_arena(a.protagonist | set(extra), a.nature, a.edges, a.targets)
+
+
 def digraph_instance(n: int, density: float, seed: int):
     """A random digraph on ``x0`` .. ``x{n-1}`` and four distinct
     terminals ``(s1, t1, s2, t2)`` for a 2DP instance."""

@@ -20,12 +20,14 @@ sets it is given.
 ``reference_rule_bar_reach`` and ``reference_rule_bar_win`` are the
 searches over string vertex sets that the bitmask kernel of
 ``nwr.arena.reach_bits`` replaced, with the seed that added its pairs one
-at a time.  ``FOUR_RULES`` is the rule set saturation had before the bar
-rules and the closure were found to imply the other two:
-``reference_rule_nature_equiv`` and ``reference_rule_prot_dominance``,
-which pruned successors first.  ``reference_rule_prot_dominance_unpruned``
-is the rule saturation runs, over the string successor sets it read
-before it moved onto ``bit_graph`` masks.  ``reference_trim_edges`` is the trim that
+at a time.  ``FOUR_RULES`` adds to saturation's rules the one that the
+bar rules and the closure were found to imply,
+``reference_rule_nature_equiv``, with the dominance rule as
+``reference_rule_prot_dominance_lift``: the rule saturation runs, over
+string sets.  ``reference_rule_prot_dominance_pairwise`` is the dominance
+rule as it was before it read one column per choice vertex: a test of
+every successor of ``u`` against the successor set of ``v``, for every
+pair.  ``reference_trim_edges`` is the trim that
 restarted from the first edge after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
 are the chain solve and the strategy improvement over ``Fraction`` objects
@@ -923,51 +925,31 @@ def reference_rule_nature_equiv(a, r):
                 yield x, frozenset((u,))
 
 
-def _non_dominated(r, succs):
-    """Prune successors one at a time while each is below the rest.
-
-    Removing a single dominated element keeps the maximum value of the set
-    attainable within it, so iterated single removals are sound; a
-    one-shot sweep would not be (two equivalent successors would erase
-    each other and the rule's premise would hold vacuously).
-    """
-    surv = sorted(succs)
-    while True:
-        for i, w in enumerate(surv):
-            rest = surv[:i] + surv[i + 1 :]
-            if rest and r.holds(w, rest):
-                surv.pop(i)
-                break
-        else:
-            return surv
+def reference_rule_prot_dominance_pairwise(a, r, since=None):
+    """``rule_prot_dominance`` as a test over every pair of non-target
+    Protagonist vertices: ``u <= {v}`` when every successor of ``u`` is
+    below the successor set of ``v``, with each ``v``'s two columns read
+    before the sweep."""
+    g = bit_graph(a)
+    choices = g.protagonist & ~g.mask(a.targets)
+    columns = [(v, r.column(g.succ[v]), r.column(1 << v)) for v in _bits(choices)]
+    for u in _bits(choices):
+        um, bit = g.succ[u], 1 << u
+        for v, col, single in columns:
+            if um & ~col == 0 and not single & bit:
+                yield u, 1 << v
 
 
-def reference_rule_prot_dominance(a, r):
-    """Yield ``u <= {v}`` when every non-dominated successor of ``u`` is
-    below the successor set of ``v`` (both non-target Protagonist)."""
-    succ = successor_map(a)
-    choices = sorted(a.protagonist - a.targets)
-    for u in choices:
-        survivors = _non_dominated(r, succ[u])
-        for v in choices:
-            ve = succ[v]
-            if not ve and survivors:
-                continue
-            ve_mask = r.mask(ve)
-            if r.mask(survivors) & ~r.column(ve_mask) == 0:
-                yield u, frozenset((v,))
-
-
-def reference_rule_prot_dominance_unpruned(a, r, since=None):
-    """``rule_prot_dominance`` over string successor sets: mask each
-    successor set through the store and read its column."""
+def reference_rule_prot_dominance_lift(a, r, since=None):
+    """``rule_prot_dominance`` over string sets: for each non-target
+    Protagonist ``v`` and then each non-target Protagonist ``u``, both in
+    sorted order, ``u <= {v}`` when the store holds ``u`` below ``v``'s
+    successor set and not below ``{v}``."""
     succ = reference_successor_map(a)
     choices = sorted(a.protagonist - a.targets)
-    columns = [(v, r.mask((v,)), r.column(r.mask(succ[v]))) for v in choices]
-    for u in choices:
-        um, bit = r.mask(succ[u]), r.mask((u,))
-        for v, vm, col in columns:
-            if um & ~col == 0 and not r.column(vm) & bit:
+    for v in choices:
+        for u in choices:
+            if r.holds(u, succ[v]) and not r.holds(u, (v,)):
                 yield u, frozenset((v,))
 
 
@@ -989,7 +971,7 @@ FOUR_RULES = (
     named(rule_bar_reach),
     named(rule_bar_win),
     reference_rule_nature_equiv,
-    reference_rule_prot_dominance,
+    reference_rule_prot_dominance_lift,
 )
 
 

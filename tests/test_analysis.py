@@ -15,7 +15,7 @@ from nwr import (
 )
 from nwr.analysis import _sccs
 from nwr.arena import bit_graph
-from _corpus import arena_suite, family_suite, several_target_arenas
+from _corpus import arena_suite, family_suite, several_target_arenas, with_isolated
 from _reference import (
     equivalent,
     reference_essential_order,
@@ -215,12 +215,6 @@ def chain_arena(k: int, reverse: bool = False):
     edges = [(prot[i], nat[i]) for i in range(k)]
     edges += [(nat[i], prot[i + 1]) for i in range(k - 1)] + [(nat[-1], prot[-1])]
     return make_arena(prot, nat, edges, [prot[-1]])
-
-
-def with_isolated(a, isolated: int):
-    """``a`` plus ``isolated`` Protagonist vertices with no edge."""
-    extra = [f"z{i}" for i in range(isolated)]
-    return make_arena(a.protagonist | set(extra), a.nature, a.edges, a.targets)
 
 
 arenas = st.builds(

@@ -1,4 +1,5 @@
 import copy
+import random
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -18,9 +19,10 @@ from nwr import (
     vertex_values,
 )
 import nwr.engine
+from nwr.arena import _bits, bit_graph
 from nwr.engine import RULES
 import _reference
-from _corpus import arena_suite, family_suite
+from _corpus import arena_suite, family_suite, renamed, with_isolated
 from _reference import (
     FOUR_RULES,
     RescanRelation,
@@ -28,7 +30,8 @@ from _reference import (
     named,
     reference_rule_bar_reach,
     reference_rule_bar_win,
-    reference_rule_prot_dominance_unpruned,
+    reference_rule_prot_dominance_lift,
+    reference_rule_prot_dominance_pairwise,
     reference_bulk_seed,
     reference_extremal_seed,
     reference_saturate,
@@ -112,18 +115,27 @@ class TestProtDominance:
             assert list(rule_prot_dominance(a, saturate(a))) == []
 
     def test_spare_left_extra_successor_dominated(self, spare_left):
-        # no pruning of p's successors: u below {v, z} puts all of them
-        # below q's successor set
+        # no pruning of p's successors: once u is below {v, z}, bar-reach
+        # puts p below q's successor set and q below p's, and the rule
+        # lifts each to the other's singleton
         rel = NwrRelation(spare_left.vertices)
         rel.add("u", {"v", "z"})
+        assert list(named(rule_prot_dominance)(spare_left, rel)) == []
+        _drive(named(rule_bar_reach), spare_left, rel, None)
+        assert rel.holds("p", {"v", "z"}) and rel.holds("q", {"u", "v", "z"})
         pairs = list(named(rule_prot_dominance)(spare_left, rel))
         assert ("p", frozenset({"q"})) in pairs
         assert ("q", frozenset({"p"})) in pairs
 
     def test_dead_protagonist_below_anything(self):
+        # dead has no successor, so the seed puts it below every set; in a
+        # bare store the rule lifts it once it is below p's successor set
         a = make_arena(["p", "dead", "t"], ["n"], [("p", "n"), ("n", "t")], ["t"])
-        pairs = list(named(rule_prot_dominance)(a, NwrRelation(a.vertices)))
-        assert ("dead", frozenset({"p"})) in pairs
+        rel = NwrRelation(a.vertices)
+        assert list(named(rule_prot_dominance)(a, rel)) == []
+        rel.add("dead", {"n"})
+        assert list(named(rule_prot_dominance)(a, rel)) == [("dead", frozenset({"p"}))]
+        assert saturate(a).holds("dead", {"p"})
 
     def test_mutually_equivalent_successors_stay_guarded(self):
         # u's two routes both lead to the target: the routes dominate each
@@ -144,7 +156,7 @@ class TestProtDominance:
 
     def test_reads_two_columns_per_choice(self):
         # each non-target Protagonist vertex's successor set and singleton,
-        # once per sweep, however many pairs pass the successor test
+        # once per sweep, however many pairs it yields
         for a in (random_arena(12, 12, 0.15, 1, 0), random_arena(30, 30, 0.07, 1, 3)):
             rel = seed_relation(a)
             with mock.patch.object(
@@ -351,9 +363,8 @@ def test_extremal_seed_reaches_the_old_fixpoint(p, n, density, targets, seed):
 )
 @example(12, 12, 0.15, 1, 0)
 def test_three_rules_reach_the_four_rule_fixpoint(p, n, density, targets, seed):
-    """Without the Nature-equivalence rule and the successor pruning of
-    prot-dominance, saturation stores the same pairs in the same number of
-    rounds."""
+    """Without the Nature-equivalence rule, saturation stores the same
+    pairs in the same number of rounds."""
     a = random_arena(p, n, density, min(targets, p), seed)
     got, rounds = _saturate_counting_rounds(a)
     want, want_rounds = reference_saturate(a, FOUR_RULES)
@@ -361,10 +372,65 @@ def test_three_rules_reach_the_four_rule_fixpoint(p, n, density, targets, seed):
     assert rounds == want_rounds
 
 
+def drawn_arena(p, n, density, targets, isolated, seed, rename):
+    """``random_arena(p, n, density, min(targets, p), seed)`` plus
+    ``isolated`` Protagonist vertices without edges, and, with
+    ``rename``, every vertex renamed in an order drawn from ``seed``, so
+    that the owners interleave in the vertex numbering."""
+    a = with_isolated(random_arena(p, n, density, min(targets, p), seed), isolated)
+    if rename:
+        order = random.Random(seed).sample(range(len(a.vertices)), len(a.vertices))
+        a = renamed(a, [f"v{k:03d}" for k in order])
+    return a
+
+
+DRAWN_ARENAS = (
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*DRAWN_ARENAS)
+@example(8, 3, 0.2, 2, 0, 53, False)  # the lift takes 3 rounds, the pairwise test 2
+def test_lift_reaches_the_pairwise_fixpoint(p, n, density, targets, isolated, seed, rename):
+    """Lifting each choice vertex below a successor set to the singleton
+    of its owner stores the pairs that testing every successor of every
+    choice vertex against that set stores.  Only the pairs are compared:
+    the lift can take a round more."""
+    a = drawn_arena(p, n, density, targets, isolated, seed, rename)
+    pairwise = (*NAMED_RULES[:2], named(reference_rule_prot_dominance_pairwise))
+    want, _ = reference_saturate(a, pairwise)
+    assert list(saturate(a).pairs()) == list(want.pairs())
+
+
+@settings(max_examples=100, deadline=None)
+@given(*DRAWN_ARENAS)
+def test_sets_inside_a_successor_set_stay_below_its_owner(p, n, density, targets, isolated, seed, rename):
+    """At the fixpoint, for each non-target Protagonist ``v`` and each
+    universe set ``Y`` inside ``v``'s successor set, every vertex below
+    ``Y`` is a successor of ``v`` or below ``{v}``.  Checked in the
+    stronger form the equivalence proof inducts on: for every universe
+    set ``Y`` whose members outside ``v``'s successor set are below
+    ``{v}``."""
+    a = drawn_arena(p, n, density, targets, isolated, seed, rename)
+    g, r = bit_graph(a), saturate(a)
+    for v in _bits(g.protagonist & ~g.mask(a.targets)):
+        outside = ~g.succ[v] & ~r.column(1 << v)
+        for y in g.universe:
+            if y & outside == 0:
+                assert r.column(y) & outside == 0, (g.order[v], sorted(g.unmask(y)))
+
+
 REFERENCE_RULES = {
     rule_bar_reach: reference_rule_bar_reach,
     rule_bar_win: reference_rule_bar_win,
-    rule_prot_dominance: reference_rule_prot_dominance_unpruned,
+    rule_prot_dominance: reference_rule_prot_dominance_lift,
 }
 
 

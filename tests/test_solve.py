@@ -644,7 +644,7 @@ def _mixer_sharing(copy):
 @pytest.mark.parametrize("max_iters", [1, 3, 10**6])
 def test_shared_and_copied_distributions_iterate_alike(max_iters):
     shared, copied = _mixer_sharing(False), _mixer_sharing(True)
-    assert len(solve._rows(shared)[0]) == 3 and len(solve._rows(copied)[0]) == 4
+    assert len(solve._rows(shared)[2]) == 3 and len(solve._rows(copied)[2]) == 4
     for m in (shared, copied):
         _assert_iteration_matches_reference(m, 1e-12, max_iters)
     got, want = value_iteration(shared, 1e-12, max_iters), value_iteration(copied, 1e-12, max_iters)
@@ -653,13 +653,9 @@ def test_shared_and_copied_distributions_iterate_alike(max_iters):
 
 
 def live_actions_of_rows(m: Mdp) -> dict[str, list[str]]:
-    """Each state's live actions, sorted, read from ``_rows``' live flags."""
-    _, row_of, live_row = solve._rows(m)
-    live: dict[str, list[str]] = {q: [] for q in m.states}
-    for (q, act), k in sorted(row_of.items()):
-        if live_row[k]:
-            live[q].append(act)
-    return live
+    """Each state's live actions, sorted, as ``_rows`` lists them."""
+    _, live, _ = solve._rows(m)
+    return {q: [act for act, _ in live.get(q, [])] for q in m.states}
 
 
 def test_one_label_on_two_distributions_keeps_both():
@@ -680,6 +676,8 @@ def test_one_label_on_two_distributions_keeps_both():
         _assert_iteration_matches_reference(m, 1e-12, max_iters)
     assert value_iteration(m).values == {"p": 0.5, "q": 0.625, "t": 1.0, "z": 0.0}
     assert live_actions_of_rows(m) == _reference.reference_live_actions(m)
+    # p's and q's "a" are both live, each on its own row
+    assert len(solve._rows(m)[2]) == 2
 
 
 @settings(max_examples=150, deadline=None)
