@@ -9,13 +9,13 @@ Nature vertex whose successors are all equivalent needs no rule of its
 own: bar-reach and the closure put it below each successor, and bar-win
 puts each successor below it.
 
-Each rule has the signature ``rule_*(a, r, since=None)`` and yields the
-pairs it derives over the whole arena, each as ``(i, m)``: the number of
-the vertex ``v`` and the mask of the set ``W`` in ``v <= W``.  The rules
-are generators and read ``r`` as they go, so a pair the caller adds (with
-``r.add_bits(i, m)``) before asking for the next one can already serve as
-a premise within the same sweep; a rule reads a column ahead only when the
-pairs it yields in between cannot change it.
+Each rule has the signature ``rule_*(a, r, since=None)`` and yields what
+it derives over the whole arena as column fragments ``(vs, m)``, which
+``r.add_bits(vs, m)`` stores less what it holds.  The rules are
+generators and read ``r`` as they go, so a fragment the caller adds
+before asking for the next one can already serve as a premise within the
+same sweep; a rule reads a column ahead only when the fragments it yields
+in between cannot change it.
 
 The rules work on masks from end to end: ``bit_graph(a)`` numbers the
 vertices in sorted order, as the store does, so a column is a set of
@@ -46,8 +46,7 @@ from .arena import TargetArena, _bits, bit_graph, reach_bits
 from .relation import NwrRelation
 from .solve import almost_sure_bits
 
-#: a pair ``v <= W`` as the rules yield it: the number of ``v`` and the
-#: mask of ``W``, both over ``bit_graph(a)``
+#: a column fragment: the vertices of the mask ``vs`` below the set ``m``
 Pair = tuple[int, int]
 
 
@@ -60,10 +59,10 @@ def rule_bar_reach(
 
     Uses the maximal admissible cut: all vertices currently below ``W``.
     A target reaches the targets by the length-zero path, outside any cut.
-    Skips each ``W`` whose column did not grow since ``since``, and each
-    ``v0`` already in the cut.  ``r`` is a store over the arena's
-    vertices, so its masks are those of ``bit_graph(a)``, and ``W``
-    ranges over ``bit_graph(a).universe``.
+    Yields one fragment per ``W``, the cut included, and skips each ``W``
+    whose column did not grow since ``since``.  ``r`` is a store over the
+    arena's vertices, so its masks are those of ``bit_graph(a)``, and
+    ``W`` ranges over ``bit_graph(a).universe``.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
@@ -71,8 +70,7 @@ def rule_bar_reach(
         below = r.column(m)
         if since is not None and since.get(m) == below:
             continue
-        for i in _bits(g.full & ~reach_bits(g.pred, targets, below) & ~below):
-            yield i, m
+        yield g.full & ~reach_bits(g.pred, targets, below), m
 
 
 def rule_bar_win(
@@ -83,9 +81,11 @@ def rule_bar_win(
     ``w``.
 
     Skips each ``w`` whose bit in every Protagonist singleton column is
-    what it was at ``since``, and each ``v0`` already above ``w``.  Each
-    distinct search runs once per call: the key's ``& g.protagonist``
-    only drops Nature bits, which ``almost_sure_bits`` ignores.
+    what it was at ``since``.  Groups the other ``w`` by their search key,
+    the targets and the Protagonist vertices above ``w`` (Nature bits,
+    which ``almost_sure_bits`` ignores, would only split keys), and
+    searches each key once: a pair ``w <= {v0}`` grows row ``w`` alone,
+    so every key can be read before the first fragment.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
@@ -95,36 +95,31 @@ def rule_bar_win(
         changed = 0
         for i in _bits(g.protagonist):
             changed |= r.column(1 << i) ^ since[1 << i]
-    winners_of: dict[int, int] = {}
+    groups: dict[int, int] = {}
     for w in _bits(changed):
-        # The pairs yielded for ``w`` grow its own row alone, so the row
-        # read here for every later ``w`` is the one the call began with.
-        above = r.above(w)
-        key = targets | (above & g.protagonist)
-        winners = winners_of.get(key)
-        if winners is None:
-            winners = winners_of[key] = almost_sure_bits(g, key)
-        for v0 in _bits(winners & ~above):
-            yield w, 1 << v0
+        key = targets | (r.above(w) & g.protagonist)
+        groups[key] = groups.get(key, 0) | 1 << w
+    for key, ws in groups.items():
+        for v0 in _bits(almost_sure_bits(g, key)):
+            yield ws, 1 << v0
 
 
 def rule_prot_dominance(
     a: TargetArena, r: NwrRelation, since: Optional[Mapping[int, int]] = None
 ) -> Iterator[Pair]:
-    """Yield ``u <= {v}``, unless already stored, for each ``u`` below the
-    successor set of ``v`` (both non-target Protagonist): the value of
+    """Yield ``u <= {v}`` for each ``u`` below the successor set of ``v``
+    (both non-target Protagonist), as one fragment per ``v``: the value of
     ``v`` is the largest of its successors' values.  Its fixpoint is that of
     testing every successor of ``u`` against that set, for every pair:
     bar-reach puts each ``u`` passing the test below the set, and in a valid
     (bipartite) arena the test derives all this rule does (CHANGES.md has
-    the proof).  A pair yielded for ``v`` sets a bit that ``{v}``'s column
-    was read without, so each column is read once.  ``since`` is unused.
+    the proof).  It reads one column per ``v``, with the fragments of the
+    earlier ones stored.  ``since`` is unused.
     """
     g = bit_graph(a)
     choices = g.protagonist & ~g.mask(a.targets)
     for v in _bits(choices):
-        for u in _bits(r.column(g.succ[v]) & choices & ~r.column(1 << v)):
-            yield u, 1 << v
+        yield r.column(g.succ[v]) & choices, 1 << v
 
 
 RULES = (rule_bar_reach, rule_bar_win, rule_prot_dominance)
@@ -145,8 +140,8 @@ def saturate(a: TargetArena) -> "NwrRelation":
         start = rel.snapshot()
         changed = False
         for rule in RULES:
-            for i, m in rule(a, rel, since):
-                changed |= rel.add_bits(i, m)
+            for vs, m in rule(a, rel, since):
+                changed |= rel.add_bits(vs, m)
         changed |= rel.close()
         if not changed:
             return rel

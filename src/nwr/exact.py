@@ -321,12 +321,13 @@ def decide_singletons(a: TargetArena, relation: NwrRelation, limit: int = 10) ->
     targets = g.mask(a.targets)
     refuted = [0] * len(g.order)  # refuted[u]: the x with u <= {x} known false
     for i, v in enumerate(g.order):
-        for j, w in enumerate(g.order):
-            if i == j or refuted[i] >> j & 1 or relation.column(1 << j) >> i & 1:
+        # adding ``v <= {w}`` grows this row at ``w`` alone, already passed
+        for j in _bits(g.full & ~relation.above(i) & ~(1 << i)):
+            if refuted[i] >> j & 1:
                 continue
-            decision = decide_nwr(a, v, {w}, limit=limit, relation=relation)
+            decision = decide_nwr(a, v, {g.order[j]}, limit=limit, relation=relation)
             if decision.holds:
-                relation.add_bits(i, 1 << j)
+                relation.add_bits(1 << i, 1 << j)
                 continue
             below = g.full & ~g.mask(decision.certificate.layers[-1])
             for u in _bits(reach_bits(g.pred, targets, below)):

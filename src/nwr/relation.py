@@ -33,7 +33,7 @@ order of ``bit_graph``; the store knows masks and sets, not arenas, and
 is handed its universe.  ``add``, ``holds`` and ``pairs`` speak plain
 strings and frozensets; saturation speaks masks, through the constructor,
 ``add_bits``, ``column`` and ``above``.  ``add`` masks its arguments and
-calls ``add_bits``, so a pair enters the store one way.
+calls ``add_bits``, the one write, which takes a column fragment.
 """
 
 from __future__ import annotations
@@ -141,13 +141,15 @@ class NwrRelation:
 
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
-        return self.add_bits(self._index[v], self.mask(w))
+        return self.add_bits(1 << self._index[v], self.mask(w))
 
-    def add_bits(self, i: int, m: int) -> bool:
-        """``add`` for the vertex numbered ``i`` and the set encoded by
-        ``m``."""
+    def add_bits(self, vs: int, m: int) -> bool:
+        """``add`` for each vertex of the mask ``vs`` (before, one vertex
+        number) that the column of the set ``m`` lacks, as one fragment."""
         if m == 0:
             raise ValueError("the right-hand set of a pair must be non-empty")
+        if not vs:
+            return False
         col = self._cols.get(m)
         if col is None:
             col = self.column(m)
@@ -155,10 +157,10 @@ class NwrRelation:
             # any known set may lie inside the new column, which must then
             # merge theirs
             self._dirty = (1 << len(self._sets)) - 1
-        if col >> i & 1:
-            return False
-        self._dirty |= self._spread(1 << i, self._supersets(m) & ~self._ceiling)
-        return True
+        new = vs & ~col
+        if new:
+            self._dirty |= self._spread(new, self._supersets(m) & ~self._ceiling)
+        return bool(new)
 
     def _spread(self, bits: int, nums: int) -> int:
         """Put the vertices of ``bits`` into the columns of the sets

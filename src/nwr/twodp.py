@@ -53,7 +53,7 @@ def serialize_digraph(g: Digraph) -> str:
     return _dumps({"vertices": sorted(g.vertices), "edges": [list(e) for e in sorted(g.edges)]})
 
 
-def _succ(vertices: set[str], edges: set[tuple[str, str]]) -> dict[str, list[str]]:
+def _succ(vertices: Iterable[str], edges: set[tuple[str, str]]) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {v: [] for v in vertices}
     for u, w in sorted(edges):
         if u in out and w in out:
@@ -65,22 +65,18 @@ def normalize_2dp(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> Digraph:
     """Prune the instance without changing its disjoint-paths answer.
 
     Drops the outgoing edges of both sinks (a solution path never leaves
-    them) and then, to a fixpoint, every vertex that reaches neither sink
-    or is unreachable from both sources.  The sources must survive.
+    them) and then, in one pass, every vertex but the sinks that reaches
+    neither sink or is unreachable from both sources.  No path passes
+    through a sink, so each vertex on a kept vertex's path to a sink or
+    from a source is kept too, through it.  The sources must survive.
     """
     for x in (s1, t1, s2, t2):
         if x not in g.vertices:
             raise ValueError(f"designated vertex {x} is not in the graph")
-    verts = set(g.vertices)
     edges = {(u, v) for u, v in g.edges if u not in (t1, t2)}
-    while True:
-        to_t = reach(_succ(verts, {(v, u) for u, v in edges}), {t1, t2})
-        from_s = reach(_succ(verts, edges), {s1, s2} & verts)
-        bad = {x for x in verts - {t1, t2} if x not in to_t or x not in from_s}
-        if not bad:
-            break
-        verts -= bad
-        edges = {(u, v) for u, v in edges if u in verts and v in verts}
+    to_t = reach(_succ(g.vertices, {(v, u) for u, v in edges}), {t1, t2})
+    verts = (to_t & reach(_succ(g.vertices, edges), {s1, s2})) | {t1, t2}
+    edges = {(u, v) for u, v in edges if u in verts and v in verts}
     for s in (s1, s2):
         if s not in verts:
             raise ValueError(f"source {s} cannot reach either sink; the instance is degenerate")

@@ -9,8 +9,11 @@ that also added end-component and forced-visit pairs by hand, and
 ``reference_saturate`` the saturation that ran every rule over every
 argument in every round.  ``reference_bulk_seed`` is the extremal seed
 as one bulk update of the store and a closure, before ``seed_relation``
-wrote it in closed form, and ``named`` maps the pairs a rule yields to
-names, as the rules yielded them before they handed the store masks.
+wrote it in closed form, and ``named`` expands the column fragments a
+rule yields to the named pairs the store does not yet hold, as the rules
+yielded them before they handed the store masks.  ``reference_add_bits``
+is the store's write as it was before it took a fragment: one vertex at
+a time.
 ``candidate_universe`` builds the candidate right-hand sets from
 ``reference_successor_map`` names, independently of ``BitGraph.universe``,
 and ``close_over`` closes a reference store or an ``NwrRelation`` over the
@@ -28,7 +31,9 @@ string sets.  ``reference_rule_prot_dominance_pairwise`` is the dominance
 rule as it was before it read one column per choice vertex: a test of
 every successor of ``u`` against the successor set of ``v``, for every
 pair.  ``reference_trim_edges`` is the trim that
-restarted from the first edge after each removal.
+restarted from the first edge after each removal, and
+``reference_normalize_2dp`` the disjoint-paths pruning that recomputed
+both reach sets after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
 are the chain solve and the strategy improvement over ``Fraction`` objects
 that the integer versions in ``nwr.solve`` replaced,
@@ -89,6 +94,7 @@ from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.reduce import proven_classes
 from nwr.solve import almost_sure_bits, zero_bits
+from nwr.twodp import Digraph, _succ
 
 
 def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
@@ -113,7 +119,7 @@ def close_over(rel, masks) -> bool:
     if not isinstance(rel, NwrRelation):
         return rel.close(masks)
     for m in masks:
-        rel.add_bits((m & -m).bit_length() - 1, m)
+        rel.add_bits(m & -m, m)
     return rel.close()
 
 
@@ -498,20 +504,24 @@ class RescanRelation:
 
     def add(self, v: str, w: Iterable[str]) -> bool:
         """Record ``v <= W``; returns False when already implied."""
-        return self.add_bits(self._index[v], self.mask(w))
+        return self.add_bits(1 << self._index[v], self.mask(w))
 
-    def add_bits(self, i: int, m: int) -> bool:
+    def add_bits(self, vs: int, m: int) -> bool:
+        """Record ``v <= W`` for every vertex of the mask ``vs``, as
+        ``NwrRelation.add_bits`` does."""
         if m == 0:
             raise ValueError("the right-hand set of a pair must be non-empty")
+        if not vs:
+            return False
         col = self._cols.get(m)
         if col is None:
             col = self._learn(m)
-        bit = 1 << i
-        if col & bit:
+        new = vs & ~col
+        if not new:
             return False
         cols = self._cols
         for x in self._supersets(m):
-            cols[x] |= bit
+            cols[x] |= new
         return True
 
     def holds(self, v: str, w: Iterable[str]) -> bool:
@@ -928,16 +938,17 @@ def reference_rule_nature_equiv(a, r):
 def reference_rule_prot_dominance_pairwise(a, r, since=None):
     """``rule_prot_dominance`` as a test over every pair of non-target
     Protagonist vertices: ``u <= {v}`` when every successor of ``u`` is
-    below the successor set of ``v``, with each ``v``'s two columns read
-    before the sweep."""
+    below the successor set of ``v``, with each ``v``'s column read before
+    the sweep, yielded as one fragment per ``v``."""
     g = bit_graph(a)
     choices = g.protagonist & ~g.mask(a.targets)
-    columns = [(v, r.column(g.succ[v]), r.column(1 << v)) for v in _bits(choices)]
-    for u in _bits(choices):
-        um, bit = g.succ[u], 1 << u
-        for v, col, single in columns:
-            if um & ~col == 0 and not single & bit:
-                yield u, 1 << v
+    columns = [(v, r.column(g.succ[v])) for v in _bits(choices)]
+    for v, col in columns:
+        us = 0
+        for u in _bits(choices):
+            if g.succ[u] & ~col == 0:
+                us |= 1 << u
+        yield us, 1 << v
 
 
 def reference_rule_prot_dominance_lift(a, r, since=None):
@@ -954,17 +965,42 @@ def reference_rule_prot_dominance_lift(a, r, since=None):
 
 
 def named(rule):
-    """``rule`` yielding names: each pair ``(vertex number, set mask)`` it
-    yields is mapped through ``bit_graph(a)`` to ``(vertex, vertex set)``
-    as it comes, so a pair the caller adds still reaches the rule."""
+    """``rule`` yielding names: each column fragment ``(vertex mask, set
+    mask)`` it yields is expanded, as it comes, to the pairs ``(vertex,
+    vertex set)`` of ``bit_graph(a)`` that ``r`` does not yet hold, in
+    vertex order, so a pair the caller adds still reaches the rule.  Adding
+    one of them grows the set's column by that vertex alone, so the column
+    is read once per fragment."""
 
     @wraps(rule)
     def call(a, r, since=None):
         g = bit_graph(a)
-        for i, m in rule(a, r, since):
-            yield g.order[i], g.unmask(m)
+        for vs, m in rule(a, r, since):
+            w = g.unmask(m)
+            for i in _bits(vs & ~r.column(m)):
+                yield g.order[i], w
 
     return call
+
+
+def reference_add_bits(rel, vs, m):
+    """``NwrRelation.add_bits`` as it was before it took a column
+    fragment: one vertex at a time, here each vertex of ``vs`` in
+    increasing order; returns whether some pair was new."""
+    if m == 0:
+        raise ValueError("the right-hand set of a pair must be non-empty")
+    changed = False
+    for i in _bits(vs):
+        col = rel._cols.get(m)
+        if col is None:
+            col = rel.column(m)
+            rel._know(m, col)
+            rel._dirty = (1 << len(rel._sets)) - 1
+        if col >> i & 1:
+            continue
+        rel._dirty |= rel._spread(1 << i, rel._supersets(m) & ~rel._ceiling)
+        changed = True
+    return changed
 
 
 FOUR_RULES = (
@@ -992,6 +1028,29 @@ def reference_saturate(a, rules, seed=None):
         changed |= rel.close(umasks)
         if not changed:
             return rel, rounds
+
+
+def reference_normalize_2dp(g, s1, t1, s2, t2):
+    """``nwr.normalize_2dp`` as it was before it pruned in one pass:
+    recompute both reach sets after each removal, until nothing is
+    removed."""
+    for x in (s1, t1, s2, t2):
+        if x not in g.vertices:
+            raise ValueError(f"designated vertex {x} is not in the graph")
+    verts = set(g.vertices)
+    edges = {(u, v) for u, v in g.edges if u not in (t1, t2)}
+    while True:
+        to_t = reach(_succ(verts, {(v, u) for u, v in edges}), {t1, t2})
+        from_s = reach(_succ(verts, edges), {s1, s2} & verts)
+        bad = {x for x in verts - {t1, t2} if x not in to_t or x not in from_s}
+        if not bad:
+            break
+        verts -= bad
+        edges = {(u, v) for u, v in edges if u in verts and v in verts}
+    for s in (s1, s2):
+        if s not in verts:
+            raise ValueError(f"source {s} cannot reach either sink; the instance is degenerate")
+    return Digraph(frozenset(verts), frozenset(edges))
 
 
 def reference_trim_edges(a, r):

@@ -57,10 +57,10 @@ class TestBarReach:
         pairs = list(named(rule_bar_reach)(coin, NwrRelation(coin.vertices)))
         assert ("f", frozenset({"v0"})) in pairs
 
-    def test_skips_vertices_already_in_the_cut(self, funnel):
+    def test_saturated_store_drops_the_whole_cut(self, funnel):
+        # each fragment holds its cut, and the store drops all of it
         for a in [funnel, *arena_suite(6, seed=45, max_p=4, max_n=4)]:
-            rel = saturate(a)
-            assert list(rule_bar_reach(a, rel)) == []
+            _assert_drains_to_nothing(rule_bar_reach, a, saturate(a))
 
 
 class TestBarWin:
@@ -74,9 +74,9 @@ class TestBarWin:
         assert ("t", frozenset({"q"})) in pairs
 
     def test_reemission_is_noop(self, funnel):
-        # the rule skips each pair already stored instead of re-yielding it
+        # the rule re-yields pairs already stored, and the store drops them
         for a in [funnel, *arena_suite(6, seed=46, max_p=4, max_n=4)]:
-            assert list(rule_bar_win(a, saturate(a))) == []
+            _assert_drains_to_nothing(rule_bar_win, a, saturate(a))
 
     def test_no_winning_route(self, coin):
         pairs = list(named(rule_bar_win)(coin, NwrRelation(coin.vertices)))
@@ -108,11 +108,11 @@ class TestNatureEquiv:
 
 class TestProtDominance:
     def test_reflexive(self, funnel):
-        # the reflexive pair is a property of the store, never yielded
+        # the reflexive pair is a property of the store, which drops it
         bare = NwrRelation(funnel.vertices)
         assert ("p", frozenset({"p"})) not in list(named(rule_prot_dominance)(funnel, bare))
         for a in [funnel, *arena_suite(6, seed=47, max_p=4, max_n=4)]:
-            assert list(rule_prot_dominance(a, saturate(a))) == []
+            _assert_drains_to_nothing(rule_prot_dominance, a, saturate(a))
 
     def test_spare_left_extra_successor_dominated(self, spare_left):
         # no pruning of p's successors: once u is below {v, z}, bar-reach
@@ -154,16 +154,19 @@ class TestProtDominance:
         assert not rel.holds("u", {"loser"})
         assert ("u", frozenset({"loser"})) not in list(named(rule_prot_dominance)(a, rel))
 
-    def test_reads_two_columns_per_choice(self):
-        # each non-target Protagonist vertex's successor set and singleton,
-        # once per sweep, however many pairs it yields
+    def test_reads_one_column_per_choice(self):
+        # each non-target Protagonist vertex's successor set, once per
+        # sweep, however many pairs it yields; bar-reach runs first so
+        # that some pair is new
         for a in (random_arena(12, 12, 0.15, 1, 0), random_arena(30, 30, 0.07, 1, 3)):
             rel = seed_relation(a)
+            _drain(rule_bar_reach, a, rel, None)
             with mock.patch.object(
                 NwrRelation, "column", autospec=True, side_effect=NwrRelation.column
             ) as column:
-                _drive(named(rule_prot_dominance), a, rel, None)
-            assert column.call_count == 2 * len(a.protagonist - a.targets)
+                added = _drain(rule_prot_dominance, a, rel, None)
+            assert column.call_count == len(a.protagonist - a.targets)
+            assert added
 
 
 class TestSaturate:
@@ -452,13 +455,35 @@ def _rule_calls(a):
 
 
 def _drive(rule, a, rel, since):
-    """What ``rule`` yields when each pair is added as it comes, as
-    ``saturate`` adds it."""
+    """What the named ``rule`` yields when each pair is added as it comes,
+    as ``saturate`` adds it."""
     pairs = []
     for v, w in rule(a, rel, since):
         pairs.append((v, w))
         rel.add(v, w)
     return pairs
+
+
+def _drain(rule, a, rel, since):
+    """Hand each fragment ``rule`` yields to ``rel.add_bits`` as it comes,
+    as ``saturate`` does; return whether some pair was new."""
+    added = False
+    for vs, m in rule(a, rel, since):
+        added |= rel.add_bits(vs, m)
+    return added
+
+
+def _assert_drains_to_nothing(rule, a, rel):
+    """Draining ``rule`` into ``rel``, a saturated store, adds nothing:
+    every write returns False and every column stays as it was."""
+    before = rel.snapshot()
+    for vs, m in rule(a, rel):
+        assert rel.add_bits(vs, m) is False
+    assert rel.snapshot() == before
+
+
+def _sorted_pairs(pairs):
+    return sorted(pairs, key=lambda p: (p[0], sorted(p[1])))
 
 
 def _count_calls(module, name, run, *args):
@@ -484,19 +509,24 @@ def _count_calls(module, name, run, *args):
 )
 @example(12, 12, 0.15, 1, 0)
 def test_bit_rules_match_string_rules(p, n, density, targets, seed):
-    """On every store state a saturation meets, each bitmask rule yields
-    the pairs of its string reference in the same order: sweeping every
-    argument, and skipping against the round's ``since``.  Bar-win runs
-    one almost-sure search per distinct target set, as its reference
-    does: a Nature vertex above ``w`` is no target and splits no set."""
+    """On every store state a saturation meets, each bitmask rule adds the
+    pairs of its string reference, sweeping every argument and skipping
+    against the round's ``since``: the same pairs, bar-win's grouped by
+    search key, and the same store after draining, through the names or
+    straight into ``add_bits``.  Bar-win runs one almost-sure search per
+    distinct target set, as its reference does: a Nature vertex above
+    ``w`` is no target and splits no set."""
     a = random_arena(p, n, density, min(targets, p), seed)
     for rule, rel, since in _rule_calls(a):
         reference = REFERENCE_RULES[rule]
-        want = _drive(reference, a, copy.deepcopy(rel), None)
-        assert _drive(named(rule), a, copy.deepcopy(rel), None) == want
-        if since is not None:
-            want = _drive(reference, a, copy.deepcopy(rel), since)
-            assert _drive(named(rule), a, copy.deepcopy(rel), since) == want
+        for skip in (None,) if since is None else (None, since):
+            theirs, ours, drained = (copy.deepcopy(rel) for _ in range(3))
+            want = _drive(reference, a, theirs, skip)
+            assert _sorted_pairs(_drive(named(rule), a, ours, skip)) == _sorted_pairs(want)
+            assert _drain(rule, a, drained, skip) == bool(want)
+            for store in (ours, drained):
+                assert store.snapshot() == theirs.snapshot()
+                assert list(store.pairs()) == list(theirs.pairs())
         if rule is rule_bar_win:
             ours = _count_calls(
                 nwr.engine, "almost_sure_bits", _drive, named(rule), a, copy.deepcopy(rel), since

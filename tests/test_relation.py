@@ -18,6 +18,7 @@ from _reference import (
     ReferenceRelation,
     RescanRelation,
     candidate_universe,
+    reference_add_bits,
     reference_close,
     reference_extremal_seed,
     reference_relation_json,
@@ -365,6 +366,62 @@ def test_column_store_matches_row_store(p, n, density, seed, seeded, ops):
     for rel, pairs in kept:
         assert_index_matches(rel)
         assert list(rel.pairs()) == pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 5),
+    st.sampled_from([0.2, 0.35, 0.5]),
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(1, 2**10)), max_size=6),
+    st.sampled_from(["empty", "stored", "mixed"]),
+    st.integers(0, 2**10),
+    st.booleans(),
+    st.integers(1, 2**10),
+)
+def test_fragment_write_matches_one_vertex_writes(
+    p, n, density, seed, seeded, prior, kind, pick, known, j
+):
+    """``add_bits(vs, m)`` leaves the store, and returns, what adding each
+    vertex of ``vs`` one at a time did: the same columns, pairs, index and
+    dirty sets.  The store is bare or seeded with a floor and a ceiling,
+    has taken a few pairs and maybe a closure, and ``m`` is a known set or
+    any other, such as a two-member set of a bare store; ``vs`` is empty,
+    inside ``m``'s column, or any mask."""
+    a = random_arena(p, n, density, 1, seed)
+    g = bit_graph(a)
+    size = len(g.order)
+    if seeded:
+        # one zero and one winning vertex, when there are two vertices
+        zero = 1 << seed % size
+        winning = g.full & ~zero & (1 << pick % size | pick >> 5)
+        rel = NwrRelation(g.order, g.universe, zero & ~winning, winning)
+    else:
+        rel = NwrRelation(g.order)
+    for i, w in prior:
+        rel.add_bits(1 << i % size, w & g.full or 1)
+        if i % 3 == 0:
+            rel.close()
+    m = rel._sets[j % len(rel._sets)] if known else j & g.full or 1
+    col = rel.column(m)
+    vs = {"empty": 0, "stored": col & pick, "mixed": pick & g.full}[kind]
+    got, want = copy.deepcopy(rel), copy.deepcopy(rel)
+    assert got.add_bits(vs, m) == reference_add_bits(want, vs, m)
+    assert got.snapshot() == want.snapshot()
+    assert list(got.pairs()) == list(want.pairs())
+    assert got._rows == want._rows and got._cm == want._cm
+    assert got._dirty == want._dirty
+    assert_index_matches(got)
+
+
+def test_fragment_write_rejects_the_empty_set():
+    rel = NwrRelation(["a", "b"])
+    for vs in (0, 0b01, 0b11):
+        with pytest.raises(ValueError, match="non-empty"):
+            rel.add_bits(vs, 0)
+    assert rel.snapshot() == {0b01: 0b01, 0b10: 0b10}
 
 
 class TestFromJson:

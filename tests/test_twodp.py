@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwr import (
     ArenaFormatError,
@@ -14,6 +17,7 @@ from nwr import (
     successor_map,
     validate_arena,
 )
+from _reference import reference_normalize_2dp
 
 
 def random_digraph(n: int, density: float, seed: int):
@@ -88,6 +92,27 @@ class TestNormalize:
             )
             tested += 1
         assert tested > 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 9),
+    st.sampled_from([0, 0.1, 0.2, 0.3, 0.4, 0.6]),
+    st.integers(0, 10_000),
+    st.lists(st.integers(0, 8), min_size=4, max_size=4),
+)
+def test_one_pass_prunes_to_the_fixpoint(n, density, seed, picks):
+    """Pruning once leaves the digraph, or raises the error, that pruning
+    until nothing changes does; the terminals may repeat."""
+    g = random_digraph(n, density, seed)
+    s1, t1, s2, t2 = (f"x{k % n}" for k in picks)
+    try:
+        want = reference_normalize_2dp(g, s1, t1, s2, t2)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            normalize_2dp(g, s1, t1, s2, t2)
+    else:
+        assert normalize_2dp(g, s1, t1, s2, t2) == want
 
 
 class TestReduction:
