@@ -13,6 +13,8 @@ forced-visit order on a worklist per right-hand side.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .arena import BitGraph, TargetArena, _bits, bit_graph, reach_bits
 from .relation import NwrRelation
 from .solve import almost_sure_bits, zero_bits
@@ -119,20 +121,23 @@ def essential_order(a: TargetArena) -> frozenset[tuple[str, str]]:
     return frozenset(rel)
 
 
-def seed_relation(a: TargetArena) -> NwrRelation:
+def seed_relation(a: TargetArena, universe: Sequence[int] | None = None) -> NwrRelation:
     """Initial sound under-approximation from the extremal-value sets.
 
     Every zero-valued vertex below every singleton and every vertex below
-    each almost-surely-winning vertex, closed over the candidate universe
-    ``bit_graph(a).universe``, whose sets the store knows in its order.
-    The store is written down in closed form by ``NwrRelation`` itself:
-    a universe set's column is full when it holds an almost-surely-winning
-    vertex, and is the set plus the zero-valued vertices otherwise.
-    End-component and forced-visit pairs need no seed: ``rule_bar_win``
-    and ``rule_bar_reach`` derive them.
+    each almost-surely-winning vertex, closed over ``universe``, by
+    default the candidate universe ``bit_graph(a).universe``, whose sets
+    the store knows in its order.  The store is written down in closed
+    form by ``NwrRelation`` itself: a universe set's column is full when
+    it holds an almost-surely-winning vertex, and is the set plus the
+    zero-valued vertices otherwise.  End-component and forced-visit pairs
+    need no seed: ``rule_bar_win`` and ``rule_bar_reach`` derive them.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
     return NwrRelation(
-        g.order, g.universe, zero_bits(g, targets), almost_sure_bits(g, targets)
+        g.order,
+        g.universe if universe is None else universe,
+        zero_bits(g, targets),
+        almost_sure_bits(g, targets),
     )

@@ -111,18 +111,34 @@ class BitGraph:
 
     @cached_property
     def universe(self) -> tuple[int, ...]:
-        """The right-hand sets the inference rules range over: singletons,
-        full successor sets, and successor sets with one member deleted,
-        which keeps saturation polynomial.  Bar-win, ``proven_classes`` and
-        ``decide_singletons`` read the singletons, the dominance rule each
-        non-target Protagonist's successor set, ``_trim`` Protagonist
-        successor sets less a member, and only the relation JSON the Nature
-        vertices' sets, which bar-reach and the closure write.  By size,
-        then members, so singleton ``{i}`` is number ``i``.  Kept with the
-        graph, so an arena and its retargeted copies share one tuple."""
-        sets: set[int] = set()
-        for i, sv in enumerate(self.succ):
-            sets.add(1 << i)
+        """The right-hand sets ``relate`` saturates: singletons, full
+        successor sets, and successor sets with one member deleted, which
+        keeps saturation polynomial.  Its pairs over the Nature vertices'
+        sets are written to the relation JSON and read by nothing else.
+        By size, then members, so singleton ``{i}`` is number ``i``.  Kept
+        with the graph, so an arena and its retargeted copies share one
+        tuple."""
+        return self._sets_around(self.full)
+
+    @cached_property
+    def read_sets(self) -> tuple[int, ...]:
+        """The right-hand sets ``reduce_fixpoint`` saturates, the read
+        sets: those of ``universe`` the reduction reads.  Bar-win,
+        ``proven_classes`` and ``decide_singletons`` read the singletons,
+        the dominance rule each non-target Protagonist's successor set,
+        and ``_trim`` Protagonist successor sets less a member.  In a
+        valid arena these are the singletons and the universe's sets of
+        Nature vertices, and their columns are those of a saturation over
+        ``universe`` (CHANGES.md has the proof).  Ordered as ``universe``."""
+        return self._sets_around(self.protagonist)
+
+    def _sets_around(self, owners: int) -> tuple[int, ...]:
+        """The singletons, plus the non-empty successor set of each vertex
+        of ``owners`` and those sets with one member deleted, if non-empty:
+        by size, then members."""
+        sets = {1 << i for i in range(len(self.order))}
+        for i in _bits(owners):
+            sv = self.succ[i]
             if sv:
                 sets.add(sv)
             for x in _bits(sv):

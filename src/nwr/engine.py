@@ -20,10 +20,17 @@ in between cannot change it.
 The rules work on masks from end to end: ``bit_graph(a)`` numbers the
 vertices in sorted order, as the store does, so a column is a set of
 vertices the kernel ``reach_bits`` can avoid or start from as it is, a
-successor mask or a set of ``bit_graph(a).universe`` is a right-hand set
-the store can look up (in a seeded store, the universe's positions are
-its set numbers), and a rule hands the store the numbers and masks it
+successor mask or a set of the store's universe is a right-hand set the
+store can look up (in a seeded store, the universe's positions are its
+set numbers), and a rule hands the store the numbers and masks it
 computed without naming a vertex.
+
+``saturate`` seeds the store over the sets it is given, and bar-reach
+and the closure range over those alone.  ``relate`` saturates the whole
+candidate universe ``bit_graph(a).universe``, whose pairs it writes;
+``reduce_fixpoint`` saturates only ``bit_graph(a).read_sets``, the sets
+the reduction reads, and in a valid arena their columns are the same.
+The round bound is over the seeded sets.
 
 The seed is the extremal-value store of ``seed_relation``, written down in
 closed form, so the closure first runs at the end of the first round.
@@ -39,7 +46,7 @@ stored; the rounds, and the fixpoint, are those of a full sweep.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .analysis import seed_relation
 from .arena import TargetArena, _bits, bit_graph, reach_bits
@@ -62,11 +69,13 @@ def rule_bar_reach(
     Yields one fragment per ``W``, the cut included, and skips each ``W``
     whose column did not grow since ``since``.  ``r`` is a store over the
     arena's vertices, so its masks are those of ``bit_graph(a)``, and
-    ``W`` ranges over ``bit_graph(a).universe``.
+    ``W`` ranges over the sets it was seeded over, ``r.universe``:
+    ``bit_graph(a).universe`` under ``relate``, ``bit_graph(a).read_sets``
+    under ``reduce_fixpoint``.
     """
     g = bit_graph(a)
     targets = g.mask(a.targets)
-    for m in g.universe:
+    for m in r.universe:
         below = r.column(m)
         if since is not None and since.get(m) == below:
             continue
@@ -125,18 +134,18 @@ def rule_prot_dominance(
 RULES = (rule_bar_reach, rule_bar_win, rule_prot_dominance)
 
 
-def saturate(a: TargetArena) -> "NwrRelation":
-    """Run the rules to their joint fixpoint starting from the seeds.
+def saturate(a: TargetArena, universe: Optional[Sequence[int]] = None) -> "NwrRelation":
+    """Run the rules to their joint fixpoint starting from the seeds, over
+    the sets of ``universe``, by default ``bit_graph(a).universe``.
 
     Deterministic: rules fire in a fixed order over sorted arguments and
     the closure runs after each round, and only then: the seed needs none.
-    Pairs are only ever added and the candidate universe is finite, so
+    Pairs are only ever added and the seeded sets are finite, so
     termination is immediate.
     """
-    g = bit_graph(a)
-    rel = seed_relation(a)
+    rel = seed_relation(a, universe)
     since = None
-    for _ in range(len(g.order) * len(g.universe) + 2):
+    for _ in range(len(rel.vertices) * len(rel.universe) + 2):
         start = rel.snapshot()
         changed = False
         for rule in RULES:

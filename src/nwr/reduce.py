@@ -200,8 +200,11 @@ def _trim(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Removal]]:
 def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
     """Alternate saturation, quotienting, and trimming until stable.
 
-    Every productive round strictly shrinks (vertices, edges)
-    lexicographically, so the loop ends within |V| + |E| rounds.
+    Each round saturates only the read sets of its arena
+    (``BitGraph.read_sets``), which are all that the quotient and the trim
+    read, not the whole candidate universe.  Every productive round
+    strictly shrinks (vertices, edges) lexicographically, so the loop ends
+    within |V| + |E| rounds.
     """
     current = a
     cmap = {v: v for v in a.vertices}
@@ -212,7 +215,7 @@ def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
         rounds += 1
         if rounds > bound:
             raise AssertionError("reduction pipeline failed to stabilize")
-        rel = saturate(current)
+        rel = saturate(current, bit_graph(current).read_sets)
         collapsed, qmap = quotient(current, rel)
         if collapsed != current:
             cmap = {orig: qmap.get(rep, rep) for orig, rep in cmap.items()}

@@ -5,19 +5,19 @@ vertex of ``W`` has a maximal reachability value at least that of ``v``.
 The claim is monotone in ``W``.
 
 The store keeps one closed column ``B[Y] = {v : v <= Y}`` per known set
-``Y``: every singleton (in a seeded store, every set of the candidate
-universe ``BitGraph.universe``) and every right-hand set ever added.  The
-known sets are what ``close`` closes over, so a set that ``add`` learns is
-a closure target at once.  Each column is upward closed over the known
-sets, so on a known set ``holds`` is a bit test and ``column`` a lookup;
-on any other set both are the union of the columns of the known sets
-inside it.  ``pairs`` reports, per known set, the vertices of its column
+``Y``: every set of its universe (the singletons, and in a seeded store
+the sets of ``BitGraph.universe`` or ``BitGraph.read_sets``) and every
+right-hand set ever added.  The known sets are what ``close`` closes
+over, so a set that ``add`` learns is a closure target at once.  Each
+column is upward closed over the known sets, so on a known set ``holds``
+is a bit test and ``column`` a lookup; on any other set both are the
+union of the columns of the known sets inside it.  ``pairs`` reports, per known set, the vertices of its column
 that no known proper subset's column has: the inclusion-minimal pairs.
 
 The known sets are numbered in the order they became known, singleton
-``{i}`` as ``i`` (a seeded store knows the candidate universe, numbered
-in its order), and a transposed index over those numbers is kept up to
-date with the columns: per vertex ``i``, ``cm[i]`` masks the sets holding
+``{i}`` as ``i`` (a seeded store knows its universe, numbered in its
+order), and a transposed index over those numbers is kept up to date
+with the columns: per vertex ``i``, ``cm[i]`` masks the sets holding
 ``i``, and ``rows[i]`` the sets whose column holds ``i``.  The known
 supersets of ``W`` are then ``AND(cm[i] for i in W)``, and the sets whose
 column holds all of ``W`` are ``AND(rows[i] for i in W)``, which is what
@@ -48,7 +48,7 @@ class NwrRelation:
     """Mutable pair store, reflexive by construction, subset-queryable."""
 
     __slots__ = (
-        "_order", "_index", "_cols", "_sets", "_cm", "_rows",
+        "_order", "_index", "_universe", "_cols", "_sets", "_cm", "_rows",
         "_floor", "_ceiling", "_dirty", "_merged", "_seen",
     )
 
@@ -93,7 +93,10 @@ class NwrRelation:
         # set number -> the numbers of the sets that merged its column,
         # and its column as they merged it
         self._merged, self._seen = [], []
-        for y in (1 << i for i in range(n)) if universe is None else universe:
+        self._universe = tuple(
+            (1 << i for i in range(n)) if universe is None else universe
+        )
+        for y in self._universe:
             self._know(y, full if y & winning else y | zero)
         for i in _bits(zero):
             self._rows[i] = -1
@@ -103,6 +106,12 @@ class NwrRelation:
     @property
     def vertices(self) -> tuple[str, ...]:
         return self._order
+
+    @property
+    def universe(self) -> tuple[int, ...]:
+        """The sets the store was built over, numbered in this order: the
+        singletons for a bare store.  Bar-reach ranges over them."""
+        return self._universe
 
     def mask(self, vs: Iterable[str]) -> int:
         m = 0

@@ -34,7 +34,16 @@ class Digraph:
 
 
 def make_digraph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> Digraph:
-    return Digraph(frozenset(vertices), frozenset((u, v) for u, v in edges))
+    """The digraph on ``vertices`` with ``edges``; raise ``ValueError``
+    naming the first edge, in sorted order, with an endpoint outside
+    ``vertices``."""
+    verts = frozenset(vertices)
+    arcs = frozenset((u, v) for u, v in edges)
+    for u, v in sorted(arcs):
+        for x in (u, v):
+            if x not in verts:
+                raise ValueError(f"edge ({u!r}, {v!r}): {x!r} is not a vertex")
+    return Digraph(verts, arcs)
 
 
 def parse_digraph(text: str) -> Digraph:

@@ -62,6 +62,29 @@ def with_isolated(a: TargetArena, isolated: int) -> TargetArena:
     return make_arena(a.protagonist | set(extra), a.nature, a.edges, a.targets)
 
 
+def drawn_arena(p, n, density, targets, isolated, seed, rename):
+    """``random_arena(p, n, density, min(targets, p), seed)`` plus
+    ``isolated`` Protagonist vertices without edges, and, with
+    ``rename``, every vertex renamed in an order drawn from ``seed``, so
+    that the owners interleave in the vertex numbering."""
+    a = with_isolated(random_arena(p, n, density, min(targets, p), seed), isolated)
+    if rename:
+        order = random.Random(seed).sample(range(len(a.vertices)), len(a.vertices))
+        a = renamed(a, [f"v{k:03d}" for k in order])
+    return a
+
+
+DRAWN_ARENAS = (
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+
+
 def digraph_instance(n: int, density: float, seed: int):
     """A random digraph on ``x0`` .. ``x{n-1}`` and four distinct
     terminals ``(s1, t1, s2, t2)`` for a 2DP instance."""

@@ -16,7 +16,7 @@ is the store's write as it was before it took a fragment: one vertex at
 a time.
 ``candidate_universe`` builds the candidate right-hand sets from
 ``reference_successor_map`` names, independently of ``BitGraph.universe``,
-and ``close_over`` closes a reference store or an ``NwrRelation`` over the
+``candidate_masks`` gives them as masks, and ``close_over`` closes a reference store or an ``NwrRelation`` over the
 sets it is given.
 ``reference_zero_set``,
 ``reference_almost_sure_set``, ``reference_extremal_seed``,
@@ -31,7 +31,9 @@ string sets.  ``reference_rule_prot_dominance_pairwise`` is the dominance
 rule as it was before it read one column per choice vertex: a test of
 every successor of ``u`` against the successor set of ``v``, for every
 pair.  ``reference_trim_edges`` is the trim that
-restarted from the first edge after each removal, and
+restarted from the first edge after each removal,
+``reference_reduce_fixpoint`` the reduction that saturated the whole
+candidate universe in every round, and
 ``reference_normalize_2dp`` the disjoint-paths pruning that recomputed
 both reach sets after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
@@ -92,7 +94,7 @@ from nwr import (
 from nwr.arena import _bits, _dumps, bit_graph
 from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
-from nwr.reduce import proven_classes
+from nwr.reduce import ReductionReport, proven_classes, quotient, trim_edges
 from nwr.solve import almost_sure_bits, zero_bits
 from nwr.twodp import Digraph, _succ
 
@@ -303,16 +305,29 @@ def reference_vertex_values(a: TargetArena, mu) -> ValueVector:
     return ValueVector(vals, "exact")
 
 
+def candidate_masks(a: TargetArena) -> tuple[int, ...]:
+    """``candidate_universe`` as masks over the vertices in sorted order."""
+    index = {v: i for i, v in enumerate(sorted(a.vertices))}
+    return tuple(sum(1 << index[v] for v in w) for w in candidate_universe(a))
+
+
+def _universe_or_singletons(order, universe) -> tuple[int, ...]:
+    return tuple((1 << i for i in range(len(order))) if universe is None else universe)
+
+
 class ReferenceRelation:
     """The row store that ``NwrRelation`` replaced: per vertex, the
     inclusion-minimal right-hand sets added, with ``close`` growing one
-    bitmask column per premise set from scratch on every call."""
+    bitmask column per premise set from scratch on every call.  Its
+    ``universe``, the singletons unless given, is only what
+    ``rule_bar_reach`` ranges over."""
 
-    __slots__ = ("_order", "_index", "_rows")
+    __slots__ = ("_order", "_index", "_rows", "universe")
 
-    def __init__(self, vertices: Iterable[str]):
+    def __init__(self, vertices: Iterable[str], universe: Iterable[int] | None = None):
         self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
         self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
+        self.universe = _universe_or_singletons(self._order, universe)
         self._rows: dict[str, list[int]] = {
             v: [1 << i] for v, i in self._index.items()
         }
@@ -450,13 +465,15 @@ class RescanRelation:
     list of the known sets holding it, and a ``close`` that grows each
     universe column on its own, re-testing the premises that hold a
     vertex it gained and, for a set the last call left closed, the
-    premises whose column grew since (a snapshot of every column)."""
+    premises whose column grew since (a snapshot of every column).  Its
+    ``universe`` is that of ``ReferenceRelation``."""
 
-    __slots__ = ("_order", "_index", "_cols", "_containing", "_closed")
+    __slots__ = ("_order", "_index", "_cols", "_containing", "_closed", "universe")
 
-    def __init__(self, vertices: Iterable[str]):
+    def __init__(self, vertices: Iterable[str], universe: Iterable[int] | None = None):
         self._order: tuple[str, ...] = tuple(sorted(set(vertices)))
         self._index: dict[str, int] = {v: i for i, v in enumerate(self._order)}
+        self.universe = _universe_or_singletons(self._order, universe)
         # known set -> its column; every singleton is known and below itself
         self._cols: dict[int, int] = {1 << i: 1 << i for i in range(len(self._order))}
         # vertex index -> the known sets holding it
@@ -791,7 +808,7 @@ def reference_seed_relation(a):
     targets kept off its left side), then the zero and almost-sure pairs,
     closed.  The components and the order come from the string references
     below, so this oracle shares no graph search with what it checks."""
-    rel = ReferenceRelation(a.vertices)
+    rel = ReferenceRelation(a.vertices, candidate_masks(a))
     for mec in reference_mec_decomposition(a):
         for u in sorted(mec):
             for v in sorted(mec):
@@ -835,9 +852,10 @@ def reference_almost_sure_set(a):
 
 def reference_extremal_seed(a, store=ReferenceRelation):
     """The extremal seed one ``add`` at a time, on a ``store`` over the
-    arena's vertices: every zero-valued vertex below every singleton and
-    every vertex below each almost-surely-winning vertex, then closed."""
-    return _add_extremal_and_close(store(a.vertices), a)
+    arena's vertices and its candidate universe: every zero-valued vertex
+    below every singleton and every vertex below each almost-surely-winning
+    vertex, then closed."""
+    return _add_extremal_and_close(store(a.vertices, candidate_masks(a)), a)
 
 
 def reference_bulk_seed(a):
@@ -845,7 +863,7 @@ def reference_bulk_seed(a):
     ``NwrRelation`` gains every zero-valued vertex below every singleton
     and every vertex below each almost-surely-winning vertex in one bulk
     update of its singleton columns and index, learns each set of the
-    candidate universe, and is closed."""
+    candidate universe, which becomes its universe, and is closed."""
     g = bit_graph(a)
     targets = g.mask(a.targets)
     rel = NwrRelation(a.vertices)
@@ -858,7 +876,8 @@ def reference_bulk_seed(a):
         rel._ceiling |= rel._cm[t]
     for y, col in rel._cols.items():
         rel._cols[y] = full if y & top else col | bottom
-    for m in map(rel.mask, candidate_universe(a)):
+    rel._universe = candidate_masks(a)
+    for m in rel._universe:
         if m not in rel._cols:
             rel._know(m, rel.column(m))
     rel._dirty = (1 << len(rel._sets)) - 1
@@ -1076,6 +1095,33 @@ def reference_trim_edges(a, r):
         succ[w].discard(x)
         removed.append(((w, x), (x, rest)))
     return TargetArena(a.protagonist, a.nature, frozenset(edges), a.targets), removed
+
+
+def reference_reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
+    """``reduce_fixpoint`` as it was before it saturated only the sets the
+    reduction reads: every round saturates the whole candidate universe."""
+    current = a
+    cmap = {v: v for v in a.vertices}
+    removed_all = []
+    rounds = 0
+    while True:
+        rounds += 1
+        rel = saturate(current)
+        collapsed, qmap = quotient(current, rel)
+        if collapsed != current:
+            cmap = {orig: qmap.get(rep, rep) for orig, rep in cmap.items()}
+            current = collapsed
+            continue
+        trimmed, removed = trim_edges(current, rel)
+        if not removed:
+            break
+        removed_all.extend(removed)
+        current = trimmed
+    report = ReductionReport(
+        len(a.vertices), len(a.edges), len(current.vertices), len(current.edges),
+        cmap, tuple(removed_all), rounds,
+    )
+    return current, report
 
 
 def reference_simple_target_paths(a: TargetArena, v: str) -> Iterator[tuple[str, ...]]:

@@ -383,6 +383,18 @@ def test_2dp_malformed_graph_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_2dp_edge_off_the_vertices_is_input_error(tmp_path, capsys):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(
+        json.dumps({"vertices": ["a", "b", "c", "d"], "edges": [["a", "c"], ["b", "d"], ["a", "zz"]]})
+    )
+    code = main(["2dp", str(graph_path), "--s1", "a", "--t1", "c", "--s2", "b", "--t2", "d"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "edges[2]: unknown vertex 'zz'" in err
+    assert "Traceback" not in err
+
+
 def test_bench_csv(tmp_path, funnel, coin):
     arenas = tmp_path / "arenas"
     arenas.mkdir()

@@ -1,5 +1,4 @@
 import copy
-import random
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -22,7 +21,7 @@ import nwr.engine
 from nwr.arena import _bits, bit_graph
 from nwr.engine import RULES
 import _reference
-from _corpus import arena_suite, family_suite, renamed, with_isolated
+from _corpus import DRAWN_ARENAS, arena_suite, drawn_arena, family_suite
 from _reference import (
     FOUR_RULES,
     RescanRelation,
@@ -118,7 +117,7 @@ class TestProtDominance:
         # no pruning of p's successors: once u is below {v, z}, bar-reach
         # puts p below q's successor set and q below p's, and the rule
         # lifts each to the other's singleton
-        rel = NwrRelation(spare_left.vertices)
+        rel = NwrRelation(spare_left.vertices, bit_graph(spare_left).universe)
         rel.add("u", {"v", "z"})
         assert list(named(rule_prot_dominance)(spare_left, rel)) == []
         _drive(named(rule_bar_reach), spare_left, rel, None)
@@ -230,7 +229,7 @@ def _saturate_counting_rounds(a, seeded=None):
         closes += 1
         return close(rel) if store is NwrRelation else close(rel, list(rel.snapshot()))
 
-    seed = nwr.engine.seed_relation if seeded is None else lambda _: seeded
+    seed = nwr.engine.seed_relation if seeded is None else lambda *_: seeded
     with mock.patch.object(store, "close", counting):
         with mock.patch.object(nwr.engine, "seed_relation", seed):
             rel = saturate(a)
@@ -373,29 +372,6 @@ def test_three_rules_reach_the_four_rule_fixpoint(p, n, density, targets, seed):
     want, want_rounds = reference_saturate(a, FOUR_RULES)
     assert list(got.pairs()) == list(want.pairs())
     assert rounds == want_rounds
-
-
-def drawn_arena(p, n, density, targets, isolated, seed, rename):
-    """``random_arena(p, n, density, min(targets, p), seed)`` plus
-    ``isolated`` Protagonist vertices without edges, and, with
-    ``rename``, every vertex renamed in an order drawn from ``seed``, so
-    that the owners interleave in the vertex numbering."""
-    a = with_isolated(random_arena(p, n, density, min(targets, p), seed), isolated)
-    if rename:
-        order = random.Random(seed).sample(range(len(a.vertices)), len(a.vertices))
-        a = renamed(a, [f"v{k:03d}" for k in order])
-    return a
-
-
-DRAWN_ARENAS = (
-    st.integers(1, 12),
-    st.integers(0, 12),
-    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
-    st.integers(0, 3),
-    st.integers(0, 3),
-    st.integers(0, 10_000),
-    st.booleans(),
-)
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,14 +20,18 @@ from nwr import (
     zero_set,
     TargetArena,
 )
+from nwr.arena import bit_graph
 from nwr.reduce import proven_classes
-from _corpus import arena_suite, family_suite, several_target_arenas
+from _corpus import DRAWN_ARENAS, arena_suite, drawn_arena, family_suite, several_target_arenas
 from _reference import (
+    candidate_masks,
     equivalent,
     reference_classes,
+    reference_reduce_fixpoint,
     reference_relate_exact,
     reference_trim_edges,
 )
+from test_golden import GOLDEN
 
 
 class TestQuotient:
@@ -329,3 +333,39 @@ class TestPipeline:
         assert 0 <= doc["vertices"]["percent_removed"] <= 100
         assert 0 <= doc["edges"]["percent_removed"] <= 100
         assert doc["rounds"] == report.rounds
+
+
+def _assert_read_sets_suffice(a):
+    """Saturating only the read sets gives each of them the column that a
+    saturation of the whole candidate universe gives it, and the reduction
+    is that of the reducer that saturated the whole universe.  In a valid
+    arena the read sets are the singletons and the candidate sets of
+    Nature vertices."""
+    g = bit_graph(a)
+    assert g.read_sets == tuple(
+        m for m in candidate_masks(a) if m & (m - 1) == 0 or m & ~g.nature == 0
+    )
+    got, want = saturate(a, g.read_sets), saturate(a)
+    assert got.universe == g.read_sets and set(got.snapshot()) == set(g.read_sets)
+    assert [got.column(m) for m in g.read_sets] == [want.column(m) for m in g.read_sets]
+    reduced, report = reduce_fixpoint(a)
+    want_reduced, want_report = reference_reduce_fixpoint(a)
+    assert reduced == want_reduced
+    assert report.to_json() == want_report.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(*DRAWN_ARENAS)
+@example(4, 4, 0.5, 1, 0, 18, False)  # a trim against a successor set less one member
+def test_read_sets_suffice(p, n, density, targets, isolated, seed, rename):
+    _assert_read_sets_suffice(drawn_arena(p, n, density, targets, isolated, seed, rename))
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_read_sets_suffice_on_the_golden_arenas(args):
+    _assert_read_sets_suffice(random_arena(*args))
+
+
+@pytest.mark.parametrize("fixture", ["mixer_arena", "funnel"])
+def test_read_sets_suffice_on_the_fixtures(fixture, request):
+    _assert_read_sets_suffice(request.getfixturevalue(fixture))

@@ -157,6 +157,11 @@ class TestReduction:
         assert parse_digraph(serialize_digraph(g)) == g
 
 
+def test_make_digraph_rejects_an_edge_off_its_vertices():
+    with pytest.raises(ValueError, match=re.escape("edge ('a', 'zz'): 'zz' is not a vertex")):
+        make_digraph(["a", "b", "c", "d"], [("a", "c"), ("b", "d"), ("a", "zz")])
+
+
 class TestParseDigraph:
     @pytest.mark.parametrize(
         "text, message",
