@@ -42,6 +42,16 @@ argument whose premise columns still equal the columns in it.  Columns
 only grow, so the rule read those same columns when it ran on that
 argument in the previous round, and everything it would yield is already
 stored; the rounds, and the fixpoint, are those of a full sweep.
+
+After a trim, ``reduce_fixpoint`` hands ``saturate`` the fixpoint of
+the arena before it, and each seeded set's column is copied from there
+before the first round: a trim keeps every value, so every copied pair
+holds.  In that round bar-win is handed the snapshot taken after the
+copy: its keys are those of the old fixpoint, where it derived
+everything, and removing Protagonist edges never grows an almost-sure
+set.  Bar-reach sweeps in full, since with fewer edges it cuts more.
+The carried fixpoint holds the fresh one; that the two are equal is
+measured, not proven.
 """
 
 from __future__ import annotations
@@ -134,22 +144,39 @@ def rule_prot_dominance(
 RULES = (rule_bar_reach, rule_bar_win, rule_prot_dominance)
 
 
-def saturate(a: TargetArena, universe: Optional[Sequence[int]] = None) -> "NwrRelation":
+def saturate(
+    a: TargetArena,
+    universe: Optional[Sequence[int]] = None,
+    *,
+    carried: Optional[NwrRelation] = None,
+) -> "NwrRelation":
     """Run the rules to their joint fixpoint starting from the seeds, over
     the sets of ``universe``, by default ``bit_graph(a).universe``.
 
+    ``carried``, which ``reduce_fixpoint`` alone passes, after a trim, is
+    the fixpoint of the arena that ``a`` was trimmed from.  Each seeded
+    set ``m`` is then written ``carried.column(m)`` before the first
+    round, whose closure closes it, and in that round bar-win is handed
+    the snapshot taken after the copy (the module docstring says why).
+
     Deterministic: rules fire in a fixed order over sorted arguments and
-    the closure runs after each round, and only then: the seed needs none.
-    Pairs are only ever added and the seeded sets are finite, so
-    termination is immediate.
+    the closure runs after each round, and only then: the seed and the
+    copy need none of their own.  Pairs are only ever added and the
+    seeded sets are finite, so termination is immediate.
     """
     rel = seed_relation(a, universe)
+    if carried is not None:
+        for m in rel.universe:
+            rel.add_bits(carried.column(m), m)
     since = None
     for _ in range(len(rel.vertices) * len(rel.universe) + 2):
         start = rel.snapshot()
         changed = False
         for rule in RULES:
-            for vs, m in rule(a, rel, since):
+            skip = since
+            if skip is None and carried is not None and rule is rule_bar_win:
+                skip = start
+            for vs, m in rule(a, rel, skip):
                 changed |= rel.add_bits(vs, m)
         changed |= rel.close()
         if not changed:

@@ -5,7 +5,9 @@ single vertices (dropping the self-loop edges that would arise), and
 edges to provably never-better Nature vertices are removed one at a time.
 Both steps preserve the maximal reachability value of every surviving
 Protagonist vertex for every full-support family; the fixpoint pipeline
-alternates them with fresh saturations until nothing changes.
+alternates them with saturations until nothing changes.  A saturation
+after a quotient starts from the seed; one after a trim starts from the
+fixpoint before it, whose pairs all still hold.
 """
 
 from __future__ import annotations
@@ -202,7 +204,11 @@ def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
 
     Each round saturates only the read sets of its arena
     (``BitGraph.read_sets``), which are all that the quotient and the trim
-    read, not the whole candidate universe.  Every productive round
+    read, not the whole candidate universe.  A round after a quotient
+    saturates from the seed, since the quotient renumbers the vertices.
+    A round after a trim carries the last fixpoint into ``saturate``:
+    the trim keeps every vertex, so the numbering still fits, and every
+    value, so every stored pair still holds.  Every productive round
     strictly shrinks (vertices, edges) lexicographically, so the loop ends
     within |V| + |E| rounds.
     """
@@ -211,20 +217,23 @@ def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
     removed_all: list[Removal] = []
     bound = len(a.vertices) + len(a.edges) + 1
     rounds = 0
+    carried = None
     while True:
         rounds += 1
         if rounds > bound:
             raise AssertionError("reduction pipeline failed to stabilize")
-        rel = saturate(current, bit_graph(current).read_sets)
+        rel = saturate(current, bit_graph(current).read_sets, carried=carried)
         collapsed, qmap = quotient(current, rel)
         if collapsed != current:
             cmap = {orig: qmap.get(rep, rep) for orig, rep in cmap.items()}
             current = collapsed
+            carried = None
             continue
         trimmed, removed = _trim(current, rel)
         if removed:
             removed_all.extend(removed)
             current = trimmed
+            carried = rel
             continue
         break
     report = ReductionReport(

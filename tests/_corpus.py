@@ -85,6 +85,51 @@ DRAWN_ARENAS = (
 )
 
 
+def layered_arena(p, n, fanout, sinks, seed, rename):
+    """An acyclic arena in which trims are common: Protagonist vertices
+    ``c00`` .. in a line, then one target and ``sinks`` losing sinks.
+    Each of ``n`` Nature vertices has two or three successors past a cut
+    drawn along the line, and each of the ``p`` choice vertices up to
+    ``fanout`` Nature successors whose cut lies past it, so it chooses
+    among three or more mixtures of the target and the sinks whenever
+    there are that many, and a trim is against a set of two or more.
+    With ``rename``, every vertex is renamed as in ``drawn_arena``."""
+    rng = random.Random(seed)
+    line = [f"c{i:02d}" for i in range(p + 1 + sinks)]
+    edges = set()
+    cuts = {}
+    for j in range(n):
+        x, cut = f"n{j:02d}", rng.randrange(1, len(line))
+        cuts[x] = cut
+        for w in rng.sample(line[cut:], min(len(line) - cut, rng.randint(2, 3))):
+            edges.add((x, w))
+    for i in range(p):
+        options = [x for x, cut in cuts.items() if cut > i]
+        for x in rng.sample(options, min(len(options), fanout)):
+            edges.add((line[i], x))
+    a = make_arena(line, cuts, edges, [line[p]])
+    if rename:
+        order = rng.sample(range(len(a.vertices)), len(a.vertices))
+        a = renamed(a, [f"v{k:03d}" for k in order])
+    return a
+
+
+#: arenas for the reduction's tests, half of them ``layered_arena``'s,
+#: whose trims ``drawn_arena``'s seldom reach
+REDUCTION_ARENAS = st.one_of(
+    st.builds(drawn_arena, *DRAWN_ARENAS),
+    st.builds(
+        layered_arena,
+        st.integers(1, 12),
+        st.integers(1, 16),
+        st.integers(3, 6),
+        st.integers(1, 3),
+        st.integers(0, 10_000),
+        st.booleans(),
+    ),
+)
+
+
 def digraph_instance(n: int, density: float, seed: int):
     """A random digraph on ``x0`` .. ``x{n-1}`` and four distinct
     terminals ``(s1, t1, s2, t2)`` for a 2DP instance."""

@@ -33,7 +33,7 @@ every successor of ``u`` against the successor set of ``v``, for every
 pair.  ``reference_trim_edges`` is the trim that
 restarted from the first edge after each removal,
 ``reference_reduce_fixpoint`` the reduction that saturated the whole
-candidate universe in every round, and
+candidate universe afresh in every round, trims included, and
 ``reference_normalize_2dp`` the disjoint-paths pruning that recomputed
 both reach sets after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
@@ -1099,7 +1099,8 @@ def reference_trim_edges(a, r):
 
 def reference_reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
     """``reduce_fixpoint`` as it was before it saturated only the sets the
-    reduction reads: every round saturates the whole candidate universe."""
+    reduction reads and carried its store across trims: every round
+    saturates the whole candidate universe from the seed."""
     current = a
     cmap = {v: v for v in a.vertices}
     removed_all = []

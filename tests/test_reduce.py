@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nwr.reduce
 from nwr import (
     NwrRelation,
     almost_sure_set,
@@ -22,7 +23,8 @@ from nwr import (
 )
 from nwr.arena import bit_graph
 from nwr.reduce import proven_classes
-from _corpus import DRAWN_ARENAS, arena_suite, drawn_arena, family_suite, several_target_arenas
+from nwr.solve import almost_sure_bits
+from _corpus import REDUCTION_ARENAS, arena_suite, drawn_arena, family_suite, several_target_arenas
 from _reference import (
     candidate_masks,
     equivalent,
@@ -354,11 +356,15 @@ def _assert_read_sets_suffice(a):
     assert report.to_json() == want_report.to_json()
 
 
-@settings(max_examples=150, deadline=None)
-@given(*DRAWN_ARENAS)
-@example(4, 4, 0.5, 1, 0, 18, False)  # a trim against a successor set less one member
-def test_read_sets_suffice(p, n, density, targets, isolated, seed, rename):
-    _assert_read_sets_suffice(drawn_arena(p, n, density, targets, isolated, seed, rename))
+# a trim against a successor set less one member
+TRIM_EXAMPLE = drawn_arena(4, 4, 0.5, 1, 0, 18, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REDUCTION_ARENAS)
+@example(TRIM_EXAMPLE)
+def test_read_sets_suffice(a):
+    _assert_read_sets_suffice(a)
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN))
@@ -369,3 +375,63 @@ def test_read_sets_suffice_on_the_golden_arenas(args):
 @pytest.mark.parametrize("fixture", ["mixer_arena", "funnel"])
 def test_read_sets_suffice_on_the_fixtures(fixture, request):
     _assert_read_sets_suffice(request.getfixturevalue(fixture))
+
+
+def _assert_carried_stores_are_fresh(a):
+    """After each trim inside ``reduce_fixpoint``, the store it saturates
+    from the last fixpoint gives every read set of the trimmed arena the
+    column that a fresh saturation of that arena gives it: never more,
+    never less.  A store is carried exactly when an edge was trimmed, and
+    the reduction is that of the reducer that saturated afresh in every
+    round."""
+    calls, trims = [], []
+
+    def checked(b, universe=None, *, carried=None):
+        got = saturate(b, universe, carried=carried)
+        if carried is not None:
+            assert carried is calls[-1]
+            assert universe == bit_graph(b).read_sets
+            fresh = saturate(b, universe)
+            assert [got.column(m) for m in universe] == [fresh.column(m) for m in universe]
+            assert got.pair_count() == fresh.pair_count()
+            trims.append(b)
+        calls.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nwr.reduce, "saturate", checked)
+        reduced, report = reduce_fixpoint(a)
+    assert bool(trims) == bool(report.removed_edges)
+    want_reduced, want_report = reference_reduce_fixpoint(a)
+    assert reduced == want_reduced
+    assert report.to_json() == want_report.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(REDUCTION_ARENAS)
+@example(TRIM_EXAMPLE)
+def test_carried_stores_are_fresh(a):
+    _assert_carried_stores_are_fresh(a)
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_carried_stores_are_fresh_on_the_golden_arenas(args):
+    _assert_carried_stores_are_fresh(random_arena(*args))
+
+
+@pytest.mark.parametrize("fixture", ["mixer_arena", "funnel"])
+def test_carried_stores_are_fresh_on_the_fixtures(fixture, request):
+    _assert_carried_stores_are_fresh(request.getfixturevalue(fixture))
+
+
+@settings(max_examples=200, deadline=None)
+@given(REDUCTION_ARENAS, st.data())
+def test_removing_protagonist_edges_never_grows_an_almost_sure_set(a, data):
+    """The lemma behind bar-win's skip in the first round after a trim:
+    with fewer Protagonist edges, no key's almost-sure set grows."""
+    choices = sorted((u, v) for u, v in a.edges if u in a.protagonist)
+    cut = data.draw(st.sets(st.sampled_from(choices))) if choices else set()
+    trimmed = TargetArena(a.protagonist, a.nature, a.edges - cut, a.targets)
+    g, h = bit_graph(a), bit_graph(trimmed)
+    key = data.draw(st.integers(0, g.full))
+    assert almost_sure_bits(h, key) & ~almost_sure_bits(g, key) == 0
