@@ -43,15 +43,19 @@ only grow, so the rule read those same columns when it ran on that
 argument in the previous round, and everything it would yield is already
 stored; the rounds, and the fixpoint, are those of a full sweep.
 
-After a trim, ``reduce_fixpoint`` hands ``saturate`` the fixpoint of
-the arena before it, and each seeded set's column is copied from there
-before the first round: a trim keeps every value, so every copied pair
-holds.  In that round bar-win is handed the snapshot taken after the
-copy: its keys are those of the old fixpoint, where it derived
+After a trim or a quotient, ``reduce_fixpoint`` hands ``saturate`` the
+fixpoint of the arena before it, as the column it stores for each
+seeded set under the same vertex names, and the columns are copied in
+before the first round: a trim keeps every value, and a quotient every
+class name's, so every copied pair holds.
+After a trim, bar-win is handed in that round the snapshot taken after
+the copy: its keys are those of the old fixpoint, where it derived
 everything, and removing Protagonist edges never grows an almost-sure
-set.  Bar-reach sweeps in full, since with fewer edges it cuts more.
-The carried fixpoint holds the fresh one; that the two are equal is
-measured, not proven.
+set.  After a quotient it sweeps in full: a class offers the choices of
+all its members, so an almost-sure set can grow, as it does under some
+keys closed under the classes (CHANGES.md has an example).  Bar-reach
+and the dominance rule always sweep in full.  The carried fixpoint holds
+the fresh one; that the two are equal is measured, not proven.
 """
 
 from __future__ import annotations
@@ -148,15 +152,17 @@ def saturate(
     a: TargetArena,
     universe: Optional[Sequence[int]] = None,
     *,
-    carried: Optional[NwrRelation] = None,
+    carried: Optional[Sequence[int]] = None,
+    trimmed: bool = False,
 ) -> "NwrRelation":
     """Run the rules to their joint fixpoint starting from the seeds, over
     the sets of ``universe``, by default ``bit_graph(a).universe``.
 
-    ``carried``, which ``reduce_fixpoint`` alone passes, after a trim, is
-    the fixpoint of the arena that ``a`` was trimmed from.  Each seeded
-    set ``m`` is then written ``carried.column(m)`` before the first
-    round, whose closure closes it, and in that round bar-win is handed
+    ``carried``, which ``reduce_fixpoint`` alone passes, holds for each
+    set of ``universe`` its stored column in the fixpoint of the arena
+    before ``a``, renamed onto ``a``'s vertices, or none; each is written
+    before the first round, whose closure closes it.  ``trimmed`` says that ``a`` is a trim
+    of that arena, not a quotient: bar-win is then handed in that round
     the snapshot taken after the copy (the module docstring says why).
 
     Deterministic: rules fire in a fixed order over sorted arguments and
@@ -166,15 +172,15 @@ def saturate(
     """
     rel = seed_relation(a, universe)
     if carried is not None:
-        for m in rel.universe:
-            rel.add_bits(carried.column(m), m)
+        for m, col in zip(rel.universe, carried):
+            rel.add_bits(col, m)
     since = None
     for _ in range(len(rel.vertices) * len(rel.universe) + 2):
         start = rel.snapshot()
         changed = False
         for rule in RULES:
             skip = since
-            if skip is None and carried is not None and rule is rule_bar_win:
+            if skip is None and trimmed and rule is rule_bar_win:
                 skip = start
             for vs, m in rule(a, rel, skip):
                 changed |= rel.add_bits(vs, m)

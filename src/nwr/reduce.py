@@ -5,9 +5,9 @@ single vertices (dropping the self-loop edges that would arise), and
 edges to provably never-better Nature vertices are removed one at a time.
 Both steps preserve the maximal reachability value of every surviving
 Protagonist vertex for every full-support family; the fixpoint pipeline
-alternates them with saturations until nothing changes.  A saturation
-after a quotient starts from the seed; one after a trim starts from the
-fixpoint before it, whose pairs all still hold.
+alternates them with saturations until nothing changes.  Every
+saturation after the first starts from the fixpoint before it, renamed
+onto the class names after a quotient: every pair of it still holds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arena import DistributionFamily, TargetArena, _bits, _dumps, bit_graph, successor_map
+from .arena import BitGraph, DistributionFamily, TargetArena, _bits, _dumps, bit_graph, successor_map
 from .engine import saturate
 from .relation import NwrRelation
 
@@ -199,43 +199,76 @@ def _trim(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Removal]]:
     return out, removed
 
 
+def _carried(rel: NwrRelation, g: BitGraph) -> list[int]:
+    """The column ``rel`` stores for each read set of ``g``, renamed onto
+    ``g``'s vertices: those of ``rel`` after a trim, the class names after
+    a quotient.  A read set is looked up under the same vertex names
+    among the sets ``rel`` knows; one it does not know gets an empty
+    column, and the first round's closure joins the columns of its known
+    subsets, which costs less than ``rel.column`` scanning for them.
+    Both stores number their vertices in sorted order, so the map from
+    ``g``'s numbers to ``rel``'s is monotone, and it moves each maximal
+    run of consecutive names as one block: a read set moves up into
+    ``rel``'s numbering, and its column back down with only the bits of
+    names kept.  After a trim there is one run, the identity."""
+    known = rel.snapshot()
+    runs = []  # (position in rel, position in g, block mask)
+    names, at = rel.mask(g.order), 0
+    while names:
+        lo = (names & -names).bit_length() - 1
+        rest = names >> lo
+        width = (rest ^ (rest + 1)).bit_length() - 1
+        runs.append((lo, at, (1 << width) - 1))
+        names = (rest >> width) << (lo + width)
+        at += width
+    out = []
+    for m in g.read_sets:
+        up = 0
+        for lo, at, block in runs:
+            up |= (m >> at & block) << lo
+        col = known.get(up, 0)
+        down = 0
+        for lo, at, block in runs:
+            down |= (col >> lo & block) << at
+        out.append(down)
+    return out
+
+
 def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
     """Alternate saturation, quotienting, and trimming until stable.
 
     Each round saturates only the read sets of its arena
     (``BitGraph.read_sets``), which are all that the quotient and the trim
-    read, not the whole candidate universe.  A round after a quotient
-    saturates from the seed, since the quotient renumbers the vertices.
-    A round after a trim carries the last fixpoint into ``saturate``:
-    the trim keeps every vertex, so the numbering still fits, and every
-    value, so every stored pair still holds.  Every productive round
-    strictly shrinks (vertices, edges) lexicographically, so the loop ends
-    within |V| + |E| rounds.
+    read, not the whole candidate universe.  Every round after the first
+    carries the last fixpoint into ``saturate``, as the column of each
+    read set (``_carried``): a trim keeps every vertex and every value,
+    and a quotient keeps the class names and their values, so every
+    carried pair still holds (CHANGES.md has the proof).  Every productive round strictly shrinks
+    (vertices, edges) lexicographically, so the loop ends within
+    |V| + |E| rounds.
     """
     current = a
     cmap = {v: v for v in a.vertices}
     removed_all: list[Removal] = []
     bound = len(a.vertices) + len(a.edges) + 1
     rounds = 0
-    carried = None
+    carried, trimmed = None, False
     while True:
         rounds += 1
         if rounds > bound:
             raise AssertionError("reduction pipeline failed to stabilize")
-        rel = saturate(current, bit_graph(current).read_sets, carried=carried)
+        rel = saturate(current, bit_graph(current).read_sets, carried=carried, trimmed=trimmed)
         collapsed, qmap = quotient(current, rel)
-        if collapsed != current:
+        trimmed = collapsed == current
+        if trimmed:
+            current, removed = _trim(current, rel)
+            if not removed:
+                break
+            removed_all.extend(removed)
+        else:
             cmap = {orig: qmap.get(rep, rep) for orig, rep in cmap.items()}
             current = collapsed
-            carried = None
-            continue
-        trimmed, removed = _trim(current, rel)
-        if removed:
-            removed_all.extend(removed)
-            current = trimmed
-            carried = rel
-            continue
-        break
+        carried = _carried(rel, bit_graph(current))
     report = ReductionReport(
         original_vertices=len(a.vertices),
         original_edges=len(a.edges),

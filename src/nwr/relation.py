@@ -230,15 +230,22 @@ class NwrRelation:
         """The column of every known set, as it is now."""
         return dict(self._cols)
 
-    def _minimal_rows(self) -> list[list[int]]:
-        """Per vertex index, the known sets where its column bit is not
-        inherited from a known proper subset, in canonical order: the
-        order of ``pairs`` and of the relation JSON."""
+    def _inherited(self) -> list[int]:
+        """Per set number, the vertices its column inherits from the
+        column of a known proper subset."""
         sets, cols = self._sets, self._cols
         inherited = [0] * len(sets)
         for z, y in enumerate(sets):
             for x in _bits(self._supersets(y) & ~(1 << z)):
                 inherited[x] |= cols[y]
+        return inherited
+
+    def _minimal_rows(self) -> list[list[int]]:
+        """Per vertex index, the known sets where its column bit is not
+        inherited from a known proper subset, in canonical order: the
+        order of ``pairs`` and of the relation JSON."""
+        sets, cols = self._sets, self._cols
+        inherited = self._inherited()
         rows: list[list[int]] = [[] for _ in self._order]
         # one sort of the known sets, not one per row: rows share their sets
         for z in sorted(range(len(sets)), key=lambda z: _canonical(sets[z])):
@@ -255,7 +262,13 @@ class NwrRelation:
                 yield v, sets[y]
 
     def pair_count(self) -> int:
-        return sum(len(row) for row in self._minimal_rows())
+        """The number of ``pairs``, counted per known set without listing
+        or sorting them."""
+        cols = self._cols
+        return sum(
+            (cols[y] & ~inherited).bit_count()
+            for y, inherited in zip(self._sets, self._inherited())
+        )
 
     def close(self) -> bool:
         """Pseudo transitive closure over the known sets.

@@ -377,39 +377,78 @@ def test_read_sets_suffice_on_the_fixtures(fixture, request):
     _assert_read_sets_suffice(request.getfixturevalue(fixture))
 
 
-def _assert_carried_stores_are_fresh(a):
-    """After each trim inside ``reduce_fixpoint``, the store it saturates
-    from the last fixpoint gives every read set of the trimmed arena the
-    column that a fresh saturation of that arena gives it: never more,
-    never less.  A store is carried exactly when an edge was trimmed, and
-    the reduction is that of the reducer that saturated afresh in every
-    round."""
-    calls, trims = [], []
+def _renamed_columns(rel, b):
+    """The column in ``rel`` of each read set of ``b``, by names: the
+    column ``rel`` stores for the set of the same vertex names, empty if
+    it stores none, cut to the vertices of ``b``."""
+    g, stored = bit_graph(b), rel.snapshot()
+    out = []
+    for m in g.read_sets:
+        col = rel.unmask(stored.get(rel.mask(g.unmask(m)), 0))
+        out.append(g.mask(col & b.vertices))
+    return out
 
-    def checked(b, universe=None, *, carried=None):
-        got = saturate(b, universe, carried=carried)
-        if carried is not None:
-            assert carried is calls[-1]
-            assert universe == bit_graph(b).read_sets
-            fresh = saturate(b, universe)
-            assert [got.column(m) for m in universe] == [fresh.column(m) for m in universe]
-            assert got.pair_count() == fresh.pair_count()
-            trims.append(b)
-        calls.append(got)
+
+def _carried_rounds(a):
+    """Run ``reduce_fixpoint(a)`` and return its saturations, in order, as
+    ``(arena, result, carried, trimmed)``, and its result."""
+    calls = []
+
+    def recorded(b, universe=None, *, carried=None, trimmed=False):
+        got = saturate(b, universe, carried=carried, trimmed=trimmed)
+        calls.append((b, got, carried, trimmed))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nwr.reduce, "saturate", checked)
-        reduced, report = reduce_fixpoint(a)
-    assert bool(trims) == bool(report.removed_edges)
+        mp.setattr(nwr.reduce, "saturate", recorded)
+        result = reduce_fixpoint(a)
+    return calls, result
+
+
+def _assert_carried_stores_are_fresh(a):
+    """Every saturation inside ``reduce_fixpoint`` after the first starts
+    from the last fixpoint, whether a trim or a quotient came between:
+    the carried columns are the last result's stored columns of the read
+    sets, read by vertex name, and the saturation gives every read set the
+    column that a fresh saturation of its arena gives it, never more,
+    never less, with the same pair count.  ``trimmed`` is passed exactly
+    after a trim, which keeps the vertices and drops edges, and the
+    reduction is that of the reducer that saturated afresh in every
+    round."""
+    calls, (reduced, report) = _carried_rounds(a)
+    assert calls[0][2] is None and not calls[0][3]
+    for (before, last, _, _), (b, got, carried, trimmed) in zip(calls, calls[1:]):
+        universe = bit_graph(b).read_sets
+        assert got.universe == universe
+        assert carried == _renamed_columns(last, b)
+        if trimmed:
+            assert b.vertices == before.vertices and b.edges < before.edges
+        else:
+            assert b == quotient(before, last)[0] != before
+        fresh = saturate(b, universe)
+        assert [got.column(m) for m in universe] == [fresh.column(m) for m in universe]
+        assert got.pair_count() == fresh.pair_count()
+    assert report.rounds == len(calls)
     want_reduced, want_report = reference_reduce_fixpoint(a)
     assert reduced == want_reduced
     assert report.to_json() == want_report.to_json()
 
 
+# quotients twice, with a trim in between, and renames onto fewer vertices
+QUOTIENT_EXAMPLE = drawn_arena(3, 2, 0.5, 1, 0, 15, False)
+
+
+def test_the_quotient_example_quotients_twice():
+    calls, _ = _carried_rounds(QUOTIENT_EXAMPLE)
+    assert [trimmed for *_, trimmed in calls] == [False, False, True, False]
+    sizes = [len(b.vertices) for b, *_ in calls]
+    assert sizes[1] < sizes[0] and sizes[3] < sizes[2]
+
+
 @settings(max_examples=200, deadline=None)
 @given(REDUCTION_ARENAS)
 @example(TRIM_EXAMPLE)
+@example(QUOTIENT_EXAMPLE)
 def test_carried_stores_are_fresh(a):
     _assert_carried_stores_are_fresh(a)
 
@@ -424,6 +463,26 @@ def test_carried_stores_are_fresh_on_the_fixtures(fixture, request):
     _assert_carried_stores_are_fresh(request.getfixturevalue(fixture))
 
 
+@settings(max_examples=100, deadline=None)
+@given(REDUCTION_ARENAS, st.integers(0, 2**32 - 1))
+@example(QUOTIENT_EXAMPLE, 0)
+def test_pairs_carried_across_a_quotient_hold(a, seed):
+    """Soundness of the copy after a quotient, checked on values rather
+    than against a fresh saturation: under sampled full-support families
+    of the quotient, every carried pair ``v <= W`` has ``val(v) <= max
+    val(W)``."""
+    calls, _ = _carried_rounds(a)
+    for b, _, carried, trimmed in calls[1:]:
+        if trimmed:
+            continue
+        g = bit_graph(b)
+        for mu in family_suite(b, 3, seed):
+            val = vertex_values(b, mu).values
+            for m, col in zip(g.read_sets, carried):
+                top = max(val[w] for w in g.unmask(m))
+                assert all(val[v] <= top for v in g.unmask(col)), (g.unmask(m), g.unmask(col))
+
+
 @settings(max_examples=200, deadline=None)
 @given(REDUCTION_ARENAS, st.data())
 def test_removing_protagonist_edges_never_grows_an_almost_sure_set(a, data):
@@ -435,3 +494,22 @@ def test_removing_protagonist_edges_never_grows_an_almost_sure_set(a, data):
     g, h = bit_graph(a), bit_graph(trimmed)
     key = data.draw(st.integers(0, g.full))
     assert almost_sure_bits(h, key) & ~almost_sure_bits(g, key) == 0
+
+
+def test_a_quotient_can_grow_an_almost_sure_set():
+    """Why bar-win sweeps in full in the first round after a quotient: a
+    class offers the choices of all its members.  Here ``p01`` merges into
+    ``p00``; under the key ``{p03, p05}``, which holds the target and is
+    closed under the classes, ``p00`` reaches the key almost surely only
+    through ``p01``'s edge to ``n04``, and ``n03``, whose one successor is
+    ``p00``, follows it."""
+    a = random_arena(6, 6, 0.3, 1, 131)
+    h, cmap = quotient(a, saturate(a, bit_graph(a).read_sets))
+    assert {v: c for v, c in cmap.items() if v != c} == {"p01": "p00"}
+    assert a.targets == h.targets == {"p03"}
+    g, gh = bit_graph(a), bit_graph(h)
+    key = {"p03", "p05"}
+    before = g.unmask(almost_sure_bits(g, g.mask(key)))
+    after = gh.unmask(almost_sure_bits(gh, gh.mask(key)))
+    assert before == {"p01", "p03", "p05", "n04"}
+    assert after - before == {"p00", "n03"}

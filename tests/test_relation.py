@@ -11,6 +11,7 @@ from nwr import (
     NwrRelation,
     TargetArena,
     random_arena,
+    saturate,
     seed_relation,
 )
 from nwr.arena import _dumps, bit_graph
@@ -23,7 +24,7 @@ from _reference import (
     reference_extremal_seed,
     reference_relation_json,
 )
-from _corpus import VERTEX_IDS, renamed
+from _corpus import REDUCTION_ARENAS, VERTEX_IDS, renamed
 
 
 def closed(rel, universe):
@@ -414,6 +415,26 @@ def test_fragment_write_matches_one_vertex_writes(
     assert got._rows == want._rows and got._cm == want._cm
     assert got._dirty == want._dirty
     assert_index_matches(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    REDUCTION_ARENAS,
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(1, 2**12)), max_size=6),
+)
+def test_pair_count_counts_the_pairs(a, read, extra):
+    """``pair_count()``, which counts per known set without listing the
+    pairs, is the length of ``pairs()``: on a saturated store over the
+    universe or the read sets, before and after it learns a few other
+    sets."""
+    g = bit_graph(a)
+    rel = saturate(a, g.read_sets if read else g.universe)
+    assert rel.pair_count() == len(list(rel.pairs()))
+    for i, w in extra:
+        rel.add_bits(1 << i % len(g.order), w & g.full or 1)
+    rel.close()
+    assert rel.pair_count() == len(list(rel.pairs()))
 
 
 def test_fragment_write_rejects_the_empty_set():
