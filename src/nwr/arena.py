@@ -565,7 +565,12 @@ def serialize_family(mu: DistributionFamily) -> str:
 
 
 def arena_to_dot(a: TargetArena) -> str:
-    """Render an arena as Graphviz DOT text."""
+    """Render an arena as Graphviz DOT text, each id a quoted string with
+    its backslashes and double quotes escaped."""
+
+    def q(v: str) -> str:
+        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph arena {", "  rankdir=LR;"]
     for v in sorted(a.vertices):
         if v in a.nature:
@@ -574,9 +579,9 @@ def arena_to_dot(a: TargetArena) -> str:
             shape = "doublecircle"
         else:
             shape = "circle"
-        lines.append(f'  "{v}" [shape={shape}];')
+        lines.append(f"  {q(v)} [shape={shape}];")
     for u, v in sorted(a.edges):
-        lines.append(f'  "{u}" -> "{v}";')
+        lines.append(f"  {q(u)} -> {q(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

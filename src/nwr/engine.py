@@ -43,19 +43,18 @@ only grow, so the rule read those same columns when it ran on that
 argument in the previous round, and everything it would yield is already
 stored; the rounds, and the fixpoint, are those of a full sweep.
 
-After a trim or a quotient, ``reduce_fixpoint`` hands ``saturate`` the
-fixpoint of the arena before it, as the column it stores for each
-seeded set under the same vertex names, and the columns are copied in
-before the first round: a trim keeps every value, and a quotient every
-class name's, so every copied pair holds.
-After a trim, bar-win is handed in that round the snapshot taken after
-the copy: its keys are those of the old fixpoint, where it derived
-everything, and removing Protagonist edges never grows an almost-sure
-set.  After a quotient it sweeps in full: a class offers the choices of
-all its members, so an almost-sure set can grow, as it does under some
-keys closed under the classes (CHANGES.md has an example).  Bar-reach
-and the dominance rule always sweep in full.  The carried fixpoint holds
-the fresh one; that the two are equal is measured, not proven.
+``saturate`` can start from ``prior``, the fixpoint of an arena that
+``a`` came from by a trim or a quotient, as ``reduce_fixpoint`` passes
+it: before the first round, each seeded set is given the column that
+``prior`` stores for the set of the same vertex names, and every such
+pair still holds.  When ``prior`` has the vertices of ``a``, the step
+removed Protagonist edges only, which never grows an almost-sure set, so
+bar-win is handed in the first round the snapshot taken after the copy.
+After a quotient that renames, a class offers the choices of all its
+members, an almost-sure set can grow, and bar-win sweeps in full.
+Bar-reach and the dominance rule always sweep in full.  CHANGES.md has
+the proofs and the example.  The carried fixpoint holds the fresh one;
+that the two are equal is measured, not proven.
 """
 
 from __future__ import annotations
@@ -152,18 +151,12 @@ def saturate(
     a: TargetArena,
     universe: Optional[Sequence[int]] = None,
     *,
-    carried: Optional[Sequence[int]] = None,
-    trimmed: bool = False,
+    prior: Optional[NwrRelation] = None,
 ) -> "NwrRelation":
     """Run the rules to their joint fixpoint starting from the seeds, over
-    the sets of ``universe``, by default ``bit_graph(a).universe``.
-
-    ``carried``, which ``reduce_fixpoint`` alone passes, holds for each
-    set of ``universe`` its stored column in the fixpoint of the arena
-    before ``a``, renamed onto ``a``'s vertices, or none; each is written
-    before the first round, whose closure closes it.  ``trimmed`` says that ``a`` is a trim
-    of that arena, not a quotient: bar-win is then handed in that round
-    the snapshot taken after the copy (the module docstring says why).
+    the sets of ``universe``, by default ``bit_graph(a).universe``, and
+    from ``prior`` when given (the module docstring says what it must be
+    and how it is used).
 
     Deterministic: rules fire in a fixed order over sorted arguments and
     the closure runs after each round, and only then: the seed and the
@@ -171,16 +164,17 @@ def saturate(
     seeded sets are finite, so termination is immediate.
     """
     rel = seed_relation(a, universe)
-    if carried is not None:
-        for m, col in zip(rel.universe, carried):
+    if prior is not None:
+        for m, col in zip(rel.universe, prior.renamed_columns(rel.vertices, rel.universe)):
             rel.add_bits(col, m)
+    same_names = prior is not None and prior.vertices == rel.vertices
     since = None
     for _ in range(len(rel.vertices) * len(rel.universe) + 2):
         start = rel.snapshot()
         changed = False
         for rule in RULES:
             skip = since
-            if skip is None and trimmed and rule is rule_bar_win:
+            if skip is None and same_names and rule is rule_bar_win:
                 skip = start
             for vs, m in rule(a, rel, skip):
                 changed |= rel.add_bits(vs, m)

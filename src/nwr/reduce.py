@@ -6,8 +6,8 @@ edges to provably never-better Nature vertices are removed one at a time.
 Both steps preserve the maximal reachability value of every surviving
 Protagonist vertex for every full-support family; the fixpoint pipeline
 alternates them with saturations until nothing changes.  Every
-saturation after the first starts from the fixpoint before it, renamed
-onto the class names after a quotient: every pair of it still holds.
+saturation after the first starts from the fixpoint before it, read by
+vertex name: every pair of it still holds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .arena import BitGraph, DistributionFamily, TargetArena, _bits, _dumps, bit_graph, successor_map
+from .arena import DistributionFamily, TargetArena, _bits, _dumps, bit_graph, successor_map
 from .engine import saturate
 from .relation import NwrRelation
 
@@ -142,26 +142,24 @@ def lift_family(
 ) -> dict[str, dict[str, Fraction]]:
     """Push a family through a quotient's class map.
 
-    Each surviving Nature class sums the mass its smallest original member
-    assigned to each successor class; if some of that mass fell on a
-    class that did not survive as a successor, the rest is renormalized.
+    A Nature class is named by its smallest member, and a quotient or a
+    trim keeps every edge out of a Nature vertex (CHANGES.md has the
+    proof), so each surviving class takes its own distribution, each
+    successor's mass moved to that successor's class.  The classes it
+    lands on must be the class's successors in ``reduced``; anything
+    else comes from a class map or family of some other reduction, and
+    raises ``ValueError``.
     """
-    members: dict[str, list[str]] = {}
-    for orig, cls in class_map.items():
-        members.setdefault(cls, []).append(orig)
     rsucc = successor_map(reduced)
     out: dict[str, dict[str, Fraction]] = {}
     for cls in sorted(reduced.nature):
-        rep = min(m for m in members[cls] if m in mu)
-        raw: dict[str, Fraction] = {}
-        for w, p in mu[rep].items():
-            tgt = class_map[w]
-            raw[tgt] = raw.get(tgt, Fraction(0)) + Fraction(p)
-        keep = {t: p for t, p in raw.items() if t in rsucc[cls]}
-        total = sum(keep.values(), Fraction(0))
-        if total == 0:
-            raise ValueError(f"family lift lost all mass at class {cls}")
-        out[cls] = {t: p / total for t, p in sorted(keep.items())}
+        lifted: dict[str, Fraction] = {}
+        for w, p in mu.get(cls, {}).items():
+            c = class_map[w]
+            lifted[c] = lifted.get(c, Fraction(0)) + Fraction(p)
+        if lifted.keys() != set(rsucc[cls]):
+            raise ValueError(f"family lift at class {cls}: the lifted support is not its successors")
+        out[cls] = dict(sorted(lifted.items()))
     return out
 
 
@@ -199,51 +197,15 @@ def _trim(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Removal]]:
     return out, removed
 
 
-def _carried(rel: NwrRelation, g: BitGraph) -> list[int]:
-    """The column ``rel`` stores for each read set of ``g``, renamed onto
-    ``g``'s vertices: those of ``rel`` after a trim, the class names after
-    a quotient.  A read set is looked up under the same vertex names
-    among the sets ``rel`` knows; one it does not know gets an empty
-    column, and the first round's closure joins the columns of its known
-    subsets, which costs less than ``rel.column`` scanning for them.
-    Both stores number their vertices in sorted order, so the map from
-    ``g``'s numbers to ``rel``'s is monotone, and it moves each maximal
-    run of consecutive names as one block: a read set moves up into
-    ``rel``'s numbering, and its column back down with only the bits of
-    names kept.  After a trim there is one run, the identity."""
-    known = rel.snapshot()
-    runs = []  # (position in rel, position in g, block mask)
-    names, at = rel.mask(g.order), 0
-    while names:
-        lo = (names & -names).bit_length() - 1
-        rest = names >> lo
-        width = (rest ^ (rest + 1)).bit_length() - 1
-        runs.append((lo, at, (1 << width) - 1))
-        names = (rest >> width) << (lo + width)
-        at += width
-    out = []
-    for m in g.read_sets:
-        up = 0
-        for lo, at, block in runs:
-            up |= (m >> at & block) << lo
-        col = known.get(up, 0)
-        down = 0
-        for lo, at, block in runs:
-            down |= (col >> lo & block) << at
-        out.append(down)
-    return out
-
-
 def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
     """Alternate saturation, quotienting, and trimming until stable.
 
     Each round saturates only the read sets of its arena
     (``BitGraph.read_sets``), which are all that the quotient and the trim
-    read, not the whole candidate universe.  Every round after the first
-    carries the last fixpoint into ``saturate``, as the column of each
-    read set (``_carried``): a trim keeps every vertex and every value,
-    and a quotient keeps the class names and their values, so every
-    carried pair still holds (CHANGES.md has the proof).  Every productive round strictly shrinks
+    read, and every round after the first hands ``saturate`` the last
+    fixpoint as ``prior``: a trim keeps every vertex and value, and a
+    quotient every class name's, so every pair of it still holds
+    (CHANGES.md has the proof).  Every productive round strictly shrinks
     (vertices, edges) lexicographically, so the loop ends within
     |V| + |E| rounds.
     """
@@ -252,15 +214,14 @@ def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
     removed_all: list[Removal] = []
     bound = len(a.vertices) + len(a.edges) + 1
     rounds = 0
-    carried, trimmed = None, False
+    rel = None
     while True:
         rounds += 1
         if rounds > bound:
             raise AssertionError("reduction pipeline failed to stabilize")
-        rel = saturate(current, bit_graph(current).read_sets, carried=carried, trimmed=trimmed)
+        rel = saturate(current, bit_graph(current).read_sets, prior=rel)
         collapsed, qmap = quotient(current, rel)
-        trimmed = collapsed == current
-        if trimmed:
+        if collapsed == current:
             current, removed = _trim(current, rel)
             if not removed:
                 break
@@ -268,7 +229,6 @@ def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:
         else:
             cmap = {orig: qmap.get(rep, rep) for orig, rep in cmap.items()}
             current = collapsed
-        carried = _carried(rel, bit_graph(current))
     report = ReductionReport(
         original_vertices=len(a.vertices),
         original_edges=len(a.edges),

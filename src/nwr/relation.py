@@ -32,8 +32,10 @@ Vertex sets are integer bitmasks over the vertices in sorted order, the
 order of ``bit_graph``; the store knows masks and sets, not arenas, and
 is handed its universe.  ``add``, ``holds`` and ``pairs`` speak plain
 strings and frozensets; saturation speaks masks, through the constructor,
-``add_bits``, ``column`` and ``above``.  ``add`` masks its arguments and
-calls ``add_bits``, the one write, which takes a column fragment.
+``add_bits``, ``column``, ``above`` and ``renamed_columns``, which reads
+the columns onto another arena's vertex names.  ``add`` masks its
+arguments and calls ``add_bits``, the one write, which takes a column
+fragment.
 """
 
 from __future__ import annotations
@@ -229,6 +231,40 @@ class NwrRelation:
     def snapshot(self) -> Mapping[int, int]:
         """The column of every known set, as it is now."""
         return dict(self._cols)
+
+    def renamed_columns(self, vertices: Sequence[str], sets: Iterable[int]) -> list[int]:
+        """The column this store holds for each set of ``sets``, masks over
+        ``vertices`` (sorted names, each one of this store's), read by
+        name: the column it stores for the set of the same names, with
+        only the bits of ``vertices`` kept and renumbered.  A set it does
+        not store gets an empty column: the caller's closure joins the
+        columns of its known subsets, which costs less than ``column``
+        scanning for them.  Both orders are sorted, so the map from the
+        numbers of ``vertices`` to this store's is monotone, and it moves
+        each maximal run of consecutive names as one block: a set moves
+        up into this store's numbering, and its column back down.  On
+        this store's own vertices there is one run, the identity."""
+        cols = self._cols
+        runs = []  # (position here, position in vertices, block mask)
+        names, at = self.mask(vertices), 0
+        while names:
+            lo = (names & -names).bit_length() - 1
+            rest = names >> lo
+            width = (rest ^ (rest + 1)).bit_length() - 1
+            runs.append((lo, at, (1 << width) - 1))
+            names = (rest >> width) << (lo + width)
+            at += width
+        out = []
+        for m in sets:
+            up = 0
+            for lo, at, block in runs:
+                up |= (m >> at & block) << lo
+            col = cols.get(up, 0)
+            down = 0
+            for lo, at, block in runs:
+                down |= (col >> lo & block) << at
+            out.append(down)
+        return out
 
     def _inherited(self) -> list[int]:
         """Per set number, the vertices its column inherits from the

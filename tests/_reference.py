@@ -33,7 +33,10 @@ every successor of ``u`` against the successor set of ``v``, for every
 pair.  ``reference_trim_edges`` is the trim that
 restarted from the first edge after each removal,
 ``reference_reduce_fixpoint`` the reduction that saturated the whole
-candidate universe afresh in every round, trims included, and
+candidate universe afresh in every round, trims included,
+``reference_renamed_columns`` the carry of a store's columns onto other
+vertex names, read name by name, that ``NwrRelation.renamed_columns``
+does on run blocks, and
 ``reference_normalize_2dp`` the disjoint-paths pruning that recomputed
 both reach sets after each removal.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
@@ -1123,6 +1126,20 @@ def reference_reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionRep
         cmap, tuple(removed_all), rounds,
     )
     return current, report
+
+
+def reference_renamed_columns(rel, vertices, sets) -> list[int]:
+    """``rel.renamed_columns(vertices, sets)`` name by name: for each set
+    of ``sets``, a mask over the sorted ``vertices``, the column ``rel``
+    stores for the set of the same vertex names, empty if it stores none,
+    cut to ``vertices``."""
+    order = sorted(vertices)
+    stored = rel.snapshot()
+    out = []
+    for m in sets:
+        col = rel.unmask(stored.get(rel.mask(order[i] for i in _bits(m)), 0))
+        out.append(sum(1 << i for i, v in enumerate(order) if v in col))
+    return out
 
 
 def reference_simple_target_paths(a: TargetArena, v: str) -> Iterator[tuple[str, ...]]:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from nwr import (
     FamilyError,
     StrategyError,
     TargetArena,
+    arena_to_dot,
     induce_chain,
     instantiate_mdp,
     make_arena,
@@ -301,3 +303,20 @@ def test_reach_bits_matches_reach(p, n, density, seed, data):
     for bits, strings in ((g.succ, reference_successor_map(a)), (g.pred, predecessor_map(a))):
         got = reach_bits(bits, g.mask(seeds), g.mask(avoid))
         assert g.unmask(got) == reach(strings, seeds, avoid)
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    """Every id is one quoted DOT string, with ``\\`` and ``"`` escaped,
+    so ids holding quotes or backslashes, or ending in a backslash, still
+    give well-formed tokens that unescape back to the arena's vertices."""
+    a = make_arena(['v"0', "t", "a\\b", 'q"\\'], ["n\\"], [
+        ('v"0', "n\\"), ("a\\b", "n\\"), ('q"\\', "n\\"), ("n\\", "t"),
+    ], ["t"])
+    dot = arena_to_dot(a)
+    token = r'"(?:[^"\\]|\\.)*"'
+    names = set()
+    for line in dot.splitlines()[2:-1]:
+        quoted = re.findall(token, line)
+        assert re.fullmatch(rf"  {token}( -> {token})?( \[shape=\w+\])?;", line), line
+        names.update(re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted)
+    assert names == a.vertices

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nwr.engine
 import nwr.reduce
 from nwr import (
     NwrRelation,
@@ -22,6 +23,7 @@ from nwr import (
     TargetArena,
 )
 from nwr.arena import bit_graph
+from nwr.engine import RULES, rule_bar_win
 from nwr.reduce import proven_classes
 from nwr.solve import almost_sure_bits
 from _corpus import REDUCTION_ARENAS, arena_suite, drawn_arena, family_suite, several_target_arenas
@@ -31,6 +33,7 @@ from _reference import (
     reference_classes,
     reference_reduce_fixpoint,
     reference_relate_exact,
+    reference_renamed_columns,
     reference_trim_edges,
 )
 from test_golden import GOLDEN
@@ -152,6 +155,19 @@ class TestLiftFamily:
         after = vertex_values(reduced, lifted).values
         for v in a.protagonist:
             assert before[v] == after[cmap[v]]
+
+    def test_mismatched_class_map_raises(self, coin, coin_family):
+        """A class map under which a class's own distribution does not land
+        on its successors in the reduced arena is refused, naming the
+        class, not renormalized."""
+        reduced, cmap = quotient(coin, NwrRelation(coin.vertices))
+        (n,) = coin.nature
+        x, y = sorted(successor_map(coin)[n])
+        wrong = {**cmap, y: x}
+        with pytest.raises(ValueError, match=f"class {n}"):
+            lift_family(reduced, coin_family, wrong)
+        with pytest.raises(ValueError, match=f"class {n}"):
+            lift_family(reduced, {}, cmap)
 
     def test_preservation_on_samples(self):
         for i, a in enumerate(arena_suite(15, seed=81, max_p=5, max_n=4)):
@@ -377,26 +393,14 @@ def test_read_sets_suffice_on_the_fixtures(fixture, request):
     _assert_read_sets_suffice(request.getfixturevalue(fixture))
 
 
-def _renamed_columns(rel, b):
-    """The column in ``rel`` of each read set of ``b``, by names: the
-    column ``rel`` stores for the set of the same vertex names, empty if
-    it stores none, cut to the vertices of ``b``."""
-    g, stored = bit_graph(b), rel.snapshot()
-    out = []
-    for m in g.read_sets:
-        col = rel.unmask(stored.get(rel.mask(g.unmask(m)), 0))
-        out.append(g.mask(col & b.vertices))
-    return out
-
-
 def _carried_rounds(a):
     """Run ``reduce_fixpoint(a)`` and return its saturations, in order, as
-    ``(arena, result, carried, trimmed)``, and its result."""
+    ``(arena, result, prior)``, and its result."""
     calls = []
 
-    def recorded(b, universe=None, *, carried=None, trimmed=False):
-        got = saturate(b, universe, carried=carried, trimmed=trimmed)
-        calls.append((b, got, carried, trimmed))
+    def recorded(b, universe=None, *, prior=None):
+        got = saturate(b, universe, prior=prior)
+        calls.append((b, got, prior))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -408,23 +412,27 @@ def _carried_rounds(a):
 def _assert_carried_stores_are_fresh(a):
     """Every saturation inside ``reduce_fixpoint`` after the first starts
     from the last fixpoint, whether a trim or a quotient came between:
-    the carried columns are the last result's stored columns of the read
-    sets, read by vertex name, and the saturation gives every read set the
-    column that a fresh saturation of its arena gives it, never more,
-    never less, with the same pair count.  ``trimmed`` is passed exactly
-    after a trim, which keeps the vertices and drops edges, and the
+    ``prior`` is the last result, the columns carried from it are its
+    stored columns of the read sets, read by vertex name, and the result
+    holds them.  The saturation gives every read set the column that a
+    fresh saturation of its arena gives it, never more, never less, with
+    the same pair count.  A step that keeps every name removed
+    Protagonist edges only, and any other step is the quotient; the
     reduction is that of the reducer that saturated afresh in every
     round."""
     calls, (reduced, report) = _carried_rounds(a)
-    assert calls[0][2] is None and not calls[0][3]
-    for (before, last, _, _), (b, got, carried, trimmed) in zip(calls, calls[1:]):
+    assert calls[0][2] is None
+    for (before, last, _), (b, got, prior) in zip(calls, calls[1:]):
         universe = bit_graph(b).read_sets
-        assert got.universe == universe
-        assert carried == _renamed_columns(last, b)
-        if trimmed:
-            assert b.vertices == before.vertices and b.edges < before.edges
+        assert got.universe == universe and prior is last
+        carried = prior.renamed_columns(got.vertices, universe)
+        assert carried == reference_renamed_columns(last, b.vertices, universe)
+        assert all(col & ~got.column(m) == 0 for m, col in zip(universe, carried))
+        if b.vertices == before.vertices:
+            assert b.edges < before.edges
+            assert {u for u, _ in before.edges - b.edges} <= before.protagonist
         else:
-            assert b == quotient(before, last)[0] != before
+            assert b == quotient(before, last)[0]
         fresh = saturate(b, universe)
         assert [got.column(m) for m in universe] == [fresh.column(m) for m in universe]
         assert got.pair_count() == fresh.pair_count()
@@ -434,21 +442,58 @@ def _assert_carried_stores_are_fresh(a):
     assert report.to_json() == want_report.to_json()
 
 
+def _steps(calls):
+    """What came before each saturation: None for the first, then whether
+    the step kept every vertex name."""
+    return [None if prior is None else set(prior.vertices) == b.vertices for b, _, prior in calls]
+
+
 # quotients twice, with a trim in between, and renames onto fewer vertices
 QUOTIENT_EXAMPLE = drawn_arena(3, 2, 0.5, 1, 0, 15, False)
+
+# its first quotient merges nothing and drops only the edge p00 -> n01
+SAME_NAMES_QUOTIENT_EXAMPLE = random_arena(3, 3, 0.5, 1, 39)
 
 
 def test_the_quotient_example_quotients_twice():
     calls, _ = _carried_rounds(QUOTIENT_EXAMPLE)
-    assert [trimmed for *_, trimmed in calls] == [False, False, True, False]
+    assert _steps(calls) == [None, False, True, False]
     sizes = [len(b.vertices) for b, *_ in calls]
     assert sizes[1] < sizes[0] and sizes[3] < sizes[2]
+
+
+def test_bar_win_skips_its_first_sweep_exactly_after_a_step_that_keeps_every_name():
+    """Bar-win is handed a snapshot in the first round of a saturation
+    exactly when ``prior`` has the arena's vertex names: after a trim, and
+    after a quotient that merges nothing, as the first one here does."""
+    a = SAME_NAMES_QUOTIENT_EXAMPLE
+    first, _ = quotient(a, saturate(a, bit_graph(a).read_sets))
+    assert first.vertices == a.vertices and a.edges - first.edges == {("p00", "n01")}
+    calls, handed = [], []
+
+    def sweep(b, r, since=None):
+        if len(handed) < len(calls):  # the first sweep of this saturation
+            handed.append(since is not None)
+        return rule_bar_win(b, r, since)
+
+    def recorded(b, universe=None, *, prior=None):
+        calls.append((b, None, prior))
+        return saturate(b, universe, prior=prior)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nwr.engine, "rule_bar_win", sweep)
+        mp.setattr(nwr.engine, "RULES", tuple(sweep if r is rule_bar_win else r for r in RULES))
+        mp.setattr(nwr.reduce, "saturate", recorded)
+        reduce_fixpoint(a)
+    assert _steps(calls) == [None, True, True, False]
+    assert handed == [False, True, True, False]
 
 
 @settings(max_examples=200, deadline=None)
 @given(REDUCTION_ARENAS)
 @example(TRIM_EXAMPLE)
 @example(QUOTIENT_EXAMPLE)
+@example(SAME_NAMES_QUOTIENT_EXAMPLE)
 def test_carried_stores_are_fresh(a):
     _assert_carried_stores_are_fresh(a)
 
@@ -463,19 +508,34 @@ def test_carried_stores_are_fresh_on_the_fixtures(fixture, request):
     _assert_carried_stores_are_fresh(request.getfixturevalue(fixture))
 
 
+@settings(max_examples=200, deadline=None)
+@given(REDUCTION_ARENAS, st.data())
+def test_renamed_columns_match_the_names(a, data):
+    """The store's run-block carry equals the carry name by name: onto the
+    arena after each trim and quotient of ``reduce_fixpoint`` and onto a
+    drawn subset of the first fixpoint's names, over the new arena's read
+    sets and over drawn sets, most of which the old store does not hold."""
+    calls, _ = _carried_rounds(a)
+    first = calls[0][1]
+    subset = sorted(data.draw(st.sets(st.sampled_from(first.vertices), min_size=1)))
+    cases = [(prior, sorted(b.vertices), bit_graph(b).read_sets) for b, _, prior in calls[1:]]
+    for prior, names, sets in [*cases, (first, subset, ())]:
+        sets = [*sets, *data.draw(st.lists(st.integers(1, 2 ** len(names) - 1), max_size=6))]
+        assert prior.renamed_columns(names, sets) == reference_renamed_columns(prior, names, sets)
+
+
 @settings(max_examples=100, deadline=None)
 @given(REDUCTION_ARENAS, st.integers(0, 2**32 - 1))
 @example(QUOTIENT_EXAMPLE, 0)
 def test_pairs_carried_across_a_quotient_hold(a, seed):
-    """Soundness of the copy after a quotient, checked on values rather
-    than against a fresh saturation: under sampled full-support families
-    of the quotient, every carried pair ``v <= W`` has ``val(v) <= max
-    val(W)``."""
+    """Soundness of the copy after a quotient or a trim, checked on values
+    rather than against a fresh saturation: under sampled full-support
+    families of the new arena, every carried pair ``v <= W`` has ``val(v)
+    <= max val(W)``."""
     calls, _ = _carried_rounds(a)
-    for b, _, carried, trimmed in calls[1:]:
-        if trimmed:
-            continue
+    for b, _, prior in calls[1:]:
         g = bit_graph(b)
+        carried = prior.renamed_columns(g.order, g.read_sets)
         for mu in family_suite(b, 3, seed):
             val = vertex_values(b, mu).values
             for m, col in zip(g.read_sets, carried):
