@@ -24,7 +24,6 @@ from .arena import (
     parse_family,
     random_arena,
     random_family,
-    reach,
     serialize_arena,
     serialize_family,
     successor_map,

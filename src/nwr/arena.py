@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from math import lcm
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 DistributionFamily = Mapping[str, Mapping[str, Fraction]]
 Strategy = Mapping[str, str]
@@ -185,10 +185,11 @@ def successor_map(a: TargetArena) -> Mapping[str, tuple[str, ...]]:
 
 
 def reach_bits(adj: Sequence[int], seeds: int, avoid: int = 0) -> int:
-    """``reach`` on masks: the seeds plus every vertex reachable from them
-    along ``adj`` without entering ``avoid``.  Pass ``BitGraph.pred`` to
-    search backward.  Each round expands the whole frontier at once, each
-    vertex once."""
+    """The package's one graph search: the seeds plus every vertex
+    reachable from them along ``adj`` without entering ``avoid``, all as
+    masks.  Seeds are kept even when ``avoid`` holds them.  Pass
+    ``BitGraph.pred`` to search backward.  Each round expands the whole
+    frontier at once, each vertex once."""
     seen = frontier = seeds
     while frontier:
         step = 0
@@ -198,22 +199,6 @@ def reach_bits(adj: Sequence[int], seeds: int, avoid: int = 0) -> int:
             frontier ^= low
         frontier = step & ~(seen | avoid)
         seen |= frontier
-    return seen
-
-
-def reach(
-    adj: Mapping[str, Iterable[str]], seeds: Iterable[str], avoid: Container[str] = frozenset()
-) -> set[str]:
-    """The seeds plus every vertex reachable from them along ``adj``
-    without entering ``avoid``.  Pass a predecessor map to search
-    backward.  Seeds are kept even when ``avoid`` holds them."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen and u not in avoid:
-                seen.add(u)
-                stack.append(u)
     return seen
 
 

@@ -118,7 +118,7 @@ def quotient(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, dict[str, str
     p_classes = {cmap[v] for v in a.protagonist}
     n_classes = {cmap[v] for v in a.nature}
     edges: set[tuple[str, str]] = set()
-    for u, v in sorted(a.edges):
+    for u, v in a.edges:
         if u in a.protagonist:
             cu = cmap[u]
             if any(cmap[w] != cu for w in succ[v]):
@@ -153,9 +153,9 @@ def lift_family(
     rsucc = successor_map(reduced)
     out: dict[str, dict[str, Fraction]] = {}
     for cls in sorted(reduced.nature):
-        lifted: dict[str, Fraction] = {}
+        lifted: dict[str | None, Fraction] = {}
         for w, p in mu.get(cls, {}).items():
-            c = class_map[w]
+            c = class_map.get(w)  # a vertex off the map lifts to None, no successor
             lifted[c] = lifted.get(c, Fraction(0)) + Fraction(p)
         if lifted.keys() != set(rsucc[cls]):
             raise ValueError(f"family lift at class {cls}: the lifted support is not its successors")

@@ -17,7 +17,6 @@ scores zero and cannot change a value.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -35,7 +34,6 @@ from .arena import (
     bit_graph,
     induce_chain,
     instantiate_mdp,
-    reach,
     reach_bits,
 )
 
@@ -144,7 +142,8 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
     times the lcm of its state's probability denominators, from the
     integer weights of its distribution (``_integer_weights``: kept on
     the MDP's rows, which ``induce_chain`` shares); the same weights give
-    the predecessors that decide which states reach a target.  Row ``i``
+    the predecessor masks, over the states in sorted order, from which
+    one ``reach_bits`` finds the states that reach a target.  Row ``i``
     is then reduced against the finished rows ``k < i``, in increasing
     ``k`` (fill-in included):
     ``row_i <- pivot_k * row_i - f * row_k``, and ``rhs_i`` alike, after
@@ -161,13 +160,17 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
     missing = targets - c.states
     if missing:
         raise ValueError(f"targets outside the chain: {', '.join(sorted(missing))}")
-    preds: dict[str, list[str]] = {q: [] for q in c.states}
+    states = sorted(c.states)
+    index = {q: i for i, q in enumerate(states)}
+    preds = [0] * len(states)
     weighted = {q: _integer_weights(c.transition[q]) for q in c.states - targets}
     for q, (_, weights) in weighted.items():
+        bit = 1 << index[q]
         for r, w in weights:
-            if w > 0 and r in preds:
-                preds[r].append(q)
-    order = sorted(reach(preds, targets) - targets)
+            if w > 0 and r in index:
+                preds[index[r]] |= bit
+    seeds = sum(1 << index[t] for t in targets)
+    order = [states[i] for i in _bits(reach_bits(preds, seeds) & ~seeds)]
     idx = {q: i for i, q in enumerate(order)}
     # row k, once eliminated, reads pivots[k] x_k + sum(rows[k][j] x_j, j > k) = rhs[k]
     rows: list[dict[int, int]] = []
@@ -258,33 +261,39 @@ def _rows(
     Rows are keyed by object identity, so actions that share one
     distribution object, as ``instantiate_mdp``'s actions into one Nature
     vertex do, share its row; equal distributions held as separate
-    objects just get more rows.  Liveness is one backward search from the
-    targets over states and row keys, which scans each row's support
-    once: from a state to the rows with it in their support, and from a
-    row to the states with an action on it.  States are strings and row
-    keys ints, so the two never share a key.
+    objects just get more rows.  Liveness is one backward ``reach_bits``
+    search from the targets over names and rows, both numbered as bits,
+    rows after names, which scans each row's support once: from a name
+    to the rows with it in their support, and from a row to the states
+    with an action on it.  The names are the states, the targets and the
+    actions' states, so a hand-built MDP is read as it stands; any other
+    support member is never reached.
     """
-    dists: dict[int, Mapping[str, Fraction]] = {}
+    index = {q: i for i, q in enumerate({*m.states, *m.targets, *(q for q, _ in m.transition)})}
+    back = [0] * len(index)
+    number: dict[int, int] = {}  # row key -> row bit
+    dists: list[Mapping[str, Fraction]] = []
     row_of: dict[tuple[str, str], int] = {}
-    back: dict[str | int, list[str | int]] = defaultdict(list)
     for key, dist in m.transition.items():
-        k = id(dist)
-        if k not in dists:
-            dists[k] = dist
+        k = number.get(id(dist))
+        if k is None:
+            k = number[id(dist)] = len(back)
+            back.append(0)
+            dists.append(dist)
             for r, p in dist.items():
-                if p.numerator > 0:
-                    back[r].append(k)
+                if p.numerator > 0 and r in index:
+                    back[index[r]] |= 1 << k
         row_of[key] = k
-        back[k].append(key[0])
-    reached = reach(back, m.targets)
+        back[k] |= 1 << index[key[0]]
+    reached = reach_bits(back, sum(1 << index[t] for t in m.targets))
     first: dict[str, str] = {}
     live: dict[str, list[tuple[str, int]]] = {}
     used: dict[int, int] = {}
     for (q, act), k in sorted(row_of.items()):
         first.setdefault(q, act)
-        if k in reached:
+        if reached >> k & 1:
             live.setdefault(q, []).append((act, used.setdefault(k, len(used))))
-    return first, live, [dists[k] for k in used]
+    return first, live, [dists[k - len(index)] for k in used]
 
 
 def max_reach_values_exact(m: Mdp) -> tuple[ValueVector, dict[str, str]]:

@@ -7,24 +7,30 @@ the gadget of t1.  Vertex-disjoint s1-t1 / s2-t2 paths then exist exactly
 when s1 can be made strictly better than s2 by some family, i.e. when the
 never-worse query is refuted.  Doubles as a test generator, with an
 exhaustive path-pair oracle for cross-checking.
+
+Both pruning and the oracle run on the digraph's masks from the arena
+graph cache, with every vertex a Protagonist one: reachability by
+``arena.reach_bits``, and the oracle's simple first paths by
+``exact._target_paths``, the path search of the exact decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .arena import (
     _GRAPH_FIELDS,
     ArenaFormatError,
     TargetArena,
+    _bit_adjacency,
     _dumps,
     _load_document,
     _parse_edges,
     _parse_ids,
-    reach,
+    reach_bits,
 )
-from .exact import SizeLimitError
+from .exact import SizeLimitError, _target_paths
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,6 @@ def serialize_digraph(g: Digraph) -> str:
     return _dumps({"vertices": sorted(g.vertices), "edges": [list(e) for e in sorted(g.edges)]})
 
 
-def _succ(vertices: Iterable[str], edges: set[tuple[str, str]]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, w in sorted(edges):
-        if u in out and w in out:
-            out[u].append(w)
-    return out
-
-
 def normalize_2dp(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> Digraph:
     """Prune the instance without changing its disjoint-paths answer.
 
@@ -82,14 +80,15 @@ def normalize_2dp(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> Digraph:
     for x in (s1, t1, s2, t2):
         if x not in g.vertices:
             raise ValueError(f"designated vertex {x} is not in the graph")
-    edges = {(u, v) for u, v in g.edges if u not in (t1, t2)}
-    to_t = reach(_succ(g.vertices, {(v, u) for u, v in edges}), {t1, t2})
-    verts = (to_t & reach(_succ(g.vertices, edges), {s1, s2})) | {t1, t2}
-    edges = {(u, v) for u, v in edges if u in verts and v in verts}
+    edges = frozenset((u, v) for u, v in g.edges if u not in (t1, t2))
+    bg = _bit_adjacency(g.vertices, frozenset(), edges)
+    sinks = bg.mask((t1, t2))
+    verts = bg.unmask(reach_bits(bg.pred, sinks) & reach_bits(bg.succ, bg.mask((s1, s2))) | sinks)
+    edges = frozenset((u, v) for u, v in edges if u in verts and v in verts)
     for s in (s1, s2):
         if s not in verts:
             raise ValueError(f"source {s} cannot reach either sink; the instance is degenerate")
-    return Digraph(frozenset(verts), frozenset(edges))
+    return Digraph(verts, edges)
 
 
 def _pair_vertex(u: str, v: str) -> str:
@@ -125,26 +124,6 @@ def reduce_2dp(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> tuple[TargetAr
     return arena, s1, frozenset({s2})
 
 
-def _simple_vertex_paths(g: Digraph, src: str, dst: str) -> Iterator[frozenset[str]]:
-    succ = _succ(set(g.vertices), set(g.edges))
-    path = [src]
-    seen = {src}
-
-    def walk(x: str) -> Iterator[frozenset[str]]:
-        if x == dst:
-            yield frozenset(path)
-            return
-        for y in succ[x]:
-            if y not in seen:
-                path.append(y)
-                seen.add(y)
-                yield from walk(y)
-                path.pop()
-                seen.remove(y)
-
-    yield from walk(src)
-
-
 def solve_2dp_oracle(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> bool:
     """Exhaustive disjoint-paths oracle for small graphs.
 
@@ -156,8 +135,11 @@ def solve_2dp_oracle(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> bool:
     for x in (s1, t1, s2, t2):
         if x not in g.vertices:
             raise ValueError(f"designated vertex {x} is not in the graph")
-    succ = _succ(set(g.vertices), set(g.edges))
-    for blocked in _simple_vertex_paths(g, s1, t1):
-        if s2 not in blocked and t2 not in blocked and t2 in reach(succ, (s2,), blocked):
+    # a path to t1 never leaves it, and a path disjoint from it never enters it
+    bg = _bit_adjacency(g.vertices, frozenset(), frozenset(e for e in g.edges if e[0] != t1))
+    i2, j2 = bg.index[s2], bg.index[t2]
+    for _, blocked in _target_paths(bg, bg.index[s1], 1 << bg.index[t1], bg.full):
+        # the search keeps its seed but enters no blocked vertex, t2 included
+        if not blocked >> i2 & 1 and reach_bits(bg.succ, 1 << i2, blocked) >> j2 & 1:
             return True
     return False

@@ -38,7 +38,13 @@ candidate universe afresh in every round, trims included,
 vertex names, read name by name, that ``NwrRelation.renamed_columns``
 does on run blocks, and
 ``reference_normalize_2dp`` the disjoint-paths pruning that recomputed
-both reach sets after each removal.
+both reach sets after each removal, and ``reference_solve_2dp_oracle``
+the disjoint-paths oracle as a recursive walk over string paths.
+``reach`` is the string graph search the package ran before
+``nwr.arena.reach_bits`` took every search over, and ``_succ`` the
+digraph adjacency the 2DP layer built for it.  The string references
+above search with them, so none of them leans on the package's own
+search.
 ``reference_sparse_until_vector`` and ``reference_max_reach_values_exact``
 are the chain solve and the strategy improvement over ``Fraction`` objects
 that the integer versions in ``nwr.solve`` replaced,
@@ -74,7 +80,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, wraps
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from nwr import (
     MarkovChain,
@@ -88,7 +94,6 @@ from nwr import (
     induce_chain,
     instantiate_mdp,
     random_family,
-    reach,
     reach_prob_vector,
     saturate,
     successor_map,
@@ -99,7 +104,33 @@ from nwr.engine import rule_bar_reach, rule_bar_win
 from nwr.exact import check_size
 from nwr.reduce import ReductionReport, proven_classes, quotient, trim_edges
 from nwr.solve import almost_sure_bits, zero_bits
-from nwr.twodp import Digraph, _succ
+from nwr.twodp import Digraph
+
+
+def reach(
+    adj: Mapping[str, Iterable[str]], seeds: Iterable[str], avoid: Container[str] = frozenset()
+) -> set[str]:
+    """The seeds plus every vertex reachable from them along ``adj``
+    without entering ``avoid``.  Pass a predecessor map to search
+    backward.  Seeds are kept even when ``avoid`` holds them."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen and u not in avoid:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def _succ(vertices: Iterable[str], edges: set[tuple[str, str]]) -> dict[str, list[str]]:
+    """The successor lists of a digraph, sorted; edges off ``vertices``
+    are dropped."""
+    out: dict[str, list[str]] = {v: [] for v in vertices}
+    for u, w in sorted(edges):
+        if u in out and w in out:
+            out[u].append(w)
+    return out
 
 
 def candidate_universe(a: TargetArena) -> tuple[frozenset[str], ...]:
@@ -1073,6 +1104,40 @@ def reference_normalize_2dp(g, s1, t1, s2, t2):
         if s not in verts:
             raise ValueError(f"source {s} cannot reach either sink; the instance is degenerate")
     return Digraph(frozenset(verts), frozenset(edges))
+
+
+def _simple_vertex_paths(g: Digraph, src: str, dst: str) -> Iterator[frozenset[str]]:
+    succ = _succ(set(g.vertices), set(g.edges))
+    path = [src]
+    seen = {src}
+
+    def walk(x: str) -> Iterator[frozenset[str]]:
+        if x == dst:
+            yield frozenset(path)
+            return
+        for y in succ[x]:
+            if y not in seen:
+                path.append(y)
+                seen.add(y)
+                yield from walk(y)
+                path.pop()
+                seen.remove(y)
+
+    yield from walk(src)
+
+
+def reference_solve_2dp_oracle(g: Digraph, s1: str, t1: str, s2: str, t2: str) -> bool:
+    """``nwr.solve_2dp_oracle`` as it was before it ran on masks: a
+    recursive walk over the simple s1-t1 paths, each checked by a string
+    search for an s2-t2 path around it.  No size limit."""
+    for x in (s1, t1, s2, t2):
+        if x not in g.vertices:
+            raise ValueError(f"designated vertex {x} is not in the graph")
+    succ = _succ(set(g.vertices), set(g.edges))
+    for blocked in _simple_vertex_paths(g, s1, t1):
+        if s2 not in blocked and t2 not in blocked and t2 in reach(succ, (s2,), blocked):
+            return True
+    return False
 
 
 def reference_trim_edges(a, r):

@@ -18,14 +18,13 @@ from nwr import (
     parse_family,
     random_arena,
     random_family,
-    reach,
     serialize_arena,
     serialize_family,
     successor_map,
     validate_arena,
 )
 from nwr.arena import bit_graph, reach_bits
-from _reference import predecessor_map, reference_successor_map
+from _reference import predecessor_map, reach, reference_successor_map
 
 
 class TestValidate:

@@ -169,6 +169,16 @@ class TestLiftFamily:
         with pytest.raises(ValueError, match=f"class {n}"):
             lift_family(reduced, {}, cmap)
 
+    def test_family_of_another_arena_raises(self, coin):
+        """A distribution naming a vertex the class map lacks, as a family
+        of some other arena does, is refused naming the class, not with a
+        ``KeyError``."""
+        reduced, cmap = quotient(coin, NwrRelation(coin.vertices))
+        (n,) = coin.nature
+        alien = {n: {"t": Fraction(1, 2), "zz": Fraction(1, 2)}}
+        with pytest.raises(ValueError, match=f"family lift at class {n}"):
+            lift_family(reduced, alien, cmap)
+
     def test_preservation_on_samples(self):
         for i, a in enumerate(arena_suite(15, seed=81, max_p=5, max_n=4)):
             rel = saturate(a)

@@ -680,6 +680,16 @@ def test_one_label_on_two_distributions_keeps_both():
     assert len(solve._rows(m)[2]) == 2
 
 
+def test_a_target_off_the_states_is_refused_exactly_and_reached_by_no_sweep():
+    """A hand-built MDP whose target is not a state: the exact solve
+    refuses it as the chain solve does, and value iteration, which reads
+    only the states, finds nothing to reach."""
+    m = Mdp(frozenset({"p"}), {("p", "a"): {"p": Fraction(1)}}, frozenset({"t"}))
+    with pytest.raises(ValueError, match="^targets outside the chain: t$"):
+        max_reach_values_exact(m)
+    assert value_iteration(m).values == {"p": 0.0}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(random_mdps(), mdps_with_ties(), mdps_sharing_distributions()))
 def test_live_actions_match_reference(m):

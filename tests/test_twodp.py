@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nwr import (
@@ -17,7 +17,7 @@ from nwr import (
     successor_map,
     validate_arena,
 )
-from _reference import reference_normalize_2dp
+from _reference import reference_normalize_2dp, reference_solve_2dp_oracle
 
 
 def random_digraph(n: int, density: float, seed: int):
@@ -57,6 +57,25 @@ class TestOracle:
         g = random_digraph(13, 0.3, seed=0)
         with pytest.raises(SizeLimitError):
             solve_2dp_oracle(g, "x0", "x1", "x2", "x3")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from([0, 0.1, 0.2, 0.3, 0.4]),
+    st.integers(0, 10_000),
+    st.lists(st.integers(0, 11), min_size=4, max_size=4),
+)
+@example(3, 0.4, 0, [0, 0, 1, 2])  # s1 == t1
+@example(3, 0.4, 0, [0, 1, 2, 2])  # s2 == t2
+@example(12, 0.4, 1, [0, 1, 2, 3])  # the size bound
+def test_oracle_matches_the_string_walk(n, density, seed, picks):
+    """The oracle on masks answers as the recursive walk over string
+    paths does, on every digraph up to its size bound, sources and sinks
+    repeating included."""
+    g = random_digraph(n, density, seed)
+    s1, t1, s2, t2 = (f"x{k % n}" for k in picks)
+    assert solve_2dp_oracle(g, s1, t1, s2, t2) == reference_solve_2dp_oracle(g, s1, t1, s2, t2)
 
 
 class TestNormalize:
