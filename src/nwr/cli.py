@@ -16,8 +16,6 @@ from pathlib import Path
 
 from .arena import (
     ArenaFormatError,
-    FamilyError,
-    StrategyError,
     _dumps,
     arena_to_dot,
     instantiate_mdp,
@@ -323,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ArenaFormatError, FamilyError, StrategyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

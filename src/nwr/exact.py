@@ -195,45 +195,33 @@ def _greedy_layers(g: BitGraph, pinned_top: int) -> tuple[list[int], int]:
     canonical: moving any closed or valid set downward never invalidates a
     layering, so this greedy succeeds whenever any layering does.
 
-    Within a layer the placed vertices are fixed and the candidate set
-    only shrinks, so a vertex can gain an upward edge only when one of its
-    successors is dropped: after the first sweep, only the predecessors of
-    the vertices just dropped are tested again.  Returns the layers,
-    bottom first, and their union.
+    Within a layer, the placed vertices ``P``, the free ones ``R`` and the
+    pinned top ``T`` partition the graph.  A vertex is fragile when it may
+    not point up: every Protagonist vertex, and every Nature vertex with no
+    successor in ``P``.  A fragile vertex of ``R`` leaves the layer exactly
+    when it has a successor in ``T`` or among the vertices that leave; any
+    other vertex of ``R`` never leaves.  So the vertices that leave are
+    the backward closure, inside the fragile ones, of the fragile
+    predecessors of ``T``: one ``reach_bits`` per layer.  Returns the
+    layers, bottom first, and their union.
     """
-    succ, pred = g.succ, g.pred
-    placed = below = 0  # ``below``: the vertices with a successor placed
+    pred = g.pred
+    below = 0  # the vertices with a successor placed
+    into_top = 0  # the vertices with a successor in the pinned top
+    for t in _bits(pinned_top):
+        into_top |= pred[t]
     layers: list[int] = []
     remaining = g.full & ~pinned_top
     while remaining:
-        # only these may have to leave the layer for an upward edge
-        fragile = g.protagonist | ~below
-        m = remaining
-        test = m & fragile
-        while test:  # ``_bits`` inlined: the innermost loop of decision
-            outside = ~(placed | m)
-            drop = 0
-            while test:
-                low = test & -test
-                test ^= low
-                if succ[low.bit_length() - 1] & outside:
-                    drop |= low
-            m ^= drop
-            while drop:
-                low = drop & -drop
-                drop ^= low
-                test |= pred[low.bit_length() - 1]
-            test &= m & fragile
-        if not m:
+        fragile = remaining & (g.protagonist | ~below)
+        layer = remaining & ~reach_bits(pred, fragile & into_top, ~fragile)
+        if not layer:
             break
-        layers.append(m)
-        placed |= m
-        remaining ^= m
-        while m:
-            low = m & -m
-            m ^= low
-            below |= pred[low.bit_length() - 1]
-    return layers, placed
+        layers.append(layer)
+        remaining ^= layer
+        for x in _bits(layer):
+            below |= pred[x]
+    return layers, g.full & ~(pinned_top | remaining)
 
 
 def check_size(a: TargetArena, limit: int) -> None:

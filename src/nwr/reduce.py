@@ -181,20 +181,19 @@ def trim_edges(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Remova
 
 def _trim(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Removal]]:
     """``trim_edges`` on an arena the caller has found to be a quotient
-    fixed point."""
-    edges = set(a.edges)
-    succ: dict[str, set[str]] = {v: set(ws) for v, ws in successor_map(a).items()}
+    fixed point; it walks the masks in vertex order, the edges' sorted order."""
+    g = bit_graph(a)
+    name = g.order
     removed: list[Removal] = []
-    for w, x in sorted(a.edges):
-        if w not in a.protagonist or x not in a.nature:
-            continue
-        rest = succ[w] - {x}
-        if rest and r.holds(x, rest):
-            edges.discard((w, x))
-            succ[w].discard(x)
-            removed.append(((w, x), (x, tuple(sorted(rest)))))
-    out = TargetArena(a.protagonist, a.nature, frozenset(edges), a.targets)
-    return out, removed
+    for w in _bits(g.protagonist):
+        left = g.succ[w]
+        for x in _bits(left & g.nature):
+            rest = left & ~(1 << x)
+            if rest and r.column(rest) >> x & 1:
+                left = rest
+                removed.append(((name[w], name[x]), (name[x], tuple(name[i] for i in _bits(rest)))))
+    edges = a.edges.difference(edge for edge, _ in removed)
+    return TargetArena(a.protagonist, a.nature, edges, a.targets), removed
 
 
 def reduce_fixpoint(a: TargetArena) -> tuple[TargetArena, ReductionReport]:

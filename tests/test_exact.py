@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -280,13 +281,27 @@ def test_2dp_decision_matches_string_reference(n, density, seed):
     st.data(),
 )
 def test_worklist_layering_matches_round_sweeps(p, n, density, targets, seed, data):
+    """The layering matches the round-by-round reference under a drawn pin
+    and under the pins ``decide_nwr`` passes, a target path's vertices and
+    the targets, on random arenas and on 2DP encodings, whose Protagonist
+    vertices each have one successor."""
     a = random_arena(p, n, density, min(targets, p), seed)
-    pinned = data.draw(st.sets(st.sampled_from(sorted(a.vertices))))
+    if data.draw(st.booleans()):
+        graph, terminals = digraph_instance(data.draw(st.integers(4, 9)), density, seed)
+        try:
+            a, _, _ = reduce_2dp(graph, *terminals)
+        except ValueError:
+            assume(False)
     g = bit_graph(a)
-    layers, placed = _greedy_layers(g, g.mask(pinned))
-    want_layers, want_placed = reference_greedy_layers(a, set(pinned))
-    assert [g.unmask(m) for m in layers] == want_layers
-    assert g.unmask(placed) == want_placed
+    pins = [g.mask(data.draw(st.sets(st.sampled_from(sorted(a.vertices)))))]
+    goal = g.mask(a.targets)
+    for v in range(len(g.order)):
+        pins += [seen | goal for _, seen in islice(_target_paths(g, v, goal, g.full), 5)]
+    for pinned in pins:
+        layers, placed = _greedy_layers(g, pinned)
+        want_layers, want_placed = reference_greedy_layers(a, set(g.unmask(pinned)))
+        assert [g.unmask(m) for m in layers] == want_layers
+        assert g.unmask(placed) == want_placed
 
 
 @settings(max_examples=60, deadline=None)
