@@ -602,11 +602,8 @@ def random_arena(
     nat = [f"n{i:02d}" for i in range(n_nature)]
     edges: set[tuple[str, str]] = set()
     for n in nat:
-        for p in prot:
-            if rng.random() < density:
-                edges.add((n, p))
-        if not any(u == n for u, _ in edges):
-            edges.add((n, rng.choice(prot)))
+        drawn = [p for p in prot if rng.random() < density]
+        edges.update((n, p) for p in drawn or [rng.choice(prot)])
     for p in prot:
         for n in nat:
             if rng.random() < density:

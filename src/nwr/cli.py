@@ -186,7 +186,7 @@ def _cmd_relate(args) -> int:
         classes.setdefault(cls, []).append(vertex)
     # json.dumps({"pairs": ..., "classes": ...}, indent=2), with the pair
     # list written by the relation's own writer one level in
-    pairs = rel._json("\n  ")
+    pairs = rel.to_json("\n  ")
     members = _dumps(sorted(sorted(m) for m in classes.values()), "\n  ")
     _emit(f'{{\n  "pairs": {pairs},\n  "classes": {members}\n}}', args.out)
     if args.out:

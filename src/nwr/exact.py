@@ -256,10 +256,11 @@ def decide_nwr(
     there.  This cut keeps the first valid path, and so the certificate:
     under the epsilon witness of a certificate (``epsilon_witness``),
     every vertex of its path reaches a target along the path with
-    probability at least ``(1 - eps)**n > 1/2``, while every vertex of
-    ``W`` sits below the top layer and has value under 1/2, so a path
-    through ``u`` would refute ``u <= W``.  Raise ``ValueError`` when the
-    relation is over other vertices.
+    probability at least ``(1 - eps)**n > 1/2`` (2/3 under the default
+    ``eps = 1/(3n)``), while every vertex of ``W`` sits below the top
+    layer and has value under 1/2, so a path through ``u`` would refute
+    ``u <= W``.  Raise ``ValueError`` when the relation is over other
+    vertices.
     """
     wset = frozenset(w)
     if not wset:
@@ -323,22 +324,11 @@ def decide_singletons(a: TargetArena, relation: NwrRelation, limit: int = 10) ->
 
 
 def default_epsilon(n_vertices: int) -> Fraction:
-    """A rational epsilon strictly inside the witness bound for ``n``
-    vertices: half the distance below ``1 - 2**(-1/n)``, obtained from an
-    exact rational upper bound on ``2**(-1/n)``."""
+    """The witness epsilon for ``n`` vertices: ``1/(3n)``.  By Bernoulli's
+    inequality, ``(1 - 1/(3n))**n >= 1 - n/(3n) = 2/3 > 1/2``."""
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
-    # bisect 20 times from [1/2, 1] on numerators over 2**j: the midpoint
-    # k / 2**j has k**n / 2**(j*n) >= 1/2 exactly when 2 * k**n >= 2**(j*n)
-    j, lo, hi = 1, 1, 2
-    for _ in range(20):
-        j += 1
-        mid, lo, hi = lo + hi, 2 * lo, 2 * hi
-        if 2 * mid**n_vertices >= 1 << (j * n_vertices):
-            hi = mid
-        else:
-            lo = mid
-    return Fraction((1 << j) - hi, 1 << (j + 1))
+    return Fraction(1, 3 * n_vertices)
 
 
 def epsilon_witness(
@@ -349,9 +339,9 @@ def epsilon_witness(
     Nature vertices on the certificate path send mass ``1 - eps`` along
     it; every Nature vertex of a middle layer with a strictly lower
     successor sends ``1 - eps`` to its smallest such successor; all other
-    mass is spread uniformly.  For ``eps`` under the bound the source's
-    value exceeds one half while every vertex below the top stays under
-    it.
+    mass is spread uniformly.  For ``eps`` with ``(1 - eps)**n > 1/2`` the
+    source's value exceeds one half while every vertex below the top stays
+    under it; the default ``eps = 1/(3n)`` puts the source at 2/3 or more.
     """
     if not verify_certificate(a, cert):
         raise ValueError("certificate does not verify against this arena")

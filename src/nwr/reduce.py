@@ -166,12 +166,19 @@ def lift_family(
 def trim_edges(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, list[Removal]]:
     """Remove edges to Nature vertices the relation proves never better.
 
-    Requires the arena to be a quotient fixed point.  Edges are checked
-    once each in lexicographic order against the successor sets as earlier
-    removals left them; an edge ``(w, x)`` goes when ``x`` is below the
-    remaining successors of ``w``.  One pass suffices: a removal shrinks
-    only its own vertex's successor set, and an edge that failed against a
-    set fails against every subset of it.
+    Edges are checked once each in lexicographic order against the
+    successor sets as earlier removals left them; an edge ``(w, x)`` goes
+    when ``x`` is below the remaining successors of ``w``.  One pass
+    suffices: a removal shrinks only its own vertex's successor set, and an
+    edge that failed against a set fails against every subset of it.
+
+    Requires a quotient fixed point (``ValueError`` otherwise), as a pair
+    can rest on the edge it removes.  In ``make_arena(["p", "t"], ["x",
+    "y"], [("p", "x"), ("p", "y"), ("x", "t"), ("y", "p")], ["t"])``,
+    ``saturate`` proves ``x <= {y}``, both worth 1, which would remove
+    ``p -> x`` and leave ``p -> y -> p``: ``p`` falls from 1 to 0, as
+    ``y`` was worth 1 only through ``p -> x``.  The quotient merges ``p``
+    with ``t`` and ``y`` with ``x`` first.
     """
     fixed, _ = quotient(a, r)
     if fixed != a:

@@ -15,7 +15,7 @@ union of the columns of the known sets inside it.  ``pairs`` reports, per known 
 that no known proper subset's column has: the inclusion-minimal pairs.
 
 The known sets are numbered in the order they became known, singleton
-``{i}`` as ``i`` (a seeded store knows its universe, numbered in its
+``{i}`` as ``i`` (a seeded store then the rest of its universe, in its
 order), and a transposed index over those numbers is kept up to date
 with the columns: per vertex ``i``, ``cm[i]`` masks the sets holding
 ``i``, and ``rows[i]`` the sets whose column holds ``i``.  The known
@@ -67,9 +67,10 @@ class NwrRelation:
         A bare store knows the singletons only, with no zero or winning
         vertex.
 
-        ``universe`` starts with the singletons in vertex order, and
-        ``zero`` shares no vertex with ``winning``.  The universe sets are
-        the known sets, numbered in its order.  A set holding a vertex of
+        ``zero`` shares no vertex with ``winning``.  The known sets are the
+        singletons in vertex order, then the other sets of ``universe`` in
+        its order, each once; a universe set that is empty or has a bit
+        past the last vertex raises ``ValueError``.  A set holding a vertex of
         ``winning`` has a full column, and any other set ``X`` the column
         ``X | zero``.  These columns are closed: a set ``Y`` inside
         ``X | zero`` holds no vertex of ``winning`` either, none being in
@@ -95,9 +96,9 @@ class NwrRelation:
         # set number -> the numbers of the sets that merged its column,
         # and its column as they merged it
         self._merged, self._seen = [], []
-        self._universe = tuple(
-            (1 << i for i in range(n)) if universe is None else universe
-        )
+        self._universe = tuple(dict.fromkeys([*(1 << i for i in range(n)), *(universe or ())]))
+        if any(y <= 0 or y >> n for y in self._universe):
+            raise ValueError(f"every universe set must be a non-empty set of the {n} vertices")
         for y in self._universe:
             self._know(y, full if y & winning else y | zero)
         for i in _bits(zero):
@@ -112,7 +113,7 @@ class NwrRelation:
     @property
     def universe(self) -> tuple[int, ...]:
         """The sets the store was built over, numbered in this order: the
-        singletons for a bare store.  Bar-reach ranges over them."""
+        singletons, then the others it was given.  Bar-reach ranges over them."""
         return self._universe
 
     def mask(self, vs: Iterable[str]) -> int:
@@ -351,10 +352,7 @@ class NwrRelation:
         self._dirty = 0
         return changed
 
-    def to_json(self) -> str:
-        return self._json()
-
-    def _json(self, margin: str = "\n") -> str:
+    def to_json(self, margin: str = "\n") -> str:
         """``json.dumps(doc, indent=2)`` of the pair list ``doc = [{"v": v,
         "W": sorted(W)} for v, W in self.pairs()]``, closed by ``margin``
         like ``arena._dumps``, in one flat pass: each vertex name is

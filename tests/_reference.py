@@ -1304,23 +1304,6 @@ def reference_relate_exact(a: TargetArena) -> NwrRelation:
     return rel
 
 
-def reference_default_epsilon(n_vertices: int) -> Fraction:
-    """``default_epsilon`` bisecting on ``Fraction`` powers: 20 halvings
-    of ``[1/2, 1]`` towards ``2**(-1/n)``, then half the distance from
-    the upper bound to 1."""
-    if n_vertices < 1:
-        raise ValueError("need at least one vertex")
-    half = Fraction(1, 2)
-    lo, hi = half, Fraction(1)
-    for _ in range(20):
-        mid = (lo + hi) / 2
-        if mid**n_vertices >= half:
-            hi = mid
-        else:
-            lo = mid
-    return (1 - hi) / 2
-
-
 def sample_falsify(
     a: TargetArena,
     v: str,

@@ -28,7 +28,6 @@ from nwr.exact import _greedy_layers, _target_paths, decide_singletons
 from _corpus import arena_suite, digraph_instance, ordered_set_partitions
 from _reference import (
     reference_decide_nwr,
-    reference_default_epsilon,
     reference_greedy_layers,
     reference_relate_exact,
     reference_simple_target_paths,
@@ -391,14 +390,12 @@ class TestEpsilonWitness:
         assert "eps" in str(err.value)
 
     def test_default_epsilon_bound(self):
-        for n in (1, 2, 4, 9, 20):
-            eps = default_epsilon(n)
-            assert 0 < eps < 1
-            assert (1 - eps) ** n > Fraction(1, 2)
-
-    def test_default_epsilon_matches_fraction_bisection(self):
         for n in range(1, 201):
-            assert default_epsilon(n) == reference_default_epsilon(n)
+            eps = default_epsilon(n)
+            assert eps == Fraction(1, 3 * n)
+            assert (1 - eps) ** n >= Fraction(2, 3)
+        with pytest.raises(ValueError):
+            default_epsilon(0)
 
 
 class TestSampleFalsify:

@@ -140,17 +140,17 @@ CERTIFY_GOLDEN = {
     3: (
         "87a1c9a43538afcfcd86a26bd8298ea2405c047bb6719542294992f34270571f",
         "d49b7a32adae42734535230057e48de8fdc279d099e551ab44f4cb82b1e95e54",
-        "f5f5e93fb3efcd9b66744264d53ed84cd569cabfb74738e617d334d82a8899c3",
+        "389f9c01282f74840e88e26bbae29508fb324ca344af59c87ad09cae9f535f85",
     ),
     4: (
         "4276832a01c6935304939cb79bbb70be817b55ca4f4ea9241d665d480e44aed8",
         "ac8c8497dd47251706caa57c8bc87fa278f286a3f3586f2cf58184c79c39abd8",
-        "6e85b25fb57ca1a70af8df88ace12140d0100e1075be60b777f15dc58c29d1df",
+        "8828ae376946838d660bcb1b9edab25c3581194b3eeea638b5a0c4a0d8d1be9a",
     ),
     5: (
         "72163c979a305845a4fc1dab6585b83a79b2c5c95439b0de806b291ef09c9d16",
         "f28b0ae3ea4cc686271c112f07697d0300d7b2a5307e1c16301eee182240b86c",
-        "f3388734c42bed10b3984b6e27e713ee918342f83b9711f30c936a5c7434d4ba",
+        "d8d98a0ba6d2559ee6b3eb5762827fd044b96fe1051c389aa3525360b6473b46",
     ),
     7: ("10c3e3651ee05e1e19b6b9f96e45cc5c740b733ba3e8c2ed7a14f8c05eb1a41c", None, None),
 }

@@ -24,7 +24,7 @@ from nwr import (
 )
 from nwr.arena import bit_graph
 from nwr.engine import RULES, rule_bar_win
-from nwr.reduce import proven_classes
+from nwr.reduce import _trim, proven_classes
 from nwr.solve import almost_sure_bits
 from _corpus import REDUCTION_ARENAS, arena_suite, drawn_arena, family_suite, several_target_arenas
 from _reference import (
@@ -244,6 +244,20 @@ class TestTrim:
         rel = saturate(funnel)
         with pytest.raises(ValueError):
             trim_edges(funnel, rel)  # funnel is not a quotient fixed point
+
+    def test_precondition_keeps_a_value(self):
+        """A pair can rest on the edge it would remove: ``x <= {y}`` holds,
+        but ``y`` is worth 1 only through ``p -> x``."""
+        a = make_arena(["p", "t"], ["x", "y"], [("p", "x"), ("p", "y"), ("x", "t"), ("y", "p")], ["t"])
+        rel = saturate(a)
+        assert rel.holds("x", {"y"})
+        trimmed, removed = _trim(a, rel)
+        assert [edge for edge, _ in removed] == [("p", "x")]
+        family = {"x": {"t": Fraction(1)}, "y": {"p": Fraction(1)}}
+        assert vertex_values(a, family).values["p"] == 1
+        assert vertex_values(trimmed, family).values["p"] == 0
+        with pytest.raises(ValueError, match="quotient fixed point"):
+            trim_edges(a, rel)
 
     def test_single_step_preservation_on_samples(self):
         for i, a in enumerate(arena_suite(12, seed=82, max_p=4, max_n=4)):

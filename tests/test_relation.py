@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nwr import (
@@ -435,6 +435,43 @@ def test_pair_count_counts_the_pairs(a, read, extra):
         rel.add_bits(1 << i % len(g.order), w & g.full or 1)
     rel.close()
     assert rel.pair_count() == len(list(rel.pairs()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.sampled_from([0.3, 0.4, 0.5]),
+    st.integers(0, 10_000),
+    st.one_of(st.none(), st.integers(0, 10_000)),
+)
+# numbered as given, with the singletons last, this universe made the store
+# prove n00 <= {n01}, though n01 is worth 0 and n00 is not
+@example(4, 4, 0.4, 1, None)
+def test_saturate_ignores_the_universe_order(p, n, density, seed, shuffle):
+    """The store numbers the singletons first in vertex order, whatever
+    order its universe comes in, so saturating over a reordered universe
+    writes the same relation.  ``shuffle`` None puts the sets that are not
+    singletons first; otherwise it seeds a shuffle of the whole universe."""
+    a = random_arena(p, n, density, 1, seed)
+    g = bit_graph(a)
+    singletons = [1 << i for i in range(len(g.order))]
+    universe = [m for m in g.universe if m not in singletons]
+    if shuffle is None:
+        universe += singletons
+    else:
+        universe = list(g.universe)
+        random.Random(shuffle).shuffle(universe)
+    rel = saturate(a, universe)
+    assert rel.to_json() == saturate(a).to_json()
+    assert rel.universe == tuple(singletons) + tuple(m for m in universe if m not in singletons)
+
+
+def test_universe_sets_must_lie_over_the_vertices():
+    assert NwrRelation(["a", "b"], [0b11, 0b10, 0b11]).universe == (0b01, 0b10, 0b11)
+    for bad in (0b100, 0b101, 0, -1):
+        with pytest.raises(ValueError, match="universe set"):
+            NwrRelation(["a", "b"], [0b01, bad])
 
 
 def test_fragment_write_rejects_the_empty_set():
