@@ -123,13 +123,14 @@ class BitGraph:
     @cached_property
     def read_sets(self) -> tuple[int, ...]:
         """The right-hand sets ``reduce_fixpoint`` saturates, the read
-        sets: those of ``universe`` the reduction reads.  Bar-win,
-        ``proven_classes`` and ``decide_singletons`` read the singletons,
-        the dominance rule each non-target Protagonist's successor set,
-        and ``_trim`` Protagonist successor sets less a member.  In a
-        valid arena these are the singletons and the universe's sets of
-        Nature vertices, and their columns are those of a saturation over
-        ``universe`` (CHANGES.md has the proof).  Ordered as ``universe``."""
+        sets: those of ``universe`` the reduction reads.  Bar-win and
+        ``decide_singletons`` read the singletons, ``proven_classes`` only
+        the Protagonist ones, the dominance rule each non-target
+        Protagonist's successor set, and ``_trim`` Protagonist successor
+        sets less a member.  In a valid arena these are the singletons and
+        the universe's sets of Nature vertices, and their columns are those
+        of a saturation over ``universe`` (CHANGES.md has the proof).
+        Ordered as ``universe``."""
         return self._sets_around(self.protagonist)
 
     def _sets_around(self, owners: int) -> tuple[int, ...]:

@@ -311,7 +311,7 @@ def decide_singletons(a: TargetArena, relation: NwrRelation, limit: int = 10) ->
     refuted = [0] * len(g.order)  # refuted[u]: the x with u <= {x} known false
     for i, v in enumerate(g.order):
         # adding ``v <= {w}`` grows this row at ``w`` alone, already passed
-        for j in _bits(g.full & ~relation.above(i) & ~(1 << i)):
+        for j in _bits(g.full & ~relation.above(i)):
             if refuted[i] >> j & 1:
                 continue
             decision = decide_nwr(a, v, {g.order[j]}, limit=limit, relation=relation)

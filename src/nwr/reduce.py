@@ -65,16 +65,16 @@ class ReductionReport:
 def proven_classes(a: TargetArena, r: NwrRelation) -> dict[str, str]:
     """Each vertex's class of proven equivalents, named by its smallest member.
 
-    Equivalent vertices are each below the other's singleton.  A
-    Protagonist class is a block of equivalent Protagonist vertices; a
-    Nature class is one of equivalent Nature vertices whose successors all
-    lie in one Protagonist class, so a Nature vertex whose own successors
-    span two classes stays alone.  ``r`` must be over the vertices of
-    ``a``, and its singleton pairs transitive, which makes "all successors
-    of both pairwise equivalent" the same as "all in one Protagonist
-    class": ``saturate`` leaves them so by its closure, and ``relate
-    --exact`` by deciding every open singleton pair of the true relation,
-    which is transitive.
+    A Protagonist class is a block of Protagonist vertices each below
+    the others' singletons in ``r``, which must be over the vertices of
+    ``a`` with those pairs transitive, as ``saturate`` leaves them by its
+    closure and ``relate --exact`` by deciding every open singleton pair.
+    A Nature class is every Nature vertex whose successors all lie in one
+    Protagonist class, so each is worth that class's value under every
+    family, and ``r`` is not read for it.  On the relations of
+    ``saturate`` and ``relate --exact``, ``r`` proves these classes too:
+    bar-reach and the closure put such a vertex below each member of its
+    class, and bar-win puts each member below it.
     """
     g = bit_graph(a)
     if r.vertices != g.order:
@@ -88,17 +88,12 @@ def proven_classes(a: TargetArena, r: NwrRelation) -> dict[str, str]:
         free &= ~cls
         for j in _bits(cls):
             name[j], home[j] = i, cls
-    free = g.nature
-    while free:
-        i = (free & -free).bit_length() - 1
-        succ, cls = g.succ[i], 1 << i
-        inside = home[(succ & -succ).bit_length() - 1] if succ else 0
+    first: dict[int, int] = {}  # each Protagonist class's first Nature vertex into it
+    for i in _bits(g.nature):
+        succ = g.succ[i]
+        inside = home[succ.bit_length() - 1] if succ else 0
         if succ and succ & ~inside == 0:
-            both = r.column(1 << i) & r.above(i) & free
-            cls = sum(1 << j for j in _bits(both) if g.succ[j] & ~inside == 0)
-        free &= ~cls
-        for j in _bits(cls):
-            name[j] = i
+            name[i] = first.setdefault(inside, i)
     return {v: g.order[k] for v, k in zip(g.order, name)}
 
 
@@ -108,9 +103,9 @@ def quotient(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, dict[str, str
     The classes are ``proven_classes(a, r)``.  An edge from a Protagonist
     class to a Nature vertex survives only when that Nature vertex has a
     successor outside the class, which removes self-loops; Nature classes
-    left unreachable are dropped.  Nature vertices merge only when all
-    their successors lie in one Protagonist class, so the lifted family
-    stays full-support and member-independent.
+    left unreachable are dropped.  Nature vertices merge only when they
+    all lead into one Protagonist class ``C`` alone, so a merged class
+    lifts to ``{C: 1}``, full-support, whichever member names it.
     """
     succ = successor_map(a)
     cmap = proven_classes(a, r)
@@ -127,7 +122,7 @@ def quotient(a: TargetArena, r: NwrRelation) -> tuple[TargetArena, dict[str, str
             edges.add((cmap[u], cmap[v]))
     entered = {y for _, y in edges}
     dropped = {c for c in n_classes if c not in entered}
-    edges = {(x, y) for x, y in edges if x not in dropped and y not in dropped}
+    edges = {(x, y) for x, y in edges if x not in dropped}
     reduced = TargetArena(
         frozenset(p_classes),
         frozenset(n_classes - dropped),

@@ -151,8 +151,15 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
     do not grow.  By induction each integer row is a positive multiple of
     the row elimination over ``Fraction`` holds at the same step, so every
     pivot is a positive multiple of a ``Fraction`` pivot, and the M-matrix
-    argument above still rules out a zero one.  Back-substitution keeps
-    each unknown as a reduced numerator and denominator pair.
+    argument above still rules out a zero one.  Nor does an entry cancel:
+    the rows over ``Fraction`` are rows of partial Schur complements of
+    ``I - P``, again nonsingular M-matrices (Berman & Plemmons, ch. 6),
+    positive on the diagonal and not positive off it.  So ``f`` and the
+    stored ``row_k[j]`` are negative, and the new entry is negative for
+    ``j != i`` and the next diagonal, positive, for ``j = i``.  (On a
+    malformed chain a zero stays an explicit entry; its step changes
+    nothing.)  Back-substitution keeps each unknown as a reduced
+    numerator and denominator pair.
 
     Raises ``ValueError`` when a target is not a state of ``c``.
     """
@@ -191,20 +198,14 @@ def reach_prob_vector(c: MarkovChain, targets: Iterable[str]) -> dict[str, Fract
         heapify(lower)
         while lower:
             k = heappop(lower)
-            f = row.pop(k, 0)
-            if not f:  # pushed twice, or cancelled to zero since
-                continue
+            f = row.pop(k)
             pivot = pivots[k]
             for j in row:
                 row[j] *= pivot
             for j, x in rows[k].items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j < i and j not in row:
-                        heappush(lower, j)
-                    row[j] = y
-                else:
-                    del row[j]
+                if j < i and j not in row:
+                    heappush(lower, j)
+                row[j] = row.get(j, 0) - f * x
             b = b * pivot - f * rhs[k]
             g = gcd(b, *row.values())
             if g > 1:

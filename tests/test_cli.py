@@ -536,3 +536,114 @@ def test_main_output_does_not_depend_on_earlier_calls(coin_file, coin_family_fil
     assert "the following arguments are required: --family" in runs["usage-error"][2]
     assert files["w1.json"] != files["w2.json"]
     assert len(files) == 12
+
+
+def _input_error(capsys, message: str) -> None:
+    """The last command printed ``error: <message>`` as its one line on
+    standard error, no traceback, and nothing on standard output."""
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "relate", "reduce", "certify"])
+def test_invalid_arena_is_input_error(tmp_path, coin_family_file, capsys, command):
+    """An arena that parses but breaks an invariant, here with an edge
+    between two Protagonist vertices, is refused before any work."""
+    doc = {
+        "vertices": [
+            {"id": "p", "owner": "P"},
+            {"id": "t", "owner": "P", "target": True},
+            {"id": "n", "owner": "N"},
+        ],
+        "edges": [["p", "n"], ["n", "t"], ["p", "t"]],
+    }
+    path = tmp_path / "arena.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "solve": ["solve", str(path), "--family", str(coin_family_file)],
+        "relate": ["relate", str(path)],
+        "reduce": ["reduce", str(path)],
+        "certify": ["certify", str(path), "--source", "p", "--against", "t"],
+    }[command]
+    assert main(argv) == 2
+    _input_error(capsys, "edge (p,t) is not bipartite")
+
+
+def test_certify_check_of_a_certificate_that_does_not_verify(coin, coin_file, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(decide_nwr(coin, "t", {"v0"}).certificate.to_json())
+    argv = ["certify", str(coin_file), "--source", "t", "--against", "f", "--check", str(cert_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "certificate does not verify\n"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--iterate"])
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ({"n0": {"t": "1/3", "f": "2/3"}, "v0": {"t": "1"}}, "family defined on non-Nature vertex v0"),
+        ({}, "family missing Nature vertex n0"),
+    ],
+)
+def test_family_off_the_nature_vertices_is_input_error(coin_file, tmp_path, capsys, mode, family, message):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(family))
+    assert main(["solve", str(coin_file), "--family", str(path), mode]) == 2
+    _input_error(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ('"p"', "vertices[0]: must be an object"),
+        ('{"id": "p", "owner": "P", "color": "red"}', "vertices[0]: unknown key 'color'"),
+        ('{"owner": "P"}', "vertices[0]: missing string 'id'"),
+        ('{"id": 7, "owner": "P"}', "vertices[0]: missing string 'id'"),
+        ('{"id": "p", "owner": "P"}, {"id": "p", "owner": "N"}', "vertices[1]: duplicate id 'p'"),
+        ('{"id": "p", "owner": "X"}', "vertices[0]: owner must be 'P' or 'N'"),
+        ('{"id": "p", "owner": "P", "target": 1}', "vertices[0]: target must be a boolean"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "relate"])
+def test_bad_vertex_entry_is_input_error(tmp_path, capsys, entries, message, command):
+    path = tmp_path / "arena.json"
+    path.write_text(f'{{"vertices": [{entries}], "edges": []}}')
+    assert main([command, str(path)]) == 2
+    _input_error(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "source, against, message",
+    [("t", ",", "W must be non-empty"), ("zz", "v0", "unknown vertex zz"), ("t", "v0,zz", "unknown vertex zz")],
+)
+def test_certify_query_off_the_arena_is_input_error(coin_file, capsys, source, against, message):
+    assert main(["certify", str(coin_file), "--source", source, "--against", against]) == 2
+    _input_error(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "graph, terminals, message",
+    [
+        (
+            {"vertices": ["a", "b", "c", "d", "(a,c)"], "edges": [["a", "c"], ["a", "(a,c)"], ["(a,c)", "c"], ["b", "d"]]},
+            ["a", "c", "b", "d"],
+            "graph vertex (a,c) collides with an edge-vertex name",
+        ),
+        (
+            {"vertices": ["a", "b", "c", "d"], "edges": [["a", "c"], ["b", "d"]]},
+            ["a", "c", "b", "zz"],
+            "designated vertex zz is not in the graph",
+        ),
+    ],
+)
+def test_2dp_instance_that_cannot_be_encoded_is_input_error(tmp_path, capsys, graph, terminals, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    argv = ["2dp", str(path), "--oracle", "--decide"]
+    for flag, vertex in zip(("--s1", "--t1", "--s2", "--t2"), terminals):
+        argv += [flag, vertex]
+    assert main(argv) == 2
+    _input_error(capsys, message)

@@ -94,12 +94,80 @@ class TestVerifyCertificate:
         bad = NwrCertificate(cert.layers, cert.path, "t", frozenset({"t"}))
         assert not verify_certificate(coin, bad)
 
+    # Each certificate below differs from the valid ``_funnel_cert`` only
+    # in the one defect its test names.
+    def _funnel_cert(self, funnel, **fields):
+        base = {
+            "layers": (frozenset({"fail"}), frozenset(funnel.vertices - {"fail"})),
+            "path": ("p", "pa", "t", "ta", "fin"),
+            "v": "p",
+            "W": frozenset({"fail"}),
+        }
+        return NwrCertificate(**{**base, **fields})
+
     def test_non_simple_path_rejected(self, funnel):
-        layers = (frozenset({"fail"}), frozenset(funnel.vertices - {"fail"}))
-        cert = NwrCertificate(
-            layers, ("p", "pa", "q", "qa", "p"), "p", frozenset({"fail"})
-        )
+        # the path reaches the target along edges inside the top layer, and
+        # repeats p and pa
+        path = ("p", "pa", "q", "qa", "p", "pa", "t", "ta", "fin")
+        assert not verify_certificate(funnel, self._funnel_cert(funnel, path=path))
+        assert verify_certificate(funnel, self._funnel_cert(funnel))
+        assert verify_certificate(funnel, self._funnel_cert(funnel), "p", {"fail"})
+
+    def test_source_other_than_the_certificate_rejected(self, funnel):
+        # the certificate's path starts at p, as the query's source does
+        cert = self._funnel_cert(funnel, v="q")
+        assert not verify_certificate(funnel, cert, "p", {"fail"})
+
+    def test_against_set_other_than_the_certificate_rejected(self, funnel):
+        # the query's W = {fail} sits below the top, as the certificate's needs
+        cert = self._funnel_cert(funnel, W=frozenset({"fail", "t"}))
+        assert not verify_certificate(funnel, cert, "p", {"fail"})
+
+    def test_drifting_layers_rejected(self, funnel):
+        # q in the bottom layer points up to qa
+        layers = (frozenset({"fail", "q"}), frozenset(funnel.vertices - {"fail", "q"}))
+        assert not verify_drift_partition(funnel, layers)
+        assert not verify_certificate(funnel, self._funnel_cert(funnel, layers=layers))
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            ({"fail"}, {"p", "pa", "q", "t", "ta", "tb", "fin"}),  # qa in no layer
+            ({"fail", "q"}, {"p", "pa", "q", "qa", "t", "ta", "tb", "fin"}),  # q in two
+            ({"fail"}, set(), {"p", "pa", "q", "qa", "t", "ta", "tb", "fin"}),  # an empty layer
+        ],
+    )
+    def test_layers_that_are_no_partition_rejected(self, funnel, layers):
+        layers = tuple(map(frozenset, layers))
+        with pytest.raises(ValueError):
+            verify_drift_partition(funnel, layers)
+        assert not verify_certificate(funnel, self._funnel_cert(funnel, layers=layers))
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            (),
+            ("q", "qa", "t", "ta", "fin"),  # a path to the target, from q
+            ("p", "pa", "t"),  # a simple path from p, to no target
+        ],
+    )
+    def test_path_off_the_source_or_the_targets_rejected(self, funnel, path):
+        assert not verify_certificate(funnel, self._funnel_cert(funnel, path=path))
+
+    def test_path_off_the_edges_rejected(self, funnel):
+        # p has no edge to ta
+        assert not verify_certificate(funnel, self._funnel_cert(funnel, path=("p", "ta", "fin")))
+
+    def test_path_leaving_the_top_layer_rejected(self, funnel):
+        # tb, between fail and the top, drifts: it points up to fin and
+        # down to fail; the same layers with the path through ta verify
+        layers = (frozenset({"fail"}), frozenset({"tb"}), frozenset(funnel.vertices - {"fail", "tb"}))
+        assert verify_certificate(funnel, self._funnel_cert(funnel, layers=layers))
+        cert = self._funnel_cert(funnel, layers=layers, path=("p", "pa", "t", "tb", "fin"))
         assert not verify_certificate(funnel, cert)
+
+    def test_empty_against_set_rejected(self, funnel):
+        assert not verify_certificate(funnel, self._funnel_cert(funnel, W=frozenset()))
 
     def test_buried_target_rejected(self):
         # a second, dead target below the top never certifies anything

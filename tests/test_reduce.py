@@ -114,6 +114,57 @@ class TestProvenClasses:
         assert cmap["pa"] == cmap["qa"] == "pa"
         assert cmap["pb"] == "pb" and cmap["qb"] == "qb"
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.sampled_from([0.1, 0.15, 0.2, 0.3, 0.5]),
+        st.integers(1, 3),
+        st.integers(0, 10_000),
+    )
+    @example(3, 4, 0.3, 1, 0)  # n00 to n03 all lead into the class {p00, p01, p02}
+    @example(30, 30, 0.07, 1, 3)  # the 60-vertex sparse arena of the benchmark
+    def test_nature_classes_need_only_the_protagonist_pairs(self, p, n, density, targets, seed):
+        """The classes are the same on a store holding only ``saturate``'s
+        Protagonist singleton pairs: the graph fixes the Nature classes."""
+        a = random_arena(p, n, density, min(targets, p), seed)
+        rel = saturate(a)
+        prot = sorted(a.protagonist)
+        only = NwrRelation(a.vertices)
+        for u in prot:
+            for v in prot:
+                if rel.holds(u, {v}):
+                    only.add(u, {v})
+        assert proven_classes(a, only) == proven_classes(a, rel)
+
+    def test_bare_relation_merges_nature_vertices_with_one_successor(self):
+        """m1 and m2 lead into r alone, so they merge on the bare store,
+        which proves no pair; the class lifts to ``{r: 1}`` and every value
+        is kept.  ``saturate`` proves the merge."""
+        a = make_arena(
+            ["p", "q", "r", "t", "f"], ["m1", "m2", "c", "n"],
+            [
+                ("p", "m1"), ("p", "c"), ("q", "m2"), ("m1", "r"), ("m2", "r"),
+                ("c", "t"), ("c", "q"), ("r", "n"), ("n", "t"), ("n", "f"),
+            ],
+            ["t"],
+        )
+        bare = NwrRelation(a.vertices)
+        cmap = proven_classes(a, bare)
+        assert cmap == {v: "m1" if v == "m2" else v for v in a.vertices}
+        assert proven_classes(a, saturate(a))["m2"] == "m1"
+        reduced, qmap = quotient(a, bare)
+        assert qmap == cmap
+        assert reduced.nature == frozenset({"m1", "c", "n"})
+        assert ("q", "m1") in reduced.edges
+        for mu in family_suite(a, 6, seed=40):
+            lifted = lift_family(reduced, mu, cmap)
+            assert lifted["m1"] == {"r": Fraction(1)}
+            before = vertex_values(a, mu).values
+            after = vertex_values(reduced, lifted).values
+            for v in a.protagonist:
+                assert before[v] == after[cmap[v]], v
+
     def test_relation_over_other_vertices_refused(self, coin):
         for verts in (["v0", "t"], sorted(coin.vertices) + ["x"], ["a", "b", "c", "d"]):
             with pytest.raises(ValueError, match="other vertices"):

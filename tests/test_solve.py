@@ -410,6 +410,8 @@ class TestValueIteration:
     def test_iteration_cap_flags_result(self, mixer_mdp):
         vv = value_iteration(mixer_mdp, tol=1e-12, max_iters=2)
         assert not vv.converged
+        assert vv.to_json_dict()["converged"] is False
+        assert "converged" not in value_iteration(mixer_mdp, tol=1e-10).to_json_dict()
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10])
     def test_tolerance_must_be_positive_and_finite(self, mixer_mdp, tol):

@@ -37,6 +37,14 @@ class TestOracle:
         g = make_digraph(["s1", "t1", "s2", "t2"], [("s1", "t1"), ("s2", "t2")])
         assert solve_2dp_oracle(g, "s1", "t1", "s2", "t2")
 
+    @pytest.mark.parametrize("where", range(4))
+    def test_designated_vertex_must_be_in_the_graph(self, where):
+        g = make_digraph(["s1", "t1", "s2", "t2"], [("s1", "t1"), ("s2", "t2")])
+        terminals = ["s1", "t1", "s2", "t2"]
+        terminals[where] = "zz"
+        with pytest.raises(ValueError, match="designated vertex zz is not in the graph"):
+            solve_2dp_oracle(g, *terminals)
+
     def test_degenerate_source_equals_sink(self):
         g = make_digraph(["s1", "s2", "t2"], [("s2", "t2"), ("s2", "s1")])
         # the first path is just <s1>; the second must avoid s1
